@@ -67,18 +67,6 @@ const (
 // Modes lists all analyses in table order.
 func Modes() []Mode { return core.Modes() }
 
-// Scheduler selects the sweep executor (AnalysisOptions.Scheduler):
-// the dataflow wavefront pipelines cells as their dependencies
-// complete, the level-synchronized reference barriers per level.
-// Results are bit-identical either way.
-type Scheduler = core.Scheduler
-
-// The sweep executors.
-const (
-	SchedDataflow = core.SchedDataflow
-	SchedLevels   = core.SchedLevels
-)
-
 // AnalysisOptions is re-exported from the core engine.
 type AnalysisOptions = core.Options
 
@@ -899,7 +887,7 @@ func (d *Design) buildTable(title string, withGolden bool, base AnalysisOptions,
 			Passes:      r.Passes,
 			Evaluations: r.ArcEvaluations,
 			Tier0Evals:  r.Tier0Hits,
-			NewtonEvals: r.ArcEvaluations,
+			Simulations: r.Simulations,
 		})
 		if r.Mode == Iterative {
 			iterRes = r

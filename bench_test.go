@@ -416,10 +416,9 @@ func BenchmarkAblationIntegrator(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientKernel compares the legacy fixed 700-step transient
-// grid against the adaptive-timestep kernel on the same mixed arc
-// workload (benchstat-friendly: `go test -bench TransientKernel -count
-// 10 | benchstat`, comparing the fixed700 and adaptive sub-benchmarks).
+// BenchmarkTransientKernel times the adaptive-timestep kernel on a mixed
+// uncached arc workload (benchstat-friendly: `go test -bench
+// TransientKernel -count 10 | benchstat`).
 func BenchmarkTransientKernel(b *testing.B) {
 	p := device.Generic05um()
 	lib := device.NewLibrary(p, 0)
@@ -434,27 +433,18 @@ func BenchmarkTransientKernel(b *testing.B) {
 		{Kind: netlist.NOR, NIn: 3, Pin: 2, Dir: waveform.Falling, InSlew: 0.25e-9, CLoad: 40e-15, CCouple: 20e-15},
 		{Kind: netlist.NAND, NIn: 4, Pin: 0, Dir: waveform.Falling, InSlew: 0.6e-9, CLoad: 90e-15},
 	}
-	for _, fixed := range []bool{true, false} {
-		name := "adaptive"
-		if fixed {
-			name = "fixed700"
-		}
-		b.Run(name, func(b *testing.B) {
-			calc := delaycalc.New(lib, ccc.DefaultSizing(p), m,
-				delaycalc.Options{DisableCache: true, FixedGrid: fixed})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range reqs {
-					if _, err := calc.Eval(r); err != nil {
-						b.Fatal(err)
-					}
-				}
+	calc := delaycalc.New(lib, ccc.DefaultSizing(p), m, delaycalc.Options{DisableCache: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range reqs {
+			if _, err := calc.Eval(r); err != nil {
+				b.Fatal(err)
 			}
-			c := calc.Counters()
-			b.ReportMetric(float64(c.NewtonIterations)/float64(b.N), "newton_iters/op")
-		})
+		}
 	}
+	c := calc.Counters()
+	b.ReportMetric(float64(c.NewtonIterations)/float64(b.N), "newton_iters/op")
 }
 
 // BenchmarkTelemetryOverhead: the same analysis bare, with an attached

@@ -45,7 +45,6 @@ type benchEnv struct {
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	Workers     int    `json:"workers"`
-	Scheduler   string `json:"scheduler"`
 	GitRevision string `json:"git_revision"`
 	// Scale and Cells pin the circuit size (absent/zero in older
 	// files). When both files record Cells, a mismatch refuses the
@@ -63,21 +62,37 @@ type benchFile struct {
 	// CompileMs and MaxRSSBytes are the build wall time and peak
 	// resident set (absent/zero in older files). Memory gates
 	// hard at -mem-tol; compile time diffs warn-only (wall clock).
-	CompileMs   float64 `json:"compile_ms"`
-	MaxRSSBytes int64   `json:"max_rss_bytes"`
-	Rows        []struct {
-		Method      string  `json:"method"`
-		DelayNs     float64 `json:"delay_ns"`
-		RuntimeMs   float64 `json:"runtime_ms"`
-		Passes      int     `json:"passes"`
-		Evaluations int64   `json:"arc_evaluations"`
-		Tier0Evals  int64   `json:"tier0_evals"`
-		NewtonEvals int64   `json:"newton_evals"`
-	} `json:"rows"`
+	CompileMs   float64    `json:"compile_ms"`
+	MaxRSSBytes int64      `json:"max_rss_bytes"`
+	Rows        []benchRow `json:"rows"`
 	// Latency and Server are flat numeric sections (absent in older
 	// files). They diff warn-only: wall-clock figures, never gated.
 	Latency map[string]float64 `json:"latency"`
 	Server  map[string]float64 `json:"server"`
+}
+
+// benchRow is one mode's result row.
+type benchRow struct {
+	Method      string  `json:"method"`
+	DelayNs     float64 `json:"delay_ns"`
+	RuntimeMs   float64 `json:"runtime_ms"`
+	Passes      int     `json:"passes"`
+	Evaluations int64   `json:"arc_evaluations"`
+	Tier0Evals  int64   `json:"tier0_evals"`
+	// Simulations is nil in files written before the column existed.
+	Simulations *int64 `json:"simulations"`
+}
+
+// rowCounts maps each mode to one per-row work count; rows where get
+// returns nil (a column the file predates) are left out.
+func rowCounts(f *benchFile, get func(*benchRow) *int64) map[string]float64 {
+	out := make(map[string]float64, len(f.Rows))
+	for i := range f.Rows {
+		if v := get(&f.Rows[i]); v != nil {
+			out[f.Rows[i].Method] = float64(*v)
+		}
+	}
+	return out
 }
 
 // envString renders one file's recorded environment for the header.
@@ -86,8 +101,8 @@ func envString(f *benchFile) string {
 		return "(no environment recorded)"
 	}
 	e := f.Env
-	s := fmt.Sprintf("%s gomaxprocs=%d workers=%d sched=%s rev=%s",
-		e.GoVersion, e.GOMAXPROCS, e.Workers, e.Scheduler, e.GitRevision)
+	s := fmt.Sprintf("%s gomaxprocs=%d workers=%d rev=%s",
+		e.GoVersion, e.GOMAXPROCS, e.Workers, e.GitRevision)
 	if e.Cells > 0 {
 		s += fmt.Sprintf(" cells=%d scale=%g", e.Cells, e.Scale)
 	}
@@ -335,19 +350,14 @@ func main() {
 		}
 		fmt.Printf("%-22s %12.4f %12.4f %9.3f%s\n", r.Method, r.DelayNs, nd, drift, mark)
 	}
-	// Per-mode evaluation counts diff warn-only, like the wall-clock
-	// sections: tier-0 dispatch, cache reuse and feature flags move them
+	// Per-mode work counts diff warn-only, like the wall-clock sections:
+	// tier-0 dispatch, cache reuse and feature flags move them
 	// legitimately — the report explains work drift, the delay rows
 	// above gate correctness.
-	baseEvals := make(map[string]float64, len(base.Rows))
-	for _, r := range base.Rows {
-		baseEvals[r.Method] = float64(r.Evaluations)
-	}
-	candEvals := make(map[string]float64, len(cand.Rows))
-	for _, r := range cand.Rows {
-		candEvals[r.Method] = float64(r.Evaluations)
-	}
-	diffWarnOnly("arc_evaluations", baseEvals, candEvals, *latTol)
+	evals := func(r *benchRow) *int64 { return &r.Evaluations }
+	sims := func(r *benchRow) *int64 { return r.Simulations }
+	diffWarnOnly("arc_evaluations", rowCounts(base, evals), rowCounts(cand, evals), *latTol)
+	diffWarnOnly("simulations", rowCounts(base, sims), rowCounts(cand, sims), *latTol)
 	diffWarnOnly("latency", base.Latency, cand.Latency, *latTol)
 	diffWarnOnly("server", base.Server, cand.Server, *latTol)
 

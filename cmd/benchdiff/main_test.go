@@ -30,12 +30,42 @@ func TestLoadWithEnv(t *testing.T) {
 	if f.Env == nil {
 		t.Fatal("env not parsed")
 	}
-	want := "go1.24.0 gomaxprocs=16 workers=8 sched=dataflow rev=abc123def456"
+	// A "scheduler" key from files recorded before the sweep executor
+	// was unified is ignored.
+	want := "go1.24.0 gomaxprocs=16 workers=8 rev=abc123def456"
 	if got := envString(f); got != want {
 		t.Errorf("envString = %q, want %q", got, want)
 	}
 	if f.Rows[0].DelayNs != 1.5 {
 		t.Errorf("delay = %v, want 1.5", f.Rows[0].DelayNs)
+	}
+}
+
+// TestSimulationsColumnOptional: rows recorded before the simulations
+// column load with it absent and drop out of the work diff, while
+// newer rows (including a genuine zero) keep it.
+func TestSimulationsColumnOptional(t *testing.T) {
+	old, err := load(writeTemp(t, "old.json", `{"circuit": "x",
+		"rows": [{"method": "Iterative", "delay_ns": 1.5, "newton_evals": 900}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := load(writeTemp(t, "new.json", `{"circuit": "x",
+		"rows": [{"method": "Iterative", "delay_ns": 1.5, "simulations": 0},
+		         {"method": "Best case", "delay_ns": 1.0, "simulations": 120}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := func(r *benchRow) *int64 { return r.Simulations }
+	if got := rowCounts(old, sims); len(got) != 0 {
+		t.Errorf("old file simulations = %v, want none", got)
+	}
+	got := rowCounts(cur, sims)
+	if v, ok := got["Iterative"]; !ok || v != 0 || got["Best case"] != 120 {
+		t.Errorf("simulations = %v, want Iterative 0 and Best case 120", got)
+	}
+	if n := diffWarnOnly("simulations", rowCounts(old, sims), got, 25); n != 0 {
+		t.Errorf("diff against a baseline without the column warned %d rows", n)
 	}
 }
 

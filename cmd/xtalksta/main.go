@@ -96,7 +96,6 @@ func run() error {
 
 		lteTol      = flag.Float64("lte-tol", 0, "adaptive-timestep truncation-error tolerance in volts (0 = default 1e-3)")
 		cacheShards = flag.Int("cache-shards", 0, "lock stripes of the characterization cache, rounded up to a power of two (0 = default 8)")
-		fixedGrid   = flag.Bool("fixed-grid", false, "use the legacy fixed 700-step transient grid instead of the adaptive kernel")
 
 		parallelModes = flag.Bool("parallel-modes", false, "table mode: run the five analyses concurrently over one compiled snapshot (delays identical; runtimes overlap and share a warm cache)")
 		sweepBench    = flag.Bool("sweep-bench", false, "with -json in table mode: additionally time the five-mode sweep serial (cold cache per mode) vs concurrent (one shared cache) and record both wall-clocks")
@@ -105,7 +104,6 @@ func run() error {
 		tier0Margin = flag.Float64("tier0-margin", 0.05, "relative criticality margin of the tier-0 gate; arcs within this fraction of the longest-path frontier always evaluate exactly")
 
 		workers     = flag.Int("workers", 0, "worker goroutines per BFS sweep (0/1 = sequential)")
-		sched       = flag.String("sched", "dataflow", "sweep scheduler: dataflow (wavefront) or levels (barrier reference)")
 		metricsPath = flag.String("metrics", "", "write the metrics registry as JSON to this file")
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event profile to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -175,11 +173,6 @@ func run() error {
 		}
 	}()
 
-	scheduler, err := parseSched(*sched)
-	if err != nil {
-		return err
-	}
-
 	// Structured event log (-events): one JSONL record per analysis,
 	// refinement pass and ECO batch.
 	var events *xtalksta.EventLog
@@ -230,7 +223,6 @@ func run() error {
 	aopts := xtalksta.AnalysisOptions{
 		Esperance:       *esperance,
 		Workers:         *workers,
-		Scheduler:       scheduler,
 		Tier0:           *tier0,
 		Tier0Margin:     *tier0Margin,
 		Metrics:         reg,
@@ -249,7 +241,6 @@ func run() error {
 	bopts.Calc.Metrics = reg
 	bopts.Calc.LTETol = *lteTol
 	bopts.Calc.CacheShards = *cacheShards
-	bopts.Calc.FixedGrid = *fixedGrid
 	buildStart := time.Now()
 	d, title, err := buildDesign(*benchPath, *spefPath, *preset, *scale, *cells, *dffs, *depth, *seed, bopts)
 	if err != nil {
@@ -403,7 +394,7 @@ func run() error {
 		if *preset != "" {
 			jsonScale = *scale
 		}
-		if err := writeTableJSON(*jsonPath, title, st, table, *workers, scheduler, jsonScale, compileMs, sweep, reg); err != nil {
+		if err := writeTableJSON(*jsonPath, title, st, table, *workers, jsonScale, compileMs, sweep, reg); err != nil {
 			return err
 		}
 	}
@@ -528,7 +519,6 @@ type benchEnv struct {
 	GoVersion   string  `json:"go_version"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 	Workers     int     `json:"workers"`
-	Scheduler   string  `json:"scheduler"`
 	GitRevision string  `json:"git_revision"`
 	Scale       float64 `json:"scale"`
 	Cells       int     `json:"cells"`
@@ -661,7 +651,7 @@ func maxRSSBytes() int64 {
 }
 
 // writeTableJSON emits the machine-readable all-modes summary (-json).
-func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table, workers int, sched xtalksta.Scheduler, scale, compileMs float64, sweep *sweepBenchResult, reg *xtalksta.MetricsRegistry) error {
+func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table, workers int, scale, compileMs float64, sweep *sweepBenchResult, reg *xtalksta.MetricsRegistry) error {
 	type row struct {
 		Method      string  `json:"method"`
 		DelayNs     float64 `json:"delay_ns"`
@@ -669,7 +659,7 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 		Passes      int     `json:"passes"`
 		Evaluations int64   `json:"arc_evaluations"`
 		Tier0Evals  int64   `json:"tier0_evals"`
-		NewtonEvals int64   `json:"newton_evals"`
+		Simulations int64   `json:"simulations"`
 	}
 	out := struct {
 		Circuit string   `json:"circuit"`
@@ -695,7 +685,6 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 			GoVersion:   runtime.Version(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			Workers:     workers,
-			Scheduler:   sched.String(),
 			GitRevision: gitRevision(),
 			Scale:       scale,
 			Cells:       st.Cells,
@@ -708,7 +697,7 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 			Passes:      r.Passes,
 			Evaluations: r.Evaluations,
 			Tier0Evals:  r.Tier0Evals,
-			NewtonEvals: r.NewtonEvals,
+			Simulations: r.Simulations,
 		})
 	}
 	f, err := os.Create(path)
@@ -776,14 +765,4 @@ func parseMode(s string) (xtalksta.Mode, error) {
 		return xtalksta.Iterative, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
-func parseSched(s string) (xtalksta.Scheduler, error) {
-	switch strings.ToLower(s) {
-	case "dataflow", "wavefront":
-		return xtalksta.SchedDataflow, nil
-	case "levels", "level":
-		return xtalksta.SchedLevels, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want dataflow or levels)", s)
 }

@@ -12,9 +12,8 @@ import (
 
 // Compiled is the immutable compiled form of one design revision: the
 // per-net electrical summaries, topological order and ranks, endpoint
-// list, per-phase level structure, dataflow dependency graphs and
-// clock-sink index — everything an analysis needs that does not change
-// between runs. A Compiled is built once (Compile) and then shared by
+// list, per-phase dataflow dependency graphs and clock-sink index —
+// everything an analysis needs that does not change between runs. A Compiled is built once (Compile) and then shared by
 // any number of concurrent sessions (NewSession); nothing in it is
 // written after Compile returns, so no locking is needed around it.
 //
@@ -31,13 +30,11 @@ type Compiled struct {
 	info      []netInfo // by NetID-1
 	order     []netlist.CellID
 	endpoints []endpointRef
-	// Level structure for (optionally parallel) level-synchronized
-	// sweeps; see parallel.go.
-	clockLevels [][]netlist.CellID
-	mainLevels  [][]netlist.CellID
-	netRank     []int
-	// Per-phase dataflow dependency graphs for the wavefront scheduler;
-	// see dataflow.go. Immutable: runDataflow copies indeg per pass.
+	// netRank is the per-net rank of the calculated-neighbor test; see
+	// levels.go.
+	netRank []int
+	// Per-phase dataflow dependency graphs of the sweep executor; see
+	// dataflow.go. Immutable: runDataflow copies indeg per pass.
 	dfClock, dfMain *dfGraph
 	// cc is the SoA coupling adjacency of the whole design (offsets +
 	// neighbor/capacitance arrays); netInfo spans index into it. The
@@ -101,8 +98,7 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 		return nil, err
 	}
 	cd.buildEndpoints()
-	cd.buildLevels()
-	cd.buildDataflow()
+	cd.buildDataflow(cd.buildLevels())
 	cd.buildClockSinks()
 	return cd, nil
 }
@@ -277,7 +273,7 @@ func (cd *Compiled) buildEndpoints() {
 // concurrently over one Compiled, each with its own calculator scope so
 // the per-run counters (Result.ArcEvaluations, PassStats deltas) stay
 // correct under concurrency. opts must satisfy cd.Matches; the
-// session-only options (Workers, Scheduler, Windows, ...) are free.
+// session-only options (Workers, Windows, Tier0, ...) are free.
 func NewSession(cd *Compiled, calc delaycalc.Evaluator, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if !cd.Matches(opts) {
@@ -296,12 +292,10 @@ func NewSession(cd *Compiled, calc delaycalc.Evaluator, opts Options) (*Engine, 
 		workers = 1
 	}
 	e.m.workers.Set(float64(workers))
-	if !opts.DisableBCSReuse {
-		e.bcs = make([][]bcsEntry, len(cd.C.Nets))
-		for _, cell := range cd.C.Cells {
-			if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
-				e.bcs[cell.Out-1] = make([]bcsEntry, 2*len(cell.In))
-			}
+	e.bcs = make([][]bcsEntry, len(cd.C.Nets))
+	for _, cell := range cd.C.Cells {
+		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
+			e.bcs[cell.Out-1] = make([]bcsEntry, 2*len(cell.In))
 		}
 	}
 	return e, nil

@@ -91,21 +91,11 @@ type Options struct {
 	EsperanceMargin float64
 	// MaxPasses bounds the iterative refinement (default 10).
 	MaxPasses int
-	// Workers evaluates cells concurrently when > 1. Results are
-	// identical to the sequential run under either scheduler (the
-	// one-step neighbor rule is rank-based, see parallel.go and
-	// dataflow.go).
+	// Workers evaluates cells concurrently when > 1, pipelining them
+	// through the dataflow wavefront as their dependencies complete.
+	// Results are identical to the sequential run (the one-step
+	// neighbor rule is rank-based, see levels.go and dataflow.go).
 	Workers int
-	// Scheduler selects the sweep executor: the dataflow wavefront
-	// (default) pipelines cells as their dependencies complete, the
-	// level-synchronized reference implementation barriers after every
-	// topological level. Results are bit-identical; see dataflow.go.
-	Scheduler Scheduler
-	// DisableDeltaRefinement recomputes every line in every Iterative
-	// refinement pass instead of only the frontier reachable from the
-	// previous pass's changes (ablation; results are bit-identical, the
-	// converged cones just recompute to the value they already hold).
-	DisableDeltaRefinement bool
 	// PISlew is the transition time assumed at primary inputs (default
 	// 0.2 ns).
 	PISlew float64
@@ -121,20 +111,15 @@ type Options struct {
 	// 1; clock-tree buffers are additionally scaled by the library's
 	// ClockBufMult). Used by the timing-driven sizing optimizer.
 	CellSizes map[netlist.CellID]float64
-	// DisableBCSReuse turns off the cross-pass best-case (t_bcs) arc
-	// cache of the OneStep/Iterative modes (ablation). The cache is
-	// exact — keyed on the unquantized input slew — so reuse never
-	// changes results, only skips redundant evaluator calls.
-	DisableBCSReuse bool
 	// Tier0 enables tiered delay evaluation (DESIGN.md §14): candidate
 	// arcs are bracketed analytically and dispatched to the exact
 	// Newton evaluator only when near-critical, dominance-unresolved or
 	// coupling-ambiguous. Results are bit-identical to the all-Newton
 	// run — every pruning rule is proof-carrying, evaluated arcs are
 	// audited against their brackets, and a violated bracket discards
-	// the run and recomputes all-Newton. Ignored (stays off) under
-	// Esperance and Windows, and with evaluators that cannot bound
-	// arcs.
+	// the run and recomputes all-Newton (Result.Tier0Rerun). Ignored
+	// (stays off) under Esperance and Windows, and with evaluators that
+	// cannot bound arcs.
 	Tier0 bool
 	// Tier0Margin is the relative margin of the tier-0 criticality
 	// gate (default 0.05): an arc whose bracketed arrival upper bound
@@ -174,10 +159,10 @@ type Options struct {
 	Events *obs.EventLog
 	// Metrics, when set, receives engine-wide counters (arc
 	// evaluations, Newton iterations, coupling decisions, esperance
-	// skips, per-level worker utilization, ...) under the obs.M* names.
+	// skips, worker utilization, ...) under the obs.M* names.
 	// Counters accumulate across runs sharing a registry.
 	Metrics *obs.Registry
-	// Trace, when set, receives per-pass/per-level/per-worker spans;
+	// Trace, when set, receives per-pass/per-phase/per-worker spans;
 	// pair it with an obs.ChromeTrace sink to render the run as a
 	// chrome://tracing timeline.
 	Trace *obs.Tracer
@@ -300,6 +285,12 @@ type Result struct {
 	// time and forced the exact best-case evaluation. All zero with
 	// Options.Tier0 off.
 	Tier0Hits, Tier0Fallbacks, Tier0FlipGuards int64
+	// Tier0Rerun reports that a tier-0 bracket was violated, so the
+	// tiered run was discarded and the analysis recomputed all-Newton
+	// (the reported delays are the exact ones; the work counters and
+	// the wall time include the discarded run, the Tier0* counters are
+	// zero).
+	Tier0Rerun bool
 	// WireDelayOnLongestPath sums the Elmore wire delays along the
 	// reported path (the §6 wire-vs-coupling comparison).
 	WireDelayOnLongestPath float64
@@ -335,13 +326,15 @@ type Engine struct {
 	// bounds when Options.Windows is active (nil otherwise).
 	earliestStart [][2]float64
 	// bcs caches best-case arc results across passes, indexed by
-	// [out net − 1][pin*2 + dOut]. Exactly one level worker owns a cell
-	// within a pass and passes are barrier-separated, so the slots need
-	// no locking (see parallel.go).
+	// [out net − 1][pin*2 + dOut]. Exactly one worker owns a cell within
+	// a pass and passes are barrier-separated, so the slots need no
+	// locking (see dataflow.go).
 	bcs [][]bcsEntry
 	// t0 is the tiered-dispatch state when Options.Tier0 is active for
-	// this analysis (see tier0.go); nil otherwise.
-	t0 *tier0Run
+	// this analysis (see tier0.go); nil otherwise. tier0Rerun records
+	// that the analysis in flight discarded a tainted tiered run.
+	t0         *tier0Run
+	tier0Rerun bool
 	// statePool recycles per-pass []netState allocations across passes
 	// and runs (driver goroutine only; the final pass state handed to
 	// finish/Report is never pooled, and ReplayState copies are
@@ -421,17 +414,7 @@ func (e *Engine) Run() (*Result, error) {
 	res.Replay = e.takeReplay()
 
 	res.Runtime = time.Since(start)
-	// Snapshot the work counters before any attribution rebuild: the
-	// rebuild re-evaluates reported arcs through the same calculator
-	// scope, and those cache-warm replays must not count as analysis
-	// work.
-	res.ArcEvaluations, res.Simulations = e.Calc.Stats()
-	res.CacheHits = e.calcCounters().CacheHits
-	if e.t0 != nil {
-		res.Tier0Hits = e.t0.hits.Load()
-		res.Tier0Fallbacks = e.t0.fallbacks.Load()
-		res.Tier0FlipGuards = e.t0.flipGuards.Load()
-	}
+	e.fillWork(res)
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
 		if err != nil {
@@ -441,6 +424,21 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.emitAnalysisEvent("analysis", res, nil)
 	return res, nil
+}
+
+// fillWork copies the finished analysis's work counters into res.
+// Called before any attribution rebuild: the rebuild re-evaluates
+// reported arcs through the same calculator scope, and those
+// cache-warm replays must not count as analysis work.
+func (e *Engine) fillWork(res *Result) {
+	res.ArcEvaluations, res.Simulations = e.Calc.Stats()
+	res.CacheHits = e.calcCounters().CacheHits
+	if e.t0 != nil {
+		res.Tier0Hits = e.t0.hits.Load()
+		res.Tier0Fallbacks = e.t0.fallbacks.Load()
+		res.Tier0FlipGuards = e.t0.flipGuards.Load()
+	}
+	res.Tier0Rerun = e.tier0Rerun
 }
 
 // emitAnalysisEvent writes one structured event-log record for a
@@ -458,7 +456,6 @@ func (e *Engine) emitAnalysisEvent(name string, res *Result, extra map[string]an
 	fields := map[string]any{
 		"mode":            e.opts.Mode.String(),
 		"corner":          e.opts.Corner,
-		"scheduler":       e.opts.Scheduler.String(),
 		"revision":        e.rev,
 		"passes":          res.Passes,
 		"longest_ns":      res.LongestPath * 1e9,
@@ -466,6 +463,7 @@ func (e *Engine) emitAnalysisEvent(name string, res *Result, extra map[string]an
 		"simulations":     res.Simulations,
 		"recalc_wires":    recalc,
 		"converged_skips": converged,
+		"tier0_rerun":     res.Tier0Rerun,
 		"runtime_ms":      float64(res.Runtime) / 1e6,
 	}
 	for k, v := range extra {

@@ -10,11 +10,11 @@ import (
 
 // Dataflow wavefront scheduling.
 //
-// The level-synchronized executor (parallel.go) barriers after every
-// topological level, so the slowest cell of each level stalls every
-// worker. The wavefront executor instead releases a cell as soon as the
-// cells it actually reads have finished. Two kinds of cross-cell reads
-// exist during a sweep (see the level-rule comment in parallel.go):
+// The sweep executor releases a cell as soon as the cells it actually
+// reads have finished, instead of barriering after every topological
+// level (where the slowest cell of each level would stall every
+// worker). Two kinds of cross-cell reads exist during a sweep (see the
+// level-rule comment in levels.go):
 //
 //	(a) fanin: processCell reads the input nets' states, written by the
 //	    cells driving them;
@@ -28,42 +28,20 @@ import (
 // nets AND of its lower-rank coupled neighbors; the dependency edges of
 // one phase form a DAG (every edge goes from a lower-rank output to a
 // higher-rank one). Because netCalculatedAt is rank-based rather than
-// completion-based, both schedulers classify every neighbor identically
-// and the numeric results are bit-identical — the edges only guarantee
-// that a state counted as calculated is fully written before it is
-// read. PI seeds, the DFF launch seeding and cross-phase reads are
-// satisfied by the sequential phase structure (clock phase completes
-// before launch seeding, which completes before the main phase).
+// completion-based, every worker count classifies every neighbor
+// identically and the numeric results are bit-identical — the edges
+// only guarantee that a state counted as calculated is fully written
+// before it is read. PI seeds, the DFF launch seeding and cross-phase
+// reads are satisfied by the sequential phase structure (clock phase
+// completes before launch seeding, which completes before the main
+// phase).
 //
 // Memory model: each dependency counter is decremented with an atomic
 // RMW; the worker that observes zero has a happens-before edge from
 // every predecessor's final state write (and done callback), so no
 // additional locking is needed around the per-net states.
 
-// Scheduler selects the sweep executor (Options.Scheduler).
-type Scheduler int
-
-const (
-	// SchedDataflow pipelines cells through a wavefront of dependency
-	// counters (the default).
-	SchedDataflow Scheduler = iota
-	// SchedLevels barriers after every topological level (the reference
-	// implementation; see parallel.go).
-	SchedLevels
-)
-
-// String names the scheduler as accepted by the CLI's -sched flag.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedDataflow:
-		return "dataflow"
-	case SchedLevels:
-		return "levels"
-	}
-	return "unknown"
-}
-
-// Phase labels shared by both executors' trace spans.
+// Phase labels of the sweep's trace spans.
 const (
 	phaseClock = "clock"
 	phaseMain  = "main"
@@ -81,18 +59,15 @@ type dfGraph struct {
 	roots   []int32
 }
 
-// buildDataflow constructs the per-phase dependency graphs (NewEngine,
-// after buildLevels — the edges need netRank).
-func (e *Compiled) buildDataflow() {
-	e.dfClock = e.buildPhaseGraph(e.clockLevels)
-	e.dfMain = e.buildPhaseGraph(e.mainLevels)
+// buildDataflow constructs the per-phase dependency graphs over the
+// level-ordered cells buildLevels returns (the edges need netRank).
+func (e *Compiled) buildDataflow(clockOrder, mainOrder []netlist.CellID) {
+	e.dfClock = e.buildPhaseGraph(clockOrder)
+	e.dfMain = e.buildPhaseGraph(mainOrder)
 }
 
-func (e *Compiled) buildPhaseGraph(levels [][]netlist.CellID) *dfGraph {
-	g := &dfGraph{}
-	for _, level := range levels {
-		g.cells = append(g.cells, level...)
-	}
+func (e *Compiled) buildPhaseGraph(cells []netlist.CellID) *dfGraph {
+	g := &dfGraph{cells: cells}
 	n := len(g.cells)
 	g.indeg = make([]int32, n)
 	g.succOff = make([]int32, n+1)
@@ -169,32 +144,15 @@ func (e *Compiled) buildPhaseGraph(levels [][]netlist.CellID) *dfGraph {
 	return g
 }
 
-// runPhase executes one sweep phase under the configured scheduler.
-// done, when non-nil, runs once per cell after do succeeds, on the
-// goroutine that evaluated the cell, before any dependent cell starts
-// (the seeded sweep grows its dirty set there; see eco.go).
+// runPhase executes one sweep phase. done, when non-nil, runs once per
+// cell after do succeeds, on the goroutine that evaluated the cell,
+// before any dependent cell starts (the seeded sweep grows its dirty
+// set there; see eco.go).
 func (e *Engine) runPhase(phase string, do func(cell *netlist.Cell) error, done func(cid netlist.CellID)) error {
 	t0 := time.Now()
 	defer func() {
 		e.m.phaseDur.With(e.modeLabel(), phase).Observe(time.Since(t0).Seconds())
 	}()
-	if e.opts.Scheduler == SchedLevels {
-		levels := e.clockLevels
-		if phase == phaseMain {
-			levels = e.mainLevels
-		}
-		run := do
-		if done != nil {
-			run = func(cell *netlist.Cell) error {
-				if err := do(cell); err != nil {
-					return err
-				}
-				done(cell.ID)
-				return nil
-			}
-		}
-		return e.runLevels(phase, levels, e.opts.Workers, run)
-	}
 	g := e.dfClock
 	if phase == phaseMain {
 		g = e.dfMain

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
 	"xtalksta/internal/obs"
 )
@@ -69,30 +71,21 @@ func TestDataflowGraphInvariants(t *testing.T) {
 	}
 }
 
-// parityVariant is one (scheduler, workers) execution to compare
-// against the sequential levels baseline.
-type parityVariant struct {
-	sched   Scheduler
-	workers int
-}
-
-func parityVariants() []parityVariant {
-	vs := []parityVariant{
-		{SchedDataflow, 1},
-		{SchedDataflow, 2},
-		{SchedDataflow, 8},
-		{SchedLevels, 8},
-	}
+// parallelWorkers lists the worker counts compared against the
+// sequential (Workers: 1) baseline, which walks each phase in level
+// order.
+func parallelWorkers() []int {
+	ws := []int{2, 8}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 8 {
-		vs = append(vs, parityVariant{SchedDataflow, n})
+		ws = append(ws, n)
 	}
-	return vs
+	return ws
 }
 
-// TestSchedulerParity: the dataflow wavefront must reproduce the
-// sequential levels scheduler bit-for-bit across every mode and option
-// shape, at any worker count — the order-independence contract of the
-// rank-based neighbor rule.
+// TestSchedulerParity: the parallel dataflow wavefront must reproduce
+// the sequential level-order sweep bit-for-bit across every mode and
+// option shape, at any worker count — the order-independence contract
+// of the rank-based neighbor rule.
 func TestSchedulerParity(t *testing.T) {
 	variants := []struct {
 		name string
@@ -110,43 +103,38 @@ func TestSchedulerParity(t *testing.T) {
 		c, calc := buildExtracted(t, 150, 12, 8, seed)
 		for _, v := range variants {
 			base := v.opts
-			base.Scheduler = SchedLevels
 			base.Workers = 1
 			want := runMode(t, c, calc, base)
-			for _, pv := range parityVariants() {
+			for _, w := range parallelWorkers() {
 				opts := v.opts
-				opts.Scheduler = pv.sched
-				opts.Workers = pv.workers
+				opts.Workers = w
 				got := runMode(t, c, calc, opts)
-				bitEqual(t, want, got,
-					fmt.Sprintf("seed %d %s %s w=%d", seed, v.name, pv.sched, pv.workers))
+				bitEqual(t, want, got, fmt.Sprintf("seed %d %s w=%d", seed, v.name, w))
 			}
 		}
 	}
 }
 
 // TestSchedulerParityECOSeeded: seeded (ECO) re-runs must stay exact
-// under the wavefront scheduler — the dirty-set expansion now happens
-// in cell completion callbacks rather than at level barriers.
+// under the parallel wavefront — the dirty-set expansion happens in
+// cell completion callbacks, possibly on worker goroutines.
 func TestSchedulerParityECOSeeded(t *testing.T) {
 	for _, seed := range []int64{831, 832, 833} {
 		c, calc := buildExtracted(t, 140, 12, 7, seed)
 		a, b := firstCoupledPair(t, c)
 		factor := 1.4
 		for _, mode := range []Mode{OneStep, Iterative} {
-			base := Options{Mode: mode, Scheduler: SchedLevels, Workers: 1}
+			base := Options{Mode: mode, Workers: 1}
 			before := runMode(t, c, calc, base)
 			// Cumulative edit: never "restored" by a reciprocal multiply,
 			// which would not round-trip in floating point.
 			scalePair(c, a, b, factor)
 			factor += 0.3
 			want := runMode(t, c, calc, base)
-			for _, pv := range []parityVariant{
-				{SchedLevels, 8}, {SchedDataflow, 1}, {SchedDataflow, 8},
-			} {
-				opts := Options{Mode: mode, Scheduler: pv.sched, Workers: pv.workers}
+			for _, w := range append([]int{1}, parallelWorkers()...) {
+				opts := Options{Mode: mode, Workers: w}
 				got := runSeeded(t, c, calc, opts, before, []netlist.NetID{a, b})
-				ctx := fmt.Sprintf("seed %d %s %s w=%d", seed, mode, pv.sched, pv.workers)
+				ctx := fmt.Sprintf("seed %d %s w=%d", seed, mode, w)
 				bitEqual(t, want, got, ctx)
 				if got.ECO == nil || got.ECO.ReusedLines == 0 {
 					t.Fatalf("%s: expected reused lines, got %+v", ctx, got.ECO)
@@ -157,17 +145,15 @@ func TestSchedulerParityECOSeeded(t *testing.T) {
 }
 
 // TestDataflowAbortsOnError: once a worker fails, parked and running
-// workers must stop instead of draining the remaining ready cells (the
-// wavefront port of TestRunLevelsAbortsOnError).
+// workers must stop instead of draining the remaining ready cells.
 func TestDataflowAbortsOnError(t *testing.T) {
 	c, calc := buildExtracted(t, 60, 6, 4, 834)
 	eng, err := NewEngine(c, calc, Options{Mode: BestCase})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One wide synthetic graph: every node is a root, mirroring the big
-	// single level of the runLevels test. The callback never touches the
-	// cell, so a repeated zero CellID is fine.
+	// One wide synthetic graph: every node is a root. The callback never
+	// touches the cell, so a repeated zero CellID is fine.
 	const n = 500
 	g := &dfGraph{
 		cells:   make([]netlist.CellID, n),
@@ -196,6 +182,41 @@ func TestDataflowAbortsOnError(t *testing.T) {
 	}
 }
 
+// fullRefinement is the Iterative analysis without the delta frontier:
+// every refinement pass recomputes every line through the production
+// pass() with critical == nil (the sweep Esperance masks), under
+// runPasses' stop rule. It returns the final state, the pass count and
+// the arc evaluations spent.
+func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator) ([]netState, int, int64) {
+	t.Helper()
+	eng, err := NewEngine(c, calc, Options{Mode: Iterative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Calc.ResetStats()
+	st, err := eng.pass(OneStep, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay, _ := eng.longest(st)
+	passes := 1
+	for passes < eng.opts.MaxPasses {
+		next, err := eng.pass(Iterative, snapshotQuiet(st), nil, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes++
+		st = next
+		newDelay, _ := eng.longest(st)
+		if newDelay >= delay-1e-12 {
+			break
+		}
+		delay = newDelay
+	}
+	arcs, _ := eng.Calc.Stats()
+	return st, passes, arcs
+}
+
 // TestDeltaRefinementMatchesFull: the delta-convergent frontier must be
 // invisible in the results — identical states and pass counts, fewer
 // arc evaluations — and must report its carry-overs.
@@ -203,10 +224,22 @@ func TestDeltaRefinementMatchesFull(t *testing.T) {
 	converged := false
 	for _, seed := range []int64{835, 836, 837, 838} {
 		c, calc := buildExtracted(t, 170, 14, 9, seed)
-		full := runMode(t, c, calc, Options{Mode: Iterative, DisableDeltaRefinement: true})
+		full, fullPasses, fullArcs := fullRefinement(t, c, calc)
 		reg := obs.NewRegistry()
 		delta := runMode(t, c, calc, Options{Mode: Iterative, Metrics: reg})
-		bitEqual(t, full, delta, fmt.Sprintf("seed %d", seed))
+		if delta.Passes != fullPasses {
+			t.Fatalf("seed %d: delta refinement took %d passes, full %d", seed, delta.Passes, fullPasses)
+		}
+		arr, slew, quiet := delta.Replay.FinalArrivals(), delta.Replay.FinalSlews(), delta.Replay.FinalQuiets()
+		for i := range full {
+			for d := 0; d < 2; d++ {
+				if math.Float64bits(full[i].arrival[d]) != math.Float64bits(arr[i][d]) ||
+					math.Float64bits(full[i].slew[d]) != math.Float64bits(slew[i][d]) ||
+					math.Float64bits(full[i].quiet[d]) != math.Float64bits(quiet[i][d]) {
+					t.Fatalf("seed %d: net %d dir %d diverges from the full recompute", seed, i+1, d)
+				}
+			}
+		}
 		if delta.Passes < 3 {
 			continue // passes 1–2 recompute fully; nothing to skip yet
 		}
@@ -221,9 +254,9 @@ func TestDeltaRefinementMatchesFull(t *testing.T) {
 		if got := reg.Snapshot().Counters[obs.MPassConvergedSkips]; got != skips {
 			t.Errorf("seed %d: metric %s = %d, PassStats sum %d", seed, obs.MPassConvergedSkips, got, skips)
 		}
-		if delta.ArcEvaluations >= full.ArcEvaluations {
+		if delta.ArcEvaluations >= fullArcs {
 			t.Errorf("seed %d: delta refinement evaluated %d arcs, full %d — no work saved",
-				seed, delta.ArcEvaluations, full.ArcEvaluations)
+				seed, delta.ArcEvaluations, fullArcs)
 		}
 	}
 	if !converged {

@@ -112,12 +112,10 @@ func (e *Engine) takeReplay() *ReplayState {
 		early:  e.replayEarly,
 		slews:  e.replaySlews,
 	}
-	if e.bcs != nil {
-		rs.bcs = make([][]bcsEntry, len(e.bcs))
-		for i, row := range e.bcs {
-			if row != nil {
-				rs.bcs[i] = append([]bcsEntry(nil), row...)
-			}
+	rs.bcs = make([][]bcsEntry, len(e.bcs))
+	for i, row := range e.bcs {
+		if row != nil {
+			rs.bcs[i] = append([]bcsEntry(nil), row...)
 		}
 	}
 	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
@@ -147,7 +145,7 @@ type ECOStats struct {
 // cache is keyed on the exact input slew, so a stale-slew entry is
 // never consulted, and excluded nets simply recompute.
 func (e *Engine) SeedBCS(prev *ReplayState, exclude []bool) {
-	if e.bcs == nil || prev == nil || prev.bcs == nil || len(prev.bcs) != len(e.bcs) {
+	if prev == nil || len(prev.bcs) != len(e.bcs) {
 		return
 	}
 	for i := range e.bcs {
@@ -171,12 +169,10 @@ func (e *Engine) seedableTopology() bool {
 		n := e.C.Net(id)
 		return n.IsPI || n.IsClock
 	}
-	for _, level := range e.clockLevels {
-		for _, cid := range level {
-			for _, in := range e.C.Cell(cid).In {
-				if !visible(in) {
-					return false
-				}
+	for _, cid := range e.dfClock.cells {
+		for _, in := range e.C.Cell(cid).In {
+			if !visible(in) {
+				return false
 			}
 		}
 	}
@@ -246,13 +242,7 @@ func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 		res.Replay.rev = prev.rev
 	}
 	res.Runtime = time.Since(start)
-	res.ArcEvaluations, res.Simulations = e.Calc.Stats()
-	res.CacheHits = e.calcCounters().CacheHits
-	if e.t0 != nil {
-		res.Tier0Hits = e.t0.hits.Load()
-		res.Tier0Fallbacks = e.t0.fallbacks.Load()
-		res.Tier0FlipGuards = e.t0.flipGuards.Load()
-	}
+	e.fillWork(res)
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
 		if err != nil {
@@ -333,13 +323,8 @@ func (e *Engine) seededState(prev *ReplayState, seed []bool, eco *ECOStats) ([]n
 	}
 	ecoCopy := *eco
 	st, passes, err := e.runPassesSeeded(prev, seed, eco)
-	if err == nil && e.t0 != nil && e.t0.taint.Load() {
-		// Violated tier-0 bracket: discard and recompute all-Newton,
-		// restoring the ECO accounting the tainted run accumulated.
-		e.putState(st)
-		e.passStats = nil
-		e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
-		e.t0 = nil
+	if err == nil && e.discardTainted(st) {
+		// Restore the ECO accounting the tainted run accumulated.
 		*eco = ecoCopy
 		st, passes, err = e.runPassesSeeded(prev, seed, eco)
 	}
@@ -452,8 +437,8 @@ func (e *Engine) runPassesSeeded(prev *ReplayState, seed []bool, eco *ECOStats) 
 // diverged output, possibly on a worker goroutine), so its bits are
 // atomic; every expansion provably targets a cell that has not started
 // yet — fanout sinks and pass-1 coupling victims have strictly higher
-// rank, so the scheduler's dependency/level edges order the mark before
-// the read. changed is written by at most one goroutine per index (the
+// rank, so the executor's dependency edges order the mark before the
+// read. changed is written by at most one goroutine per index (the
 // cell owner) and only read by callbacks ordered after that write.
 type ecoPass struct {
 	// orig is the stored state of the matching pass (nil once the
@@ -597,8 +582,8 @@ func freshNetState() netState {
 // passSeeded is pass() with replay seeding: clean nets carry the stored
 // pass state, dirty nets are recomputed in place, and nets whose
 // recomputed state diverges grow the dirty set through their cell's
-// done callback — which both schedulers order before any dependent
-// cell starts (see dataflow.go).
+// done callback — which the executor orders before any dependent cell
+// starts (see dataflow.go).
 func (e *Engine) passSeeded(mode Mode, quietPrev [][2]float64, ec *ecoPass) ([]netState, error) {
 	c := e.C
 	st := e.getState()
@@ -651,7 +636,7 @@ func (e *Engine) passSeeded(mode Mode, quietPrev [][2]float64, ec *ecoPass) ([]n
 	// done grows the dirty set from a diverged output. Every mark
 	// targets a strictly higher-rank net (fanout sinks, pass-1 coupling
 	// victims) or a phase-separated DFF launch, so the marked cell has
-	// not started under either scheduler.
+	// not started yet.
 	done := func(cid netlist.CellID) {
 		out := c.Cell(cid).Out
 		if ec.changed[out-1] {

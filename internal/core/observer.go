@@ -47,7 +47,7 @@ type PassStat struct {
 // callers can surface progress without polling.
 //
 // Threading contract: both callbacks fire on the goroutine that called
-// Run/Report (the analysis driver), never on level-worker goroutines,
+// Run/Report (the analysis driver), never on sweep-worker goroutines,
 // and never concurrently — an Observer needs no internal locking as
 // long as it is used by one analysis at a time. The Metrics registry
 // and Trace sink, by contrast, ARE written from worker goroutines and
@@ -64,16 +64,16 @@ type Observer interface {
 // a nil Options.Metrics the instruments are live but unregistered, so
 // the hot path is identical either way (one atomic add per event).
 type engineMetrics struct {
-	arcEvals, sims, newtonIters, newtonFails               *obs.Counter
-	couplingActive, couplingGrounded, couplingWindowPruned *obs.Counter
-	ccZeroSkips, tbcsHits                                  *obs.Counter
-	tier0Hits, tier0Fallbacks, tier0FlipGuards             *obs.Counter
-	passes, recalcWires, esperanceSkips                    *obs.Counter
-	levels, parallelLevels, workerCells, seqCells          *obs.Counter
-	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks       *obs.Counter
-	schedSteals, convergedSkips, statePoolReuses           *obs.Counter
-	levelCells, schedReadyDepth                            *obs.Histogram
-	workers                                                *obs.Gauge
+	arcEvals, sims, newtonIters, newtonFails                *obs.Counter
+	couplingActive, couplingGrounded, couplingWindowPruned  *obs.Counter
+	ccZeroSkips, tbcsHits                                   *obs.Counter
+	tier0Hits, tier0Fallbacks, tier0FlipGuards, tier0Reruns *obs.Counter
+	passes, recalcWires, esperanceSkips                     *obs.Counter
+	workerCells, seqCells                                   *obs.Counter
+	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks        *obs.Counter
+	schedSteals, convergedSkips, statePoolReuses            *obs.Counter
+	schedReadyDepth                                         *obs.Histogram
+	workers                                                 *obs.Gauge
 
 	// Live introspection plane: labeled latency families (resolved to
 	// children per analysis — the label tuple is fixed per session) and
@@ -100,11 +100,10 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		tier0Hits:            r.Counter(obs.MTier0Hits),
 		tier0Fallbacks:       r.Counter(obs.MTier0Fallbacks),
 		tier0FlipGuards:      r.Counter(obs.MTier0FlipGuards),
+		tier0Reruns:          r.Counter(obs.MTier0Reruns),
 		passes:               r.Counter(obs.MPasses),
 		recalcWires:          r.Counter(obs.MRecalcWires),
 		esperanceSkips:       r.Counter(obs.MEsperanceSkips),
-		levels:               r.Counter(obs.MLevels),
-		parallelLevels:       r.Counter(obs.MParallelLevels),
 		workerCells:          r.Counter(obs.MWorkerCells),
 		seqCells:             r.Counter(obs.MSequentialCells),
 		ecoDirty:             r.Counter(obs.MEcoDirtyLines),
@@ -114,14 +113,13 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		schedSteals:          r.Counter(obs.MSchedSteals),
 		convergedSkips:       r.Counter(obs.MPassConvergedSkips),
 		statePoolReuses:      r.Counter(obs.MPassStateReuses),
-		levelCells:           r.Histogram(obs.MLevelCells),
 		schedReadyDepth:      r.Histogram(obs.MSchedReadyDepth),
 		workers:              r.Gauge(obs.MWorkers),
-		analysisDur:          r.HistogramVec(obs.MAnalysisDuration, obs.DurationBounds, "mode", "corner", "scheduler", "revision"),
+		analysisDur:          r.HistogramVec(obs.MAnalysisDuration, obs.DurationBounds, "mode", "corner", "revision"),
 		passDur:              r.HistogramVec(obs.MPassDuration, obs.DurationBounds, "mode", "pass"),
 		phaseDur:             r.HistogramVec(obs.MPhaseDuration, obs.DurationBounds, "mode", "phase"),
 		queueWait:            r.HistogramVec(obs.MQueueWait, obs.DurationBounds, "mode"),
-		analyses:             r.CounterVec(obs.MAnalyses, "mode", "corner", "scheduler"),
+		analyses:             r.CounterVec(obs.MAnalyses, "mode", "corner"),
 		attributionBuilds:    r.Counter(obs.MAttributionBuilds),
 	}
 }
@@ -130,9 +128,8 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 // for the labeled latency families (see DESIGN.md §12).
 func (e *Engine) modeLabel() string { return e.opts.Mode.String() }
 
-func (e *Engine) sessionLabels() (mode, corner, scheduler, revision string) {
-	return e.modeLabel(), e.opts.Corner, e.opts.Scheduler.String(),
-		strconv.FormatUint(e.rev, 10)
+func (e *Engine) sessionLabels() (mode, corner, revision string) {
+	return e.modeLabel(), e.opts.Corner, strconv.FormatUint(e.rev, 10)
 }
 
 // calcCounters snapshots the evaluator's work counters, preferring the

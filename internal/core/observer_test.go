@@ -1,51 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"xtalksta/internal/netlist"
 	"xtalksta/internal/obs"
 )
-
-// TestRunLevelsAbortsOnError: once a worker fails, the remaining
-// workers must stop claiming cells instead of draining the level
-// (regression test for the abort flag in the claim loop).
-func TestRunLevelsAbortsOnError(t *testing.T) {
-	c, calc := buildExtracted(t, 60, 6, 4, 710)
-	eng, err := NewEngine(c, calc, Options{Mode: BestCase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One big synthetic level; the callback never touches the cell, so
-	// repeating one ID is fine.
-	const n = 500
-	level := make([]netlist.CellID, n)
-	workers := 8
-	var calls atomic.Int64
-	var failed atomic.Bool
-	do := func(cell *netlist.Cell) error {
-		calls.Add(1)
-		if failed.CompareAndSwap(false, true) {
-			return errors.New("injected failure")
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	}
-	err = eng.runLevels("test", [][]netlist.CellID{level}, workers, do)
-	if err == nil {
-		t.Fatal("expected the injected error to propagate")
-	}
-	// The first call fails while the other workers sleep in their first
-	// or second cell; without the abort flag they would drain all 500.
-	if got := calls.Load(); got > int64(4*workers) {
-		t.Errorf("workers processed %d cells after the failure (level of %d); abort flag not honored", got, n)
-	}
-}
 
 // TestPassStatsRecorded: Result.PassStats must cover every pass, lead
 // with the one-step seed pass, count real work, and show a
@@ -130,12 +91,12 @@ func TestObserverCallbacks(t *testing.T) {
 }
 
 // TestMetricsRegistryPopulated: an attached registry must agree with
-// the Result's own counters and cover the coupling decisions. Pinned
-// to the levels scheduler — the level counters are specific to it.
+// the Result's own counters and cover the coupling decisions and the
+// sweep structure.
 func TestMetricsRegistryPopulated(t *testing.T) {
 	c, calc := buildExtracted(t, 150, 12, 8, 713)
 	reg := obs.NewRegistry()
-	res := runMode(t, c, calc, Options{Mode: Iterative, Metrics: reg, Scheduler: SchedLevels})
+	res := runMode(t, c, calc, Options{Mode: Iterative, Metrics: reg})
 	d := reg.Snapshot()
 	if got := d.Counters[obs.MArcEvaluations]; got != res.ArcEvaluations {
 		t.Errorf("%s = %d, Result.ArcEvaluations = %d", obs.MArcEvaluations, got, res.ArcEvaluations)
@@ -155,8 +116,8 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 	if d.Counters[obs.MRecalcWires] <= 0 {
 		t.Errorf("no recalculated wires recorded")
 	}
-	if d.Counters[obs.MLevels] <= 0 {
-		t.Errorf("no levels recorded")
+	if d.Counters[obs.MSequentialCells] <= 0 {
+		t.Errorf("no sequentially swept cells recorded")
 	}
 }
 

@@ -236,13 +236,9 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 		// guard — and forces the exact path. Windows mode is ruled out
 		// by setupTier0, so its pruning test never applies here.
 		if t0a != nil && !t0a.nearCrit {
-			skipBCS := true
-			if e.bcs != nil {
-				if slot := &e.bcs[out-1][pin*2+dOut]; slot.valid && slot.inSlew == inSlew {
-					skipBCS = false // the exact t_bcs is already free
-				}
-			}
-			if skipBCS {
+			// An exact t_bcs already in the cache is free: elide only
+			// without one.
+			if slot := &e.bcs[out-1][pin*2+dOut]; !slot.valid || slot.inSlew != inSlew {
 				tbcsLo, tbcsHi := inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi
 				dAgg := 1 - dOut
 				proven := true
@@ -341,7 +337,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 					calculated, quietAt = true, math.Inf(-1)
 				}
 			} else {
-				// Level-based rule (order-independent; see parallel.go):
+				// Level-based rule (order-independent; see levels.go):
 				// a neighbor is calculated when its driver's level is
 				// strictly below this cell's, so its state is frozen.
 				calculated = e.netCalculatedAt(other, e.netRank[out])
@@ -396,9 +392,6 @@ type bcsEntry struct {
 // per pass. The reuse decision depends only on per-arc values, so
 // parallel and sequential sweeps skip identically.
 func (e *Engine) evalBCS(cell *netlist.Cell, pin, dOut int, inSlew float64, req delaycalc.Request) (delaycalc.Result, error) {
-	if e.bcs == nil {
-		return e.Calc.Eval(req)
-	}
 	slot := &e.bcs[cell.Out-1][pin*2+dOut]
 	if slot.valid && slot.inSlew == inSlew {
 		e.m.tbcsHits.Inc()

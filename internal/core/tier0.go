@@ -104,6 +104,7 @@ type t0Cand struct {
 // or clears it when the options or the evaluator rule tier-0 out.
 func (e *Engine) setupTier0() error {
 	e.t0 = nil
+	e.tier0Rerun = false
 	if !e.opts.Tier0 || e.opts.Esperance || e.opts.Windows {
 		return nil
 	}
@@ -125,8 +126,8 @@ func (e *Engine) setupTier0() error {
 // t0Frontier sweeps the circuit once with analytic band-midpoint
 // estimates — no evaluator calls — to build the per-rank arrival
 // frontier the margin gate compares against. The sweep mirrors pass()
-// (PI seeding, clock phase, DFF launch, main phase) and runs under the
-// configured scheduler; each cell's completion callback publishes its
+// (PI seeding, clock phase, DFF launch, main phase) on the same
+// executor; each cell's completion callback publishes its
 // estimate into the per-rank maximum, which is order-independent (max
 // is commutative), so the frontier is deterministic under any worker
 // count.
@@ -435,4 +436,23 @@ func (e *Engine) t0Audit(c *t0Cand, res delaycalc.Result) {
 		res.Completion < c.b.compLo || res.Completion > c.b.compHi {
 		e.t0.taint.Store(true)
 	}
+}
+
+// discardTainted reports whether a tier-0 bracket violated its contract
+// during the run that produced st. If so the run's pruning can no
+// longer be trusted: its state is discarded, tier-0 is switched off and
+// the rerun is recorded (Result.Tier0Rerun, tier0_reruns_total), so the
+// caller recomputes all-Newton — bit parity is preserved even when
+// calibration breaks, and the doubled cost is never silent.
+func (e *Engine) discardTainted(st []netState) bool {
+	if e.t0 == nil || !e.t0.taint.Load() {
+		return false
+	}
+	e.putState(st)
+	e.passStats = nil
+	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
+	e.t0 = nil
+	e.tier0Rerun = true
+	e.m.tier0Reruns.Inc()
+	return true
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
+	"xtalksta/internal/obs"
 )
 
 // TestTier0ParityAllModes is the tiered-evaluation exactness contract:
@@ -94,13 +99,75 @@ func TestTier0DisabledUnderApproximateModes(t *testing.T) {
 }
 
 // TestTier0ParallelParity: the tier-0 decisions (dominance, elision,
-// memo, frontier) are all scheduler-independent, so a parallel sweep
-// with tier-0 on matches the sequential all-Newton run bit-for-bit.
+// memo, frontier) are all order-independent, so a parallel sweep with
+// tier-0 on matches the sequential all-Newton run bit-for-bit.
 func TestTier0ParallelParity(t *testing.T) {
 	c, calc := buildExtracted(t, 240, 18, 9, 305)
 	ref := runMode(t, c, calc, Options{Mode: Iterative})
-	for _, sched := range []Scheduler{SchedDataflow, SchedLevels} {
-		got := runMode(t, c, calc, Options{Mode: Iterative, Tier0: true, Workers: 4, Scheduler: sched})
-		bitEqual(t, ref, got, "parallel "+sched.String())
+	for _, w := range []int{2, 4, 8} {
+		got := runMode(t, c, calc, Options{Mode: Iterative, Tier0: true, Workers: w})
+		bitEqual(t, ref, got, fmt.Sprintf("parallel w=%d", w))
+	}
+}
+
+// narrowBounds is a calculator whose tier-0 brackets collapse to their
+// midpoints, so no evaluated arc lands inside its bracket and the
+// audit must fire.
+type narrowBounds struct{ *delaycalc.Calculator }
+
+func (n narrowBounds) Tier0Bounds(r delaycalc.Request) (delaycalc.Bounds, bool) {
+	b, ok := n.Calculator.Tier0Bounds(r)
+	for _, p := range [][2]*float64{
+		{&b.DelayLo, &b.DelayHi}, {&b.SlewLo, &b.SlewHi},
+		{&b.TTRLo, &b.TTRHi}, {&b.CompletionLo, &b.CompletionHi},
+	} {
+		mid := (*p[0] + *p[1]) / 2
+		*p[0], *p[1] = mid, mid
+	}
+	return b, ok
+}
+
+// TestTier0RerunOnBracketViolation: a violated bracket discards the
+// tiered run and recomputes all-Newton — bit-identical to the
+// all-Newton run — and says so on the Result, in the metrics and in
+// the analysis event, for full and seeded runs alike.
+func TestTier0RerunOnBracketViolation(t *testing.T) {
+	c, calc := buildExtracted(t, 200, 14, 8, 306)
+	ref := runMode(t, c, calc, Options{Mode: Iterative})
+	if ref.Tier0Rerun {
+		t.Fatal("all-Newton run reports a tier-0 rerun")
+	}
+	reg := obs.NewRegistry()
+	var events bytes.Buffer
+	opts := Options{Mode: Iterative, Tier0: true, Metrics: reg, Events: obs.NewEventLog(&events)}
+	check := func(name string, run func(*Engine) (*Result, error), want int64) {
+		eng, err := NewEngine(c, narrowBounds{calc}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitEqual(t, ref, got, name)
+		if !got.Tier0Rerun {
+			t.Errorf("%s: Tier0Rerun not set", name)
+		}
+		if got.Tier0Hits != 0 {
+			t.Errorf("%s: Tier0Hits = %d after the all-Newton rerun", name, got.Tier0Hits)
+		}
+		if n := reg.Counter(obs.MTier0Reruns).Value(); n != want {
+			t.Errorf("%s: %s = %d, want %d", name, obs.MTier0Reruns, n, want)
+		}
+	}
+	check("full", (*Engine).Run, 1)
+	check("seeded", func(e *Engine) (*Result, error) {
+		a, b := firstCoupledPair(t, c)
+		mask := make([]bool, len(c.Nets))
+		mask[a-1], mask[b-1] = true, true
+		return e.RunSeeded(ref.Replay, mask)
+	}, 2)
+	if n := strings.Count(events.String(), `"tier0_rerun":true`); n != 2 {
+		t.Errorf("event log carries %d tier0_rerun records, want 2:\n%s", n, events.String())
 	}
 }

@@ -165,15 +165,7 @@ func (e *Engine) finalState() ([]netState, int, error) {
 		return nil, 0, err
 	}
 	st, passes, err := e.runPasses()
-	if err == nil && e.t0 != nil && e.t0.taint.Load() {
-		// A tier-0 bracket violated its contract: the run's pruning can
-		// no longer be trusted. Discard everything and recompute
-		// all-Newton — bit parity is preserved even when calibration
-		// breaks.
-		e.putState(st)
-		e.passStats = nil
-		e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
-		e.t0 = nil
+	if err == nil && e.discardTainted(st) {
 		st, passes, err = e.runPasses()
 	}
 	span.Arg("passes", passes).End()
@@ -203,9 +195,9 @@ func (e *Engine) beginAnalysisTelemetry() time.Time {
 // endAnalysisTelemetry records the run's wall clock into the labeled
 // analysis-latency family and counts the run.
 func (e *Engine) endAnalysisTelemetry(t0 time.Time) {
-	mode, corner, sched, rev := e.sessionLabels()
-	e.m.analysisDur.With(mode, corner, sched, rev).Observe(time.Since(t0).Seconds())
-	e.m.analyses.With(mode, corner, sched).Inc()
+	mode, corner, rev := e.sessionLabels()
+	e.m.analysisDur.With(mode, corner, rev).Observe(time.Since(t0).Seconds())
+	e.m.analyses.With(mode, corner).Inc()
 }
 
 // runPasses implements the per-mode pass control.
@@ -252,20 +244,19 @@ func (e *Engine) runPasses() ([]netState, int, error) {
 		// classifier switches from the one-step rule to stored quiescent
 		// times. Esperance carries its own (approximate) skip rule and
 		// is exact relative to itself only without delta carry-over.
-		delta := !e.opts.Esperance && !e.opts.DisableDeltaRefinement
 		var prevChanged []bool
 		var prevEc *ecoPass
 		for passes < e.opts.MaxPasses {
 			var critical []bool
 			var ec *ecoPass
-			if delta {
+			if e.opts.Esperance {
+				critical = e.criticalNets(st, delay)
+			} else {
 				ec = e.newDeltaPass(st, prevChanged)
 				if prevEc != nil {
 					e.putEcoPass(prevEc)
 					prevEc = nil
 				}
-			} else if e.opts.Esperance {
-				critical = e.criticalNets(st, delay)
 			}
 			qp := snapshotQuiet(st)
 			e.finalQuietPrev, e.finalPassMode = qp, Iterative

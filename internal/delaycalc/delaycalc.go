@@ -84,20 +84,17 @@ type Options struct {
 	// CouplingBuckets is the number of linear buckets for the coupling
 	// ratio Cc/(Cc+Cgnd) (default 16).
 	CouplingBuckets int
-	// StepsPerRun sets the transient resolution: the step count of the
-	// fixed grid, and the baseline fine step (window/StepsPerRun) of the
-	// adaptive kernel (default 700).
+	// StepsPerRun sets the transient resolution: the baseline fine step
+	// (window/StepsPerRun) of the adaptive kernel (default 700).
 	StepsPerRun int
 	// LTETol is the adaptive kernel's local-truncation-error tolerance
 	// in volts per step (default 1 mV). Smaller is more accurate and
-	// slower; the fixed 700-step grid is the reference it converges to.
+	// slower; a fixed StepsPerRun-step grid is the reference it
+	// converges to.
 	LTETol float64
-	// FixedGrid reverts stage simulation to the legacy fixed-grid
-	// integration with restart-on-extension (reference/ablation path).
-	FixedGrid bool
 	// CacheShards is the number of lock stripes of the characterization
 	// cache, rounded up to a power of two (default 8). More shards cut
-	// lock contention between level-parallel workers.
+	// lock contention between parallel sweep workers.
 	CacheShards int
 	// Metrics, when set, receives cache-shard and integration-kernel
 	// instrumentation under the obs.M* names.
@@ -531,6 +528,28 @@ func (c *Calculator) validate(r Request) error {
 // simulate runs the stage circuit for the (possibly quantized) request.
 // info receives the per-call Newton breakdown (may be nil).
 func (c *Calculator) simulate(r Request, info *Info) (Result, error) {
+	s, err := c.prepare(r)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.simulateAdaptive(r, s, info)
+}
+
+// stageSetup is one request's stage circuit, ready to integrate: the
+// coupling event (if the request couples), the initial transient
+// window, the input's 50% time and the total output capacitance.
+type stageSetup struct {
+	st       *ccc.Stage
+	dir      waveform.Direction
+	ev       coupling.Event
+	hasEvent bool
+	window   float64
+	tIn50    float64
+	ctot     float64
+}
+
+// prepare builds the stage circuit and coupling event of a request.
+func (c *Calculator) prepare(r Request) (*stageSetup, error) {
 	p := c.Lib.Proc
 	var st *ccc.Stage
 	var err error
@@ -544,7 +563,7 @@ func (c *Calculator) simulate(r Request, info *Info) (Result, error) {
 			r.InSlew, r.CLoad+r.CFar+r.CCouple, r.SizeMult)
 	}
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	// The divider sees everything grounded at the measurement node
@@ -554,119 +573,64 @@ func (c *Calculator) simulate(r Request, info *Info) (Result, error) {
 	// instant of the step — the conservative choice).
 	selfCap, err := ccc.OutputDrainCap(p, c.Sizing, r.Kind, r.NIn, r.SizeMult)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	dividerGnd := r.CLoad + r.CFar + selfCap
 	if r.RWire > 0 {
 		dividerGnd = r.CFar
 	}
-	var ev coupling.Event
-	hasEvent := false
+	s := &stageSetup{st: st, dir: r.Dir}
 	if r.CCouple > 0 {
 		if r.Dir == waveform.Rising {
-			ev, hasEvent = c.Model.RisingEvent(r.CCouple, dividerGnd)
+			s.ev, s.hasEvent = c.Model.RisingEvent(r.CCouple, dividerGnd)
 		} else {
-			ev, hasEvent = c.Model.FallingEvent(r.CCouple, dividerGnd)
+			s.ev, s.hasEvent = c.Model.FallingEvent(r.CCouple, dividerGnd)
 		}
 	}
 
 	rdrive, err := ccc.DriveResistance(c.Lib, c.Sizing, r.Kind, r.NIn, r.SizeMult)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	ctot := r.CLoad + r.CFar + r.CCouple + selfCap
-	tIn50 := r.InSlew / 2
-
-	window := r.InSlew + 25*(rdrive*ctot+r.RWire*(r.CFar+r.CCouple)) + 0.5e-9
-	if c.opts.FixedGrid {
-		return c.simulateFixed(r, st, ev, hasEvent, window, tIn50, ctot, info)
-	}
-	return c.simulateAdaptive(r, st, ev, hasEvent, window, tIn50, ctot, info)
+	s.ctot = r.CLoad + r.CFar + r.CCouple + selfCap
+	s.tIn50 = r.InSlew / 2
+	s.window = r.InSlew + 25*(rdrive*s.ctot+r.RWire*(r.CFar+r.CCouple)) + 0.5e-9
+	return s, nil
 }
 
-// simulateFixed is the legacy reference integration: a fixed
-// StepsPerRun-step grid, resimulated from t=0 with a 2.5× window
-// whenever the output fails to settle.
-func (c *Calculator) simulateFixed(r Request, st *ccc.Stage, ev coupling.Event, hasEvent bool,
-	window, tIn50, ctot float64, info *Info) (Result, error) {
-	p := c.Lib.Proc
-	eventTime := math.NaN()
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			c.m.ext.Inc()
-		}
-		var events []*spice.Event
-		eventTime = math.NaN()
-		if hasEvent {
-			out := st.Far
-			restart := ev.Restart
-			spev := &spice.Event{
-				Node:      out,
-				Threshold: ev.Trigger,
-				Dir:       r.Dir,
-			}
-			spev.Action = func(t float64, s *spice.State) {
-				s.SetV(out, restart)
-				eventTime = t
-			}
-			events = append(events, spev)
-		}
-		res, err := st.Ckt.Transient(spice.TranOptions{
-			TStop:    window,
-			DT:       window / float64(c.opts.StepsPerRun),
-			InitialV: st.InitialV,
-			Probes:   []spice.NodeID{st.Far},
-			Events:   events,
-		})
-		if err != nil {
-			c.addNewton(info, 0, 1)
-			return Result{}, fmt.Errorf("delaycalc: %s%d pin %d %s: %w", r.Kind, r.NIn, r.Pin, r.Dir, err)
-		}
-		c.addNewton(info, int64(res.NewtonIterations), int64(res.NewtonRetries))
-		c.m.steps.Add(int64(res.Steps))
-		tr, err := res.Trace(st.Far)
-		if err != nil {
-			return Result{}, err
-		}
-		if !tr.Settled(st.OutFinal, 0.05*p.VDD) {
-			window *= 2.5
-			continue
-		}
-		return c.measure(r, tr, tIn50, eventTime)
+// events returns the stage's coupling-event list (empty when the
+// request does not couple); the event's action stores its firing time
+// in *fired.
+func (s *stageSetup) events(fired *float64) []*spice.Event {
+	if !s.hasEvent {
+		return nil
 	}
-	return Result{}, fmt.Errorf("delaycalc: %s%d pin %d %s: output never settled (load %.3g F, slew %.3g s)",
-		r.Kind, r.NIn, r.Pin, r.Dir, ctot, r.InSlew)
+	out, restart := s.st.Far, s.ev.Restart
+	return []*spice.Event{{
+		Node:      out,
+		Threshold: s.ev.Trigger,
+		Dir:       s.dir,
+		Action: func(t float64, st *spice.State) {
+			st.SetV(out, restart)
+			*fired = t
+		},
+	}}
 }
 
 // simulateAdaptive runs the stage on the adaptive-timestep kernel: one
 // resumable integration whose trace is extended (never restarted) when
 // the output has not settled, terminated early by the settle detector,
 // with all scratch coming from the spice workspace pool.
-func (c *Calculator) simulateAdaptive(r Request, st *ccc.Stage, ev coupling.Event, hasEvent bool,
-	window, tIn50, ctot float64, info *Info) (Result, error) {
+func (c *Calculator) simulateAdaptive(r Request, s *stageSetup, info *Info) (Result, error) {
 	p := c.Lib.Proc
+	st, window := s.st, s.window
 	eventTime := math.NaN()
-	var events []*spice.Event
-	if hasEvent {
-		out := st.Far
-		restart := ev.Restart
-		spev := &spice.Event{
-			Node:      out,
-			Threshold: ev.Trigger,
-			Dir:       r.Dir,
-		}
-		spev.Action = func(t float64, s *spice.State) {
-			s.SetV(out, restart)
-			eventTime = t
-		}
-		events = append(events, spev)
-	}
 	tn, err := st.Ckt.StartTransient(spice.TranOptions{
 		DT:       window / float64(c.opts.StepsPerRun),
 		LTETol:   c.opts.LTETol,
 		InitialV: st.InitialV,
 		Probes:   []spice.NodeID{st.Far},
-		Events:   events,
+		Events:   s.events(&eventTime),
 		Proto:    c.protoFor(r, st.Ckt),
 		// The settle detector uses a tolerance tighter than the 5%-of-
 		// VDD settled check below, so an early stop always passes it.
@@ -702,11 +666,11 @@ func (c *Calculator) simulateAdaptive(r Request, st *ccc.Stage, ev coupling.Even
 			return Result{}, err
 		}
 		if tr.Settled(st.OutFinal, 0.05*p.VDD) {
-			return c.measure(r, tr, tIn50, eventTime)
+			return c.measure(r, tr, s.tIn50, eventTime)
 		}
 	}
 	return Result{}, fmt.Errorf("delaycalc: %s%d pin %d %s: output never settled (load %.3g F, slew %.3g s)",
-		r.Kind, r.NIn, r.Pin, r.Dir, ctot, r.InSlew)
+		r.Kind, r.NIn, r.Pin, r.Dir, s.ctot, r.InSlew)
 }
 
 func (c *Calculator) measure(r Request, tr *spice.Trace, tIn50, eventTime float64) (Result, error) {

@@ -230,8 +230,8 @@ func TestShutdownGraceful(t *testing.T) {
 // line: `name{labels} value` or `name value`, value numeric.
 func TestMetricsExpositionParses(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.CounterVec(obs.MAnalyses, "mode", "corner", "scheduler").
-		With("Best case", "TT", "dataflow").Inc()
+	reg.CounterVec(obs.MAnalyses, "mode", "corner").
+		With("Best case", "TT").Inc()
 	reg.HistogramVec(obs.MQueueWait, obs.DurationBounds, "mode").
 		With("Iterative").Observe(0.01)
 	srv := New(reg)

@@ -59,11 +59,11 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 func TestLabeledVecs(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec(MAnalyses, "mode", "corner", "scheduler")
-	cv.With("Iterative", "TT", "dataflow").Add(3)
-	cv.With("Iterative", "TT", "dataflow").Inc()
-	cv.With("Best case", "TT", "levels").Inc()
-	if got := cv.With("Iterative", "TT", "dataflow").Value(); got != 4 {
+	cv := r.CounterVec(MAnalyses, "mode", "corner", "revision")
+	cv.With("Iterative", "TT", "0").Add(3)
+	cv.With("Iterative", "TT", "0").Inc()
+	cv.With("Best case", "TT", "1").Inc()
+	if got := cv.With("Iterative", "TT", "0").Value(); got != 4 {
 		t.Errorf("same labels must resolve the same child: got %d, want 4", got)
 	}
 	if got := r.CounterVec(MAnalyses); got != cv {
@@ -97,9 +97,9 @@ func TestSnapshotFlattensAndSortsDeterministically(t *testing.T) {
 	build := func(reverse bool) []byte {
 		r := NewRegistry()
 		series := [][3]string{
-			{"Iterative", "TT", "dataflow"},
-			{"Best case", "SS", "levels"},
-			{"Worst case", "FF", "dataflow"},
+			{"Iterative", "TT", "0"},
+			{"Best case", "SS", "1"},
+			{"Worst case", "FF", "0"},
 		}
 		if reverse {
 			for i, j := 0, len(series)-1; i < j; i, j = i+1, j-1 {
@@ -107,7 +107,7 @@ func TestSnapshotFlattensAndSortsDeterministically(t *testing.T) {
 			}
 			r.Counter(MPasses).Add(7)
 		}
-		cv := r.CounterVec(MAnalyses, "mode", "corner", "scheduler")
+		cv := r.CounterVec(MAnalyses, "mode", "corner", "revision")
 		for _, s := range series {
 			cv.With(s[0], s[1], s[2]).Inc()
 		}
@@ -128,7 +128,7 @@ func TestSnapshotFlattensAndSortsDeterministically(t *testing.T) {
 	if err := json.Unmarshal(a, &d); err != nil {
 		t.Fatal(err)
 	}
-	want := `analyses_total{mode="Iterative",corner="TT",scheduler="dataflow"}`
+	want := `analyses_total{mode="Iterative",corner="TT",revision="0"}`
 	if d.Counters[want] != 1 {
 		t.Errorf("flattened series key %q missing from dump: %v", want, d.Counters)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Labeled metric families. A *Vec is a family of instruments keyed by a
-// small, bounded set of label values (mode, corner, scheduler, pass —
+// small, bounded set of label values (mode, corner, revision, pass —
 // never per-net identities; see DESIGN.md §12 for the cardinality
 // rules). With resolves one child instrument, creating it on first use;
 // children are live forever once created, so a hot loop should resolve

@@ -41,26 +41,25 @@ const (
 	// dispatched exactly because they were near-critical or
 	// unboundable; FlipGuards the coupling comparisons whose t_bcs
 	// bracket straddled a neighbor's quiescent time and forced the
-	// exact best-case evaluation.
+	// exact best-case evaluation. Reruns counts analyses whose tiered
+	// run violated a bracket and was recomputed all-Newton.
 	MTier0Hits       = "tier0_hits_total"
 	MTier0Fallbacks  = "tier0_fallbacks_total"
 	MTier0FlipGuards = "tier0_flip_guards_total"
+	MTier0Reruns     = "tier0_reruns_total"
 
-	// Engine sweep structure. Levels/ParallelLevels/LevelCells are
-	// specific to the level-synchronized reference scheduler; the
-	// dataflow wavefront scheduler reports SchedReadyDepth (shared
-	// overflow-queue depth observed at each spill) and SchedSteals
-	// (cells claimed from the shared queue rather than a worker's own
-	// stack) instead. WorkerCells/SequentialCells apply to both.
+	// Engine sweep structure. WorkerCells counts cells evaluated by
+	// pool workers and SequentialCells those run inline (one worker, or
+	// a phase too small to fan out); SchedReadyDepth is the shared
+	// overflow-queue depth observed at each spill and SchedSteals the
+	// cells claimed from the shared queue rather than a worker's own
+	// stack.
 	MPasses          = "passes_total"
 	MRecalcWires     = "recalculated_wires_total"
 	MEsperanceSkips  = "esperance_skips_total"
-	MLevels          = "levels_total"
-	MParallelLevels  = "parallel_levels_total"
 	MWorkerCells     = "worker_cells_total"
 	MSequentialCells = "sequential_cells_total"
-	MWorkers         = "workers" // gauge
-	MLevelCells      = "level_cells"
+	MWorkers         = "workers"                 // gauge
 	MSchedReadyDepth = "sched_ready_queue_depth" // histogram
 	MSchedSteals     = "sched_steals_total"
 	// Delta-convergent Iterative refinement: lines carried over because
@@ -101,16 +100,16 @@ const (
 	// Live introspection plane: latency distributions and run
 	// accounting. Duration histograms record seconds on the
 	// DurationBounds grid. The labeled families use only bounded label
-	// sets (see DESIGN.md §12): mode and scheduler are closed enums,
-	// corner is the three-letter process corner, pass is a small
-	// integer, phase is clock|main, revision is the design's edit
-	// revision (bounded by the ECO count of one process lifetime).
-	MAnalysisDuration = "analysis_duration_seconds"  // histogram{mode,corner,scheduler,revision}
+	// sets (see DESIGN.md §12): mode is a closed enum, corner is the
+	// three-letter process corner, pass is a small integer, phase is
+	// clock|main, revision is the design's edit revision (bounded by
+	// the ECO count of one process lifetime).
+	MAnalysisDuration = "analysis_duration_seconds"  // histogram{mode,corner,revision}
 	MPassDuration     = "pass_duration_seconds"      // histogram{mode,pass}
 	MPhaseDuration    = "phase_duration_seconds"     // histogram{mode,phase}
 	MQueueWait        = "session_queue_wait_seconds" // histogram{mode}
 	MArcEvalDuration  = "arc_eval_duration_seconds"  // histogram
-	MAnalyses         = "analyses_total"             // counter{mode,corner,scheduler}
+	MAnalyses         = "analyses_total"             // counter{mode,corner}
 
 	// Structured event log and attribution reports.
 	MEventsEmitted     = "events_emitted_total"
@@ -173,22 +172,22 @@ func AllMetrics() []MetricDef {
 		c(MSimSteps), c(MSimStepRejections), c(MSimEarlyStops), c(MSimWindowExtensions),
 		c(MCouplingActive), c(MCouplingGrounded), c(MCouplingWindowPruned),
 		c(MCouplingZeroSkips), c(MTBCSReuseHits),
-		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards),
+		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards), c(MTier0Reruns),
 		c(MPasses), c(MRecalcWires), c(MEsperanceSkips),
-		c(MLevels), c(MParallelLevels), c(MWorkerCells), c(MSequentialCells),
-		g(MWorkers), h(MLevelCells), h(MSchedReadyDepth), c(MSchedSteals),
+		c(MWorkerCells), c(MSequentialCells),
+		g(MWorkers), h(MSchedReadyDepth), c(MSchedSteals),
 		c(MPassConvergedSkips), c(MPassStateReuses),
 		c(MEcoEdits), c(MEcoDirtyLines), c(MEcoReusedLines),
 		c(MEcoConeExpansions), c(MEcoFullFallbacks),
 		c(MSnapshotBuilds), c(MSnapshotReuses), g(MConcurrentSessionsPeak),
 		c(MLayoutNetsRouted), c(MLayoutCouplingPairs), g(MLayoutWirelength),
 		c(MGoldenSims), c(MGoldenAggressors),
-		h(MAnalysisDuration, "mode", "corner", "scheduler", "revision"),
+		h(MAnalysisDuration, "mode", "corner", "revision"),
 		h(MPassDuration, "mode", "pass"),
 		h(MPhaseDuration, "mode", "phase"),
 		h(MQueueWait, "mode"),
 		h(MArcEvalDuration),
-		c(MAnalyses, "mode", "corner", "scheduler"),
+		c(MAnalyses, "mode", "corner"),
 		c(MEventsEmitted), c(MAttributionBuilds),
 		c(MObsHTTPRequests, "route"),
 		c(MServerRequests, "endpoint", "code"),

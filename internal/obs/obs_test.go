@@ -186,7 +186,7 @@ func TestMetricsDumpGolden(t *testing.T) {
 	r.Counter("arc_evaluations_total").Add(1234)
 	r.Counter("coupling_active_total").Add(56)
 	r.Gauge("workers").Set(4)
-	h := r.Histogram("level_cells")
+	h := r.Histogram("sched_ready_queue_depth")
 	h.Observe(3)
 	h.Observe(40)
 

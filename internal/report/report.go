@@ -20,11 +20,10 @@ type Row struct {
 	Passes      int
 	Evaluations int64
 	// Tier0Evals counts evaluator calls the tiered dispatcher avoided
-	// and NewtonEvals the exact evaluations actually dispatched (equal
-	// to Evaluations; kept separate so bench rows attribute both sides
-	// of the tier split). Zero / equal to Evaluations with tier-0 off.
+	// (zero with tier-0 off) and Simulations the evaluations that
+	// missed the characterization cache and ran a transient.
 	Tier0Evals  int64
-	NewtonEvals int64
+	Simulations int64
 }
 
 // Table mirrors one of the paper's Tables 1–3.

@@ -91,8 +91,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, ev := range tf.TraceEvents {
 		seen[ev.Name]++
 	}
-	// "wavefront" is the default (dataflow) scheduler's phase span; the
-	// levels scheduler would emit "level" spans instead.
+	// "wavefront" is the sweep executor's per-phase span.
 	for _, name := range []string{"place", "route", "extract", "analysis", "pass", "wavefront"} {
 		if seen[name] == 0 {
 			t.Errorf("trace has no %q span", name)

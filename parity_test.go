@@ -16,7 +16,7 @@ import (
 var updateParity = flag.Bool("update-parity", false, "rewrite testdata/parity_bits.json from the current implementation")
 
 // parityConfig is one cell of the refactor-parity matrix: a mode /
-// scheduler / feature combination whose longest-path delay must stay
+// worker-count / feature combination whose longest-path delay must stay
 // Float64bits-identical across memory-layout changes.
 type parityConfig struct {
 	name string
@@ -33,10 +33,8 @@ func parityMatrix() []parityConfig {
 		})
 	}
 	cfgs = append(cfgs,
-		parityConfig{name: "Iterative/levels-w4", opts: xtalksta.AnalysisOptions{
-			Mode: xtalksta.Iterative, Scheduler: xtalksta.SchedLevels, Workers: 4}},
-		parityConfig{name: "OneStep/levels-w2", opts: xtalksta.AnalysisOptions{
-			Mode: xtalksta.OneStep, Scheduler: xtalksta.SchedLevels, Workers: 2}},
+		parityConfig{name: "OneStep/dataflow-w2", opts: xtalksta.AnalysisOptions{
+			Mode: xtalksta.OneStep, Workers: 2}},
 		parityConfig{name: "Iterative/dataflow-w4", opts: xtalksta.AnalysisOptions{
 			Mode: xtalksta.Iterative, Workers: 4}},
 		parityConfig{name: "Iterative/tier0", opts: xtalksta.AnalysisOptions{
@@ -99,7 +97,7 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 }
 
 // TestRefactorParity locks the longest-path delay of every analysis
-// mode, both schedulers, tier-0 on/off, esperance/windows and
+// mode, sequential and parallel sweeps, tier-0 on/off, esperance/windows and
 // ECO-seeded re-analysis to the bit patterns recorded before the
 // SoA/CSR memory-layout refactor (testdata/parity_bits.json). Any
 // drift means the refactor changed numerics, not just layout.
