@@ -1,38 +1,6 @@
 GO ?= go
 
-# Output file of the bench-json target; override per PR or in CI, e.g.
-#   make bench-json BENCH_OUT=BENCH_ci.json
-BENCH_OUT ?= BENCH_pr10.json
-
-# Circuit scale of the bench-json run. 1 = the paper's actual cell
-# counts (s35932: 17.9k cells) — the default since the memory-layout
-# overhaul; the recorded env block pins scale+cells so benchdiff
-# refuses cross-scale comparisons.
-BENCH_SCALE ?= 1
-
-# Worker goroutines for the bench-json run (the wavefront scheduler's
-# headline numbers are parallel; set 0 for the sequential reference).
-BENCH_WORKERS ?= 8
-
-# Load-generator knobs for the "server" section of the bench JSON
-# (xtalkload against a self-hosted daemon; see cmd/xtalkload).
-LOAD_CELLS ?= 300
-LOAD_DURATION ?= 3s
-LOAD_CONCURRENCY ?= 8
-
-# Baseline the bench gate compares against, and the allowed per-mode
-# delay drift in percent. Delays are deterministic functions of the
-# design, so the tolerance only absorbs FP-level churn from intentional
-# numeric changes; refresh the baseline when one lands.
-BENCH_BASELINE ?= ci/bench_baseline.json
-BENCH_TOL ?= 0.5
-
-# Allowed peak-memory (max_rss_bytes) growth in percent before the
-# bench gate fails. Memory is a deterministic function of the data
-# layout, so the tolerance only absorbs GC/runtime timing variance.
-BENCH_MEM_TOL ?= 25
-
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint bench bench-json bench-gate bench-ablation bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint bench bench-100k clean
 
 all: check
 
@@ -41,7 +9,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint bench-gate bench-ablation bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -93,25 +61,6 @@ metrics-lint:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Machine-readable five-mode benchmark table (same schema as
-# BENCH_pr1.json plus the env block, regenerated per PR). -sweep-bench
-# adds the serial-vs-concurrent AnalyzeAll wall-clock comparison
-# (DESIGN.md §11) as the optional "sweep" block.
-bench-json:
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale $(BENCH_SCALE) -workers $(BENCH_WORKERS) -sweep-bench -json $(BENCH_OUT)
-	$(GO) run ./cmd/xtalkload -cells $(LOAD_CELLS) -duration $(LOAD_DURATION) -concurrency $(LOAD_CONCURRENCY) -merge $(BENCH_OUT)
-
-# Regression gate: run the small preset and compare each mode's delay
-# against the checked-in baseline. Fails on drift beyond $(BENCH_TOL)%.
-# The candidate also carries the analysis-latency and daemon "server"
-# sections (a short xtalkload run), which benchdiff reports warn-only —
-# latency drift on shared CI hardware never fails the gate, delay drift
-# always does.
-bench-gate:
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.02 -json BENCH_gate.json >/dev/null
-	$(GO) run ./cmd/xtalkload -cells $(LOAD_CELLS) -duration 2s -concurrency 4 -merge BENCH_gate.json
-	$(GO) run ./cmd/benchdiff -base $(BENCH_BASELINE) -new BENCH_gate.json -tol $(BENCH_TOL) -mem-tol $(BENCH_MEM_TOL)
-
 # Capacity leg: the 100k-cell synthetic preset must compile and finish
 # one Iterative analysis (DESIGN.md §15; the ROADMAP's scale target).
 # ~2 minutes; runs in CI so memory-layout regressions that only show
@@ -119,16 +68,5 @@ bench-gate:
 bench-100k:
 	$(GO) run ./cmd/xtalksta -preset synth100k -mode iterative >/dev/null
 
-# Tier-0 exactness ablation: run the preset all-Newton and with the
-# tiered dispatcher (the CLI default) and diff at zero tolerance.
-# encoding/json round-trips float64 exactly, so -tol 0 fails on a
-# single-ULP delay difference in any mode — the tiered evaluation is
-# a dispatch optimization, never a numeric change (DESIGN.md §14).
-bench-ablation:
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.02 -tier0=false -json BENCH_newton.json >/dev/null
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.02 -json BENCH_tier0.json >/dev/null
-	$(GO) run ./cmd/benchdiff -base BENCH_newton.json -new BENCH_tier0.json -tol 0
-
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_gate.json BENCH_newton.json BENCH_tier0.json

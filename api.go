@@ -76,13 +76,9 @@ type AnalysisResult = core.Result
 // PathStep is one hop of a reported critical path.
 type PathStep = core.PathStep
 
-// Observer receives per-pass progress callbacks from a running
-// analysis (set it on AnalysisOptions.Observer). See core.Observer for
-// the threading contract.
-type Observer = core.Observer
-
-// PassStat is the per-pass work breakdown delivered to an Observer and
-// recorded on AnalysisResult.PassStats.
+// PassStat is the per-pass work breakdown recorded on
+// AnalysisResult.PassStats; AnalysisOptions.Events streams the same
+// numbers as one "pass" record per sweep.
 type PassStat = core.PassStat
 
 // MetricsRegistry is a race-safe registry of named counters, gauges and
@@ -526,7 +522,7 @@ func (d *Design) AnalyzeAll() ([]*AnalysisResult, error) {
 
 // AnalyzeAllOpts is AnalyzeAll with shared per-mode options: the
 // Mode field is overridden per run, everything else (Workers, Metrics,
-// Trace, Observer, ...) is passed through. Unless base.KeepCache is
+// Trace, Events, ...) is passed through. Unless base.KeepCache is
 // set, the characterization cache is cleared before each mode (the
 // paper-table default: every mode's runtime includes its own
 // characterization cost).
@@ -552,11 +548,8 @@ func (d *Design) AnalyzeAllOpts(base AnalysisOptions) ([]*AnalysisResult, error)
 // order. Delays are Float64bits-identical to the serial AnalyzeAll; the
 // per-result work counters (ArcEvaluations, Simulations) differ because
 // the modes share one warm characterization cache — KeepCache is
-// implied, as the shared cache cannot be cleared mid-flight. The
-// Observer option is dropped (its contract is single-goroutine); use a
-// MetricsRegistry for progress instead.
+// implied, as the shared cache cannot be cleared mid-flight.
 func (d *Design) AnalyzeAllParallel(base AnalysisOptions) ([]*AnalysisResult, error) {
-	base.Observer = nil
 	base.KeepCache = true
 	modes := Modes()
 	out := make([]*AnalysisResult, len(modes))
@@ -776,11 +769,9 @@ func (d *Design) AnalyzeCorners(opts AnalysisOptions) ([]CornerResult, error) {
 // AnalyzeCornersParallel runs the corner sweep concurrently, one
 // session per corner, each over its own memoized corner snapshot.
 // Results are Float64bits-identical to the serial AnalyzeCorners (the
-// corners share nothing but the circuit snapshot inputs); the Observer
-// option is dropped, as in AnalyzeAllParallel.
+// corners share nothing but the circuit snapshot inputs).
 func (d *Design) AnalyzeCornersParallel(opts AnalysisOptions) ([]CornerResult, error) {
 	opts.DisableReplay = true
-	opts.Observer = nil
 	corners := device.Corners()
 	out := make([]CornerResult, len(corners))
 	errs := make([]error, len(corners))
@@ -864,10 +855,9 @@ func (d *Design) PaperTableOpts(title string, withGolden bool, base AnalysisOpti
 // PaperTableParallel is PaperTableOpts with the five analyses fanned
 // out concurrently, one session per mode over the shared compiled
 // snapshot (AnalyzeAllParallel semantics: delays bit-identical to the
-// serial table, KeepCache implied, Observer dropped). The per-row
-// runtimes overlap on the wall clock and share one warm
-// characterization cache, so they are not comparable to the paper's
-// standalone per-mode runtimes.
+// serial table, KeepCache implied). The per-row runtimes overlap on
+// the wall clock and share one warm characterization cache, so they
+// are not comparable to the paper's standalone per-mode runtimes.
 func (d *Design) PaperTableParallel(title string, withGolden bool, base AnalysisOptions) (*Table, error) {
 	results, err := d.AnalyzeAllParallel(base)
 	if err != nil {

@@ -11,6 +11,7 @@ package xtalksta_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"testing"
@@ -448,9 +449,9 @@ func BenchmarkTransientKernel(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead: the same analysis bare, with an attached
-// metrics registry, and with registry + trace + no-op observer. The
-// instrumented runs must stay within noise of the bare run — the hot
-// path is one atomic add per event either way.
+// metrics registry, and with registry + trace + an event log writing to
+// io.Discard. The instrumented runs must stay within noise of the bare
+// run — the hot path is one atomic add per event either way.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	d := benchDesign(b, xtalksta.S35932, benchScale())
 	run := func(b *testing.B, opts xtalksta.AnalysisOptions) {
@@ -467,17 +468,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("metrics", func(b *testing.B) {
 		run(b, xtalksta.AnalysisOptions{Metrics: xtalksta.NewMetricsRegistry()})
 	})
-	b.Run("metrics+trace+observer", func(b *testing.B) {
+	b.Run("metrics+trace+events", func(b *testing.B) {
 		run(b, xtalksta.AnalysisOptions{
-			Metrics:  xtalksta.NewMetricsRegistry(),
-			Trace:    xtalksta.NewTracer(&xtalksta.ChromeTrace{}),
-			Observer: nopObserver{},
+			Metrics: xtalksta.NewMetricsRegistry(),
+			Trace:   xtalksta.NewTracer(&xtalksta.ChromeTrace{}),
+			Events:  xtalksta.NewEventLog(io.Discard),
 		})
 	})
 }
-
-// nopObserver measures the observer dispatch cost alone.
-type nopObserver struct{}
-
-func (nopObserver) PassStarted(int, xtalksta.Mode) {}
-func (nopObserver) PassFinished(xtalksta.PassStat) {}

@@ -9,8 +9,7 @@
 //
 //	xtalkload -cells 300 -duration 3s -concurrency 8         # self-hosted
 //	xtalkload -addr 127.0.0.1:8080 -design main -duration 5s # against a daemon
-//	xtalkload -cells 300 -merge BENCH_pr8.json               # add the "server"
-//	                                                         # section to a bench JSON
+//	xtalkload -cells 300 -json load.json                     # report to a file
 //
 // Without -addr it spins up an in-process server.Server on a loopback
 // port and hammers it over real HTTP, so the numbers include the full
@@ -45,12 +44,10 @@ func main() {
 	}
 }
 
-// serverBench is the "server" section merged into bench JSONs: the
-// client-observed latency percentiles and throughput of the daemon
-// under concurrent read/edit traffic, plus the server-side counters
-// that explain them. benchdiff treats this section as warn-only —
-// latency on a shared CI box is informational, unlike delays.
-type serverBench struct {
+// loadReport is the -json measurement: the client-observed latency
+// percentiles and throughput of the daemon under concurrent read/edit
+// traffic, plus the server-side counters that explain them.
+type loadReport struct {
 	DurationS    float64 `json:"duration_s"`
 	Concurrency  int     `json:"concurrency"`
 	Requests     int64   `json:"requests"`
@@ -87,8 +84,7 @@ func run() error {
 		mix          = flag.String("mix", "iterative,best,worst", "comma-separated analysis modes cycled by readers")
 		timeoutMs    = flag.Int("timeout-ms", 3000, "per-request timeout_ms sent to the server")
 
-		jsonPath  = flag.String("json", "", "write the measurement as JSON to this file (- or empty = stdout)")
-		mergePath = flag.String("merge", "", "merge the measurement as the \"server\" section of this bench JSON file")
+		jsonPath = flag.String("json", "", "write the measurement as JSON to this file (- or empty = stdout)")
 	)
 	flag.Parse()
 
@@ -206,7 +202,7 @@ func run() error {
 		all = append(all, s...)
 	}
 	sort.Float64s(all)
-	bench := serverBench{
+	rep := loadReport{
 		DurationS:    elapsed.Seconds(),
 		Concurrency:  *concurrency,
 		Requests:     requests.Load(),
@@ -220,8 +216,8 @@ func run() error {
 		AnalyzeP90Ms: percentile(all, 0.90) * 1e3,
 		AnalyzeP99Ms: percentile(all, 0.99) * 1e3,
 	}
-	if bench.Errors > 0 {
-		return fmt.Errorf("%d requests errored (of %d)", bench.Errors, bench.Requests)
+	if rep.Errors > 0 {
+		return fmt.Errorf("%d requests errored (of %d)", rep.Errors, rep.Requests)
 	}
 	if len(all) == 0 {
 		return fmt.Errorf("no successful analyze requests in the window")
@@ -229,35 +225,30 @@ func run() error {
 
 	fmt.Fprintf(os.Stderr,
 		"xtalkload: %d requests in %v (%.0f ok/s), latency p50 %.2f ms p90 %.2f ms p99 %.2f ms\n",
-		bench.Requests, elapsed, bench.Throughput,
-		bench.AnalyzeP50Ms, bench.AnalyzeP90Ms, bench.AnalyzeP99Ms)
+		rep.Requests, elapsed, rep.Throughput,
+		rep.AnalyzeP50Ms, rep.AnalyzeP90Ms, rep.AnalyzeP99Ms)
 	fmt.Fprintf(os.Stderr,
 		"xtalkload: %d shed, %d coalesce hits, %d cache hits, %d edit batches\n",
-		bench.Shed, bench.CoalesceHits, bench.CacheHits, bench.EditBatches)
+		rep.Shed, rep.CoalesceHits, rep.CacheHits, rep.EditBatches)
 
-	if *mergePath != "" {
-		if err := mergeBench(*mergePath, bench); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "xtalkload: merged \"server\" section into %s\n", *mergePath)
+	if *jsonPath == "" || *jsonPath == "-" {
+		return writeReport(os.Stdout, rep)
 	}
-	if *mergePath == "" || *jsonPath != "" {
-		out := os.Stdout
-		if *jsonPath != "" && *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(bench); err != nil {
-			return err
-		}
+	f, err := os.Create(*jsonPath)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := writeReport(f, rep); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func writeReport(w io.Writer, rep loadReport) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }
 
 // selfHost builds a design and serves it from an in-process server on a
@@ -384,27 +375,4 @@ func percentile(sorted []float64, q float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// mergeBench rewrites path with bench as its "server" section,
-// preserving every other top-level key.
-func mergeBench(path string, bench serverBench) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading bench JSON to merge into: %w", err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	b, err := json.Marshal(bench)
-	if err != nil {
-		return err
-	}
-	doc["server"] = b
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -12,9 +12,11 @@
 //
 // Observability: -metrics dumps the engine's counter registry as JSON,
 // -trace writes a Chrome trace_event profile (open in chrome://tracing
-// or Perfetto), -cpuprofile/-memprofile write pprof profiles, -v prints
-// per-pass progress to stderr, and -json writes the all-modes result
-// summary as machine-readable JSON.
+// or Perfetto), -cpuprofile/-memprofile write pprof profiles, -events
+// appends the structured JSONL event log (one record per analysis,
+// refinement pass and ECO batch) to a file, -v writes the same records
+// to stderr, and -json writes the all-modes result table as
+// machine-readable JSON.
 package main
 
 import (
@@ -26,10 +28,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -50,22 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xtalksta:", err)
 		os.Exit(1)
 	}
-}
-
-// progressObserver prints per-pass progress lines to stderr (-v). The
-// engine guarantees the callbacks fire on the driver goroutine only, so
-// no locking is needed.
-type progressObserver struct{ start time.Time }
-
-func (p *progressObserver) PassStarted(pass int, mode xtalksta.Mode) {
-	fmt.Fprintf(os.Stderr, "[%8.3fs] pass %d (%s) started\n",
-		time.Since(p.start).Seconds(), pass, mode)
-}
-
-func (p *progressObserver) PassFinished(st xtalksta.PassStat) {
-	fmt.Fprintf(os.Stderr, "[%8.3fs] pass %d (%s) done in %v: longest %.3f ns, %d arcs, %d wires recalculated, %d skipped\n",
-		time.Since(p.start).Seconds(), st.Pass, st.Mode, st.Wall.Round(time.Millisecond),
-		st.LongestPath*1e9, st.ArcEvaluations, st.RecalculatedWires, st.EsperanceSkips)
 }
 
 func run() error {
@@ -98,7 +82,6 @@ func run() error {
 		cacheShards = flag.Int("cache-shards", 0, "lock stripes of the characterization cache, rounded up to a power of two (0 = default 8)")
 
 		parallelModes = flag.Bool("parallel-modes", false, "table mode: run the five analyses concurrently over one compiled snapshot (delays identical; runtimes overlap and share a warm cache)")
-		sweepBench    = flag.Bool("sweep-bench", false, "with -json in table mode: additionally time the five-mode sweep serial (cold cache per mode) vs concurrent (one shared cache) and record both wall-clocks")
 
 		tier0       = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
 		tier0Margin = flag.Float64("tier0-margin", 0.05, "relative criticality margin of the tier-0 gate; arcs within this fraction of the longest-path frontier always evaluate exactly")
@@ -108,8 +91,8 @@ func run() error {
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event profile to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		verbose     = flag.Bool("v", false, "print per-pass progress and a latency-percentile summary to stderr")
-		jsonPath    = flag.String("json", "", "write the all-modes result summary as JSON to this file (table mode only)")
+		verbose     = flag.Bool("v", false, "write the JSONL event log (one record per analysis, refinement pass and ECO batch) to stderr")
+		jsonPath    = flag.String("json", "", "write the all-modes result table as JSON to this file (table mode only)")
 
 		serveObs  = flag.String("serve-obs", "", "serve the live introspection plane (/metrics, /debug/pprof/*, /debug/obs/*) on this address, e.g. :9090 or 127.0.0.1:0")
 		eventsOut = flag.String("events", "", "append structured JSONL analysis/pass/ECO events to this file")
@@ -132,11 +115,10 @@ func run() error {
 
 	// Telemetry plumbing: one registry and one trace buffer shared by
 	// layout, engine and golden simulation; flushed to disk on the way
-	// out whatever happened in between. The registry also backs the
-	// -serve-obs endpoints, the -v latency summary and the -json
-	// percentile block, so any of those implies one.
+	// out whatever happened in between. -serve-obs serves the registry,
+	// so it implies one.
 	var reg *xtalksta.MetricsRegistry
-	if *metricsPath != "" || *serveObs != "" || *verbose || *jsonPath != "" {
+	if *metricsPath != "" || *serveObs != "" {
 		reg = xtalksta.NewMetricsRegistry()
 	}
 	var chrome *xtalksta.ChromeTrace
@@ -146,9 +128,6 @@ func run() error {
 		tracer = xtalksta.NewTracer(chrome)
 	}
 	defer func() {
-		if *verbose && reg != nil {
-			printLatencySummary(os.Stderr, reg)
-		}
 		if reg != nil && *metricsPath != "" {
 			if err := writeFileWith(*metricsPath, reg.WriteJSON); err != nil {
 				fmt.Fprintln(os.Stderr, "xtalksta: writing metrics:", err)
@@ -173,16 +152,23 @@ func run() error {
 		}
 	}()
 
-	// Structured event log (-events): one JSONL record per analysis,
-	// refinement pass and ECO batch.
-	var events *xtalksta.EventLog
+	// Structured event log: one JSONL record per analysis, refinement
+	// pass and ECO batch, appended to -events and, with -v, to stderr.
+	var eventSinks []io.Writer
 	if *eventsOut != "" {
 		f, err := os.OpenFile(*eventsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		events = xtalksta.NewEventLog(f)
+		eventSinks = append(eventSinks, f)
+	}
+	if *verbose {
+		eventSinks = append(eventSinks, os.Stderr)
+	}
+	var events *xtalksta.EventLog
+	if len(eventSinks) > 0 {
+		events = xtalksta.NewEventLog(io.MultiWriter(eventSinks...))
 		events.AttachCounter(reg.Counter(obs.MEventsEmitted))
 	}
 
@@ -231,9 +217,6 @@ func run() error {
 		Attribution:     *attrFlag || *attrJSON != "" || (obsSrv != nil && *mode != ""),
 		AttributionTopK: *topk,
 	}
-	if *verbose {
-		aopts.Observer = &progressObserver{start: time.Now()}
-	}
 
 	bopts := xtalksta.Defaults()
 	bopts.Layout.Metrics = reg
@@ -241,12 +224,10 @@ func run() error {
 	bopts.Calc.Metrics = reg
 	bopts.Calc.LTETol = *lteTol
 	bopts.Calc.CacheShards = *cacheShards
-	buildStart := time.Now()
 	d, title, err := buildDesign(*benchPath, *spefPath, *preset, *scale, *cells, *dffs, *depth, *seed, bopts)
 	if err != nil {
 		return err
 	}
-	compileMs := float64(time.Since(buildStart)) / 1e6
 	st, err := d.Stats()
 	if err != nil {
 		return err
@@ -380,21 +361,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var sweep *sweepBenchResult
-	if *sweepBench && *jsonPath != "" {
-		sweep, err = runSweepBench(d, aopts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep bench: serial %.0f ms, parallel %.0f ms (%.2fx)\n",
-			sweep.SerialMs, sweep.ParallelMs, sweep.Ratio)
-	}
 	if *jsonPath != "" {
-		jsonScale := 0.0 // 0 = not a preset run; scale is preset-relative
-		if *preset != "" {
-			jsonScale = *scale
-		}
-		if err := writeTableJSON(*jsonPath, title, st, table, *workers, jsonScale, compileMs, sweep, reg); err != nil {
+		if err := writeTableJSON(*jsonPath, title, st, table); err != nil {
 			return err
 		}
 	}
@@ -510,148 +478,10 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
-// benchEnv identifies the environment a bench JSON was recorded in, so
-// benchdiff can refuse-or-flag cross-environment comparisons. Scale
-// and Cells pin the circuit size: benchdiff hard-fails when they
-// differ between baseline and candidate, so cross-PR comparisons can't
-// silently mix scales (Scale is 0 for non-preset runs).
-type benchEnv struct {
-	GoVersion   string  `json:"go_version"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Workers     int     `json:"workers"`
-	GitRevision string  `json:"git_revision"`
-	Scale       float64 `json:"scale"`
-	Cells       int     `json:"cells"`
-}
-
-// gitRevision resolves the source revision: the build info's VCS stamp
-// when present (release builds), a git query as fallback (go run from a
-// checkout embeds no stamp), else "unknown".
-func gitRevision() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && len(s.Value) >= 12 {
-				return s.Value[:12]
-			}
-		}
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
-		if rev := strings.TrimSpace(string(out)); rev != "" {
-			return rev
-		}
-	}
-	return "unknown"
-}
-
-// sweepBenchResult is the -sweep-bench wall-clock comparison of the
-// five-mode sweep: serial (AnalyzeAll, cache cleared per mode — the
-// paper-table convention) vs concurrent (AnalyzeAllParallel, one
-// session per mode over the shared snapshot and one shared cache).
-type sweepBenchResult struct {
-	SerialMs   float64 `json:"analyzeall_serial_ms"`
-	ParallelMs float64 `json:"analyzeall_parallel_ms"`
-	Ratio      float64 `json:"parallel_over_serial"`
-}
-
-// runSweepBench times both sweeps from a cold characterization cache.
-// Delays are bit-identical between the two (DESIGN.md §11), so only
-// the wall-clocks are recorded.
-func runSweepBench(d *xtalksta.Design, aopts xtalksta.AnalysisOptions) (*sweepBenchResult, error) {
-	d.Calc.ClearCache()
-	t0 := time.Now()
-	if _, err := d.AnalyzeAllOpts(aopts); err != nil {
-		return nil, err
-	}
-	serial := time.Since(t0)
-	d.Calc.ClearCache()
-	t1 := time.Now()
-	if _, err := d.AnalyzeAllParallel(aopts); err != nil {
-		return nil, err
-	}
-	parallel := time.Since(t1)
-	return &sweepBenchResult{
-		SerialMs:   float64(serial) / 1e6,
-		ParallelMs: float64(parallel) / 1e6,
-		Ratio:      float64(parallel) / float64(serial),
-	}, nil
-}
-
-// histQuantiles returns the requested quantiles of one histogram
-// family, merged across its labeled series; ok is false when the
-// family is absent or empty (then no percentile block is emitted).
-func histQuantiles(reg *xtalksta.MetricsRegistry, name string, qs ...float64) ([]float64, bool) {
-	if reg == nil {
-		return nil, false
-	}
-	for _, fam := range reg.Gather() {
-		if fam.Name != name || fam.Kind != "histogram" {
-			continue
-		}
-		d := fam.Merged()
-		if d.Count == 0 {
-			return nil, false
-		}
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = d.Quantile(q)
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-// printLatencySummary prints the session's latency percentiles (-v):
-// whole-analysis wall time and per-arc-evaluation time.
-func printLatencySummary(w io.Writer, reg *xtalksta.MetricsRegistry) {
-	if qs, ok := histQuantiles(reg, obs.MAnalysisDuration, 0.50, 0.90, 0.99); ok {
-		fmt.Fprintf(w, "latency: analysis p50 %.1f ms, p90 %.1f ms, p99 %.1f ms\n",
-			qs[0]*1e3, qs[1]*1e3, qs[2]*1e3)
-	}
-	if qs, ok := histQuantiles(reg, obs.MArcEvalDuration, 0.50, 0.99); ok {
-		fmt.Fprintf(w, "latency: arc eval p50 %.1f µs, p99 %.1f µs\n",
-			qs[0]*1e6, qs[1]*1e6)
-	}
-}
-
-// latencyBlock is the percentile section of the -json summary, read
-// from the shared metrics registry (bucket-interpolated quantiles).
-type latencyBlock struct {
-	AnalysisP50Ms float64 `json:"analysis_p50_ms"`
-	AnalysisP90Ms float64 `json:"analysis_p90_ms"`
-	AnalysisP99Ms float64 `json:"analysis_p99_ms"`
-	ArcEvalP50Us  float64 `json:"arc_eval_p50_us"`
-	ArcEvalP99Us  float64 `json:"arc_eval_p99_us"`
-}
-
-func buildLatencyBlock(reg *xtalksta.MetricsRegistry) *latencyBlock {
-	aq, ok := histQuantiles(reg, obs.MAnalysisDuration, 0.50, 0.90, 0.99)
-	if !ok {
-		return nil
-	}
-	lb := &latencyBlock{
-		AnalysisP50Ms: aq[0] * 1e3,
-		AnalysisP90Ms: aq[1] * 1e3,
-		AnalysisP99Ms: aq[2] * 1e3,
-	}
-	if eq, ok := histQuantiles(reg, obs.MArcEvalDuration, 0.50, 0.99); ok {
-		lb.ArcEvalP50Us = eq[0] * 1e6
-		lb.ArcEvalP99Us = eq[1] * 1e6
-	}
-	return lb
-}
-
-// maxRSSBytes reads the process's peak resident set size. Getrusage
-// reports Maxrss in KiB on Linux; 0 means the platform gave nothing.
-func maxRSSBytes() int64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return ru.Maxrss * 1024
-}
-
-// writeTableJSON emits the machine-readable all-modes summary (-json).
-func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table, workers int, scale, compileMs float64, sweep *sweepBenchResult, reg *xtalksta.MetricsRegistry) error {
+// writeTableJSON emits the machine-readable all-modes table (-json):
+// the circuit's counts, one row per mode in table order, and the
+// golden-simulation delay when -golden ran.
+func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table) error {
 	type row struct {
 		Method      string  `json:"method"`
 		DelayNs     float64 `json:"delay_ns"`
@@ -662,33 +492,15 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 		Simulations int64   `json:"simulations"`
 	}
 	out := struct {
-		Circuit string   `json:"circuit"`
-		Cells   int      `json:"cells"`
-		DFFs    int      `json:"dffs"`
-		Nets    int      `json:"nets"`
-		Depth   int      `json:"logic_depth"`
-		Env     benchEnv `json:"env"`
-		// CompileMs is the design-build wall time (generate + place +
-		// route + extract); MaxRSSBytes the process's peak resident
-		// set at write time. Both are gated by benchdiff -mem-tol.
-		CompileMs   float64           `json:"compile_ms"`
-		MaxRSSBytes int64             `json:"max_rss_bytes"`
-		Rows        []row             `json:"rows"`
-		GoldenNs    float64           `json:"golden_ns,omitempty"`
-		Sweep       *sweepBenchResult `json:"sweep,omitempty"`
-		Latency     *latencyBlock     `json:"latency,omitempty"`
+		Circuit  string  `json:"circuit"`
+		Cells    int     `json:"cells"`
+		DFFs     int     `json:"dffs"`
+		Nets     int     `json:"nets"`
+		Depth    int     `json:"logic_depth"`
+		Rows     []row   `json:"rows"`
+		GoldenNs float64 `json:"golden_ns,omitempty"`
 	}{Circuit: title, Cells: st.Cells, DFFs: st.DFFs, Nets: st.Nets,
-		Depth: st.LogicDepth, GoldenNs: table.GoldenNs, Sweep: sweep,
-		CompileMs: compileMs, MaxRSSBytes: maxRSSBytes(),
-		Latency: buildLatencyBlock(reg),
-		Env: benchEnv{
-			GoVersion:   runtime.Version(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			Workers:     workers,
-			GitRevision: gitRevision(),
-			Scale:       scale,
-			Cells:       st.Cells,
-		}}
+		Depth: st.LogicDepth, GoldenNs: table.GoldenNs}
 	for _, r := range table.Rows {
 		out.Rows = append(out.Rows, row{
 			Method:      r.Method,
@@ -700,17 +512,11 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 			Simulations: r.Simulations,
 		})
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFileWith(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(out)
+	})
 }
 
 func buildDesign(benchPath, spefPath, preset string, scale float64, cells, dffs, depth int, seed int64, bopts xtalksta.BuildOptions) (*xtalksta.Design, string, error) {

@@ -166,9 +166,6 @@ type Options struct {
 	// pair it with an obs.ChromeTrace sink to render the run as a
 	// chrome://tracing timeline.
 	Trace *obs.Tracer
-	// Observer, when set, receives pass-progress callbacks on the
-	// driver goroutine (see the Observer threading contract).
-	Observer Observer
 }
 
 func (o Options) withDefaults() Options {

@@ -43,23 +43,6 @@ type PassStat struct {
 	Wall time.Duration
 }
 
-// Observer receives progress callbacks from a running analysis, so
-// callers can surface progress without polling.
-//
-// Threading contract: both callbacks fire on the goroutine that called
-// Run/Report (the analysis driver), never on sweep-worker goroutines,
-// and never concurrently — an Observer needs no internal locking as
-// long as it is used by one analysis at a time. The Metrics registry
-// and Trace sink, by contrast, ARE written from worker goroutines and
-// must stay race-safe (the obs implementations are).
-type Observer interface {
-	// PassStarted fires before each BFS sweep.
-	PassStarted(pass int, mode Mode)
-	// PassFinished fires after each sweep with its work breakdown,
-	// including the longest path so far.
-	PassFinished(stat PassStat)
-}
-
 // engineMetrics holds the engine's resolved registry instruments. With
 // a nil Options.Metrics the instruments are live but unregistered, so
 // the hot path is identical either way (one atomic add per event).
@@ -159,9 +142,6 @@ func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
 	e.passRecalc.Store(0)
 	e.passSkips.Store(0)
 	e.passConverged = 0
-	if e.opts.Observer != nil {
-		e.opts.Observer.PassStarted(pass, mode)
-	}
 	ph := &passHandle{
 		pass:  pass,
 		mode:  mode,
@@ -220,9 +200,6 @@ func (e *Engine) endPass(ph *passHandle, st []netState) float64 {
 			"converged_skips": stat.ConvergedSkips,
 			"wall_ms":         float64(stat.Wall) / 1e6,
 		})
-	}
-	if e.opts.Observer != nil {
-		e.opts.Observer.PassFinished(stat)
 	}
 	return longest
 }

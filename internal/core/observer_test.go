@@ -1,7 +1,9 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/json"
+	"io"
 	"runtime"
 	"testing"
 
@@ -50,44 +52,49 @@ func TestPassStatsRecorded(t *testing.T) {
 	}
 }
 
-// recordingObserver captures the callback sequence.
-type recordingObserver struct {
-	events []string
-	stats  []PassStat
-}
-
-func (r *recordingObserver) PassStarted(pass int, mode Mode) {
-	r.events = append(r.events, fmt.Sprintf("start %d %s", pass, mode))
-}
-
-func (r *recordingObserver) PassFinished(st PassStat) {
-	r.events = append(r.events, fmt.Sprintf("finish %d", st.Pass))
-	r.stats = append(r.stats, st)
-}
-
-// TestObserverCallbacks: started/finished must alternate per pass, on
-// one goroutine (the recorder has no locking, so -race also verifies
-// the threading contract).
-func TestObserverCallbacks(t *testing.T) {
+// TestPassEventsMatchPassStats: the event log's "pass" records, written
+// from a parallel run, must mirror Result.PassStats one for one and in
+// order — the stream -v prints is the same record the Result carries.
+func TestPassEventsMatchPassStats(t *testing.T) {
 	c, calc := buildExtracted(t, 150, 12, 8, 712)
-	rec := &recordingObserver{}
+	var buf bytes.Buffer
 	res := runMode(t, c, calc, Options{
-		Mode: Iterative, Workers: runtime.NumCPU(), Observer: rec,
+		Mode: Iterative, Workers: runtime.NumCPU(), Events: obs.NewEventLog(&buf),
 	})
-	if len(rec.stats) != res.Passes {
-		t.Fatalf("observer saw %d passes, engine ran %d", len(rec.stats), res.Passes)
-	}
-	for i := 0; i < res.Passes; i++ {
-		wantFinish := fmt.Sprintf("finish %d", i+1)
-		if got := rec.events[2*i+1]; got != wantFinish {
-			t.Errorf("event %d = %q, want %q", 2*i+1, got, wantFinish)
+	var passes []passRecord
+	dec := json.NewDecoder(&buf)
+	for {
+		var rec struct {
+			Event  string     `json:"event"`
+			Fields passRecord `json:"fields"`
+		}
+		if err := dec.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("event log is not JSONL: %v", err)
+		}
+		if rec.Event == "pass" {
+			passes = append(passes, rec.Fields)
 		}
 	}
-	for i, st := range rec.stats {
-		if st != res.PassStats[i] {
-			t.Errorf("observer stat %d differs from Result.PassStats", i)
+	if len(passes) != len(res.PassStats) || len(passes) != res.Passes {
+		t.Fatalf("event log has %d pass records, PassStats %d, engine ran %d passes",
+			len(passes), len(res.PassStats), res.Passes)
+	}
+	for i, ps := range res.PassStats {
+		want := passRecord{Pass: ps.Pass, ArcEvaluations: ps.ArcEvaluations, LongestNs: ps.LongestPath * 1e9}
+		if passes[i] != want {
+			t.Errorf("pass record %d = %+v, PassStats gives %+v", i, passes[i], want)
 		}
 	}
+}
+
+// passRecord is the part of a "pass" event-log record that PassStat
+// also carries.
+type passRecord struct {
+	Pass           int     `json:"pass"`
+	ArcEvaluations int64   `json:"arc_evaluations"`
+	LongestNs      float64 `json:"longest_ns"`
 }
 
 // TestMetricsRegistryPopulated: an attached registry must agree with

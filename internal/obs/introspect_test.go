@@ -3,59 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestQuantileInterpolation(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30})
-	// 10 samples into (10,20]: ranks interpolate linearly across it.
-	for i := 0; i < 10; i++ {
-		h.Observe(15)
-	}
-	if got := h.Quantile(0.5); got != 15 {
-		t.Errorf("p50 = %g, want 15 (midpoint of (10,20])", got)
-	}
-	if got := h.Quantile(1); got != 20 {
-		t.Errorf("p100 = %g, want 20 (upper edge)", got)
-	}
-	if got := h.Quantile(0); got != 10 {
-		t.Errorf("p0 = %g, want 10 (lower edge)", got)
-	}
-}
-
-func TestQuantileFirstBucketInterpolatesFromZero(t *testing.T) {
-	h := NewHistogram([]float64{8})
-	h.Observe(1)
-	h.Observe(1)
-	if got := h.Quantile(0.5); got != 4 {
-		t.Errorf("p50 = %g, want 4 (midpoint of [0,8])", got)
-	}
-}
-
-func TestQuantileEdgeCases(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
-	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
-		if got := h.Quantile(q); !math.IsNaN(got) {
-			t.Errorf("Quantile(%g) = %g, want NaN", q, got)
-		}
-	}
-	if got := h.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("empty histogram p50 = %g, want NaN", got)
-	}
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("nil histogram p50 = %g, want NaN", got)
-	}
-	// All samples in the overflow bucket saturate at the last bound.
-	h.Observe(100)
-	if got := h.Quantile(0.99); got != 2 {
-		t.Errorf("overflow p99 = %g, want saturation at 2", got)
-	}
-}
 
 func TestLabeledVecs(t *testing.T) {
 	r := NewRegistry()

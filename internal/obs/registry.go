@@ -97,6 +97,20 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 // durations alike.
 var defaultHistBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
+// DurationBounds is the bucket grid for wall-clock duration histograms,
+// in seconds: a 1-2-5 progression from one microsecond to fifty
+// seconds, covering sub-microsecond arc evaluations and multi-second
+// full-chip analyses alike.
+var DurationBounds = []float64{
+	1e-6, 2e-6, 5e-6,
+	1e-5, 2e-5, 5e-5,
+	1e-4, 2e-4, 5e-4,
+	1e-3, 2e-3, 5e-3,
+	1e-2, 2e-2, 5e-2,
+	1e-1, 2e-1, 5e-1,
+	1, 2, 5, 10, 20, 50,
+}
+
 // Registry is a named collection of instruments. The zero value is
 // ready to use; a nil *Registry hands out live, unregistered
 // instruments (telemetry disabled at zero branching cost).
@@ -171,6 +185,28 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// HistogramWith returns the histogram registered under name, creating
+// it with the given bucket bounds on first use (nil bounds = the
+// default 1-2-5 grid). An already-registered histogram keeps its
+// original bounds. On a nil registry it returns an unregistered
+// histogram.
+func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
+	if r == nil {
+		return NewHistogram(boundsOrDefault(bounds))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.hists == nil {
+		r.hists = make(map[string]*Histogram)
+	}
+	h, ok := r.hists[name]
+	if !ok {
+		h = NewHistogram(boundsOrDefault(bounds))
+		r.hists[name] = h
+	}
+	return h
+}
+
 // HistogramDump is the JSON form of one histogram.
 type HistogramDump struct {
 	Bounds []float64 `json:"bounds"`
@@ -179,14 +215,19 @@ type HistogramDump struct {
 	Sum    float64   `json:"sum"`
 }
 
+// Dump returns the histogram's point-in-time JSON form.
+func (h *Histogram) Dump() HistogramDump {
+	bounds, counts := h.Buckets()
+	return HistogramDump{Bounds: bounds, Counts: counts, Count: h.Count(), Sum: h.Sum()}
+}
+
 // Dump is the JSON form of a registry snapshot. Labeled families are
 // flattened into the same maps under `name{key="value",...}` keys with
 // keys in the family's declared order, so a dump is a flat, sorted
 // name→value view of the whole registry. Maps are nil when empty (no
 // spurious `{}` entries), bucket bounds are sorted at histogram
 // construction, and encoding/json emits map keys in sorted order — two
-// snapshots of registries in the same state serialize byte-identically,
-// which is what lets benchdiff -metrics diff two dumps.
+// snapshots of registries in the same state serialize byte-identically.
 type Dump struct {
 	Counters   map[string]int64         `json:"counters,omitempty"`
 	Gauges     map[string]float64       `json:"gauges,omitempty"`

@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,8 +69,11 @@ func Write(w io.Writer, c *netlist.Circuit) error {
 }
 
 // Read annotates an existing circuit from a parasitics file. Net names
-// must resolve in the circuit; cell names in *PIN lines likewise.
-// Couplings are validated for symmetry after loading.
+// must resolve in the circuit; cell names in *PIN lines likewise, and a
+// *PIN must name a pin of that cell that the enclosing net reaches.
+// Every number must be finite and non-negative. Any violation is an
+// error naming the line. Couplings are validated for symmetry after
+// loading.
 func Read(r io.Reader, c *netlist.Circuit) error {
 	// Cells are keyed by their (unique) output net name.
 	cellByOutNet := make(map[string]netlist.CellID, len(c.Cells))
@@ -81,6 +85,9 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 	var cur *netlist.Net
 	lineNo := 0
 	sawHeader := false
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("spef: line %d: "+format, append([]any{lineNo}, args...)...)
+	}
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -95,16 +102,15 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 			// informational
 		case "*D_NET":
 			if len(fields) != 4 {
-				return fmt.Errorf("spef: line %d: *D_NET wants <net> <cwire> <rwire>", lineNo)
+				return bad("*D_NET wants <net> <cwire_fF> <rwire_ohm>")
 			}
 			n, ok := c.NetByName(fields[1])
 			if !ok {
-				return fmt.Errorf("spef: line %d: unknown net %q", lineNo, fields[1])
+				return bad("unknown net %q", fields[1])
 			}
-			cw, err1 := strconv.ParseFloat(fields[2], 64)
-			rw, err2 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("spef: line %d: bad numbers", lineNo)
+			var cw, rw float64
+			if err := parseValues(fields[2:], &cw, &rw); err != nil {
+				return bad("%v", err)
 			}
 			n.Par = netlist.Parasitics{
 				CWire:         cw * 1e-15,
@@ -114,50 +120,67 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 			cur = n
 		case "*PIN":
 			if cur == nil {
-				return fmt.Errorf("spef: line %d: *PIN outside *D_NET", lineNo)
+				return bad("*PIN outside *D_NET")
 			}
 			if len(fields) != 4 {
-				return fmt.Errorf("spef: line %d: *PIN wants <cell> <pin> <elmore_ps>", lineNo)
+				return bad("*PIN wants <cell> <pin> <elmore_ps>")
 			}
 			cid, ok := cellByOutNet[fields[1]]
 			if !ok {
-				return fmt.Errorf("spef: line %d: no cell drives net %q", lineNo, fields[1])
+				return bad("no cell drives net %q", fields[1])
 			}
-			pin, err1 := strconv.Atoi(fields[2])
-			d, err2 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("spef: line %d: bad numbers", lineNo)
+			pin, err := strconv.Atoi(fields[2])
+			if err != nil {
+				return bad("bad pin index %q", fields[2])
+			}
+			cell := c.Cell(cid)
+			switch {
+			case pin == netlist.ClockPinIndex && cell.Kind == netlist.DFF:
+				if cell.Clock != cur.ID {
+					return bad("the clock pin of the flip-flop driving %q is not on net %q", fields[1], cur.Name)
+				}
+			case pin < 0 || pin >= len(cell.In):
+				return bad("the cell driving %q has no input pin %d", fields[1], pin)
+			case cell.In[pin] != cur.ID:
+				return bad("pin %d of the cell driving %q is not on net %q", pin, fields[1], cur.Name)
+			}
+			var d float64
+			if err := parseValues(fields[3:], &d); err != nil {
+				return bad("%v", err)
 			}
 			cur.Par.SinkWireDelay[netlist.PinRef{Cell: cid, Pin: pin}] = d * 1e-12
 		case "*PO":
 			if cur == nil {
-				return fmt.Errorf("spef: line %d: *PO outside *D_NET", lineNo)
+				return bad("*PO outside *D_NET")
 			}
-			d, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return fmt.Errorf("spef: line %d: bad number", lineNo)
+			if len(fields) != 2 {
+				return bad("*PO wants <elmore_ps>")
+			}
+			var d float64
+			if err := parseValues(fields[1:], &d); err != nil {
+				return bad("%v", err)
 			}
 			cur.Par.POWireDelay = d * 1e-12
 		case "*CC":
 			if cur == nil {
-				return fmt.Errorf("spef: line %d: *CC outside *D_NET", lineNo)
+				return bad("*CC outside *D_NET")
 			}
 			if len(fields) != 3 {
-				return fmt.Errorf("spef: line %d: *CC wants <net> <cc_fF>", lineNo)
+				return bad("*CC wants <net> <cc_fF>")
 			}
 			other, ok := c.NetByName(fields[1])
 			if !ok {
-				return fmt.Errorf("spef: line %d: unknown coupled net %q", lineNo, fields[1])
+				return bad("unknown coupled net %q", fields[1])
 			}
-			cc, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return fmt.Errorf("spef: line %d: bad number", lineNo)
+			var cc float64
+			if err := parseValues(fields[2:], &cc); err != nil {
+				return bad("%v", err)
 			}
 			cur.Par.Couplings = append(cur.Par.Couplings, netlist.Coupling{Other: other.ID, C: cc * 1e-15})
 		case "*END":
 			cur = nil
 		default:
-			return fmt.Errorf("spef: line %d: unknown directive %q", lineNo, fields[0])
+			return bad("unknown directive %q", fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -170,6 +193,20 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 		return err
 	}
 	c.CompactCouplings()
+	return nil
+}
+
+// parseValues parses fields into dst in order. Parasitics are finite
+// and non-negative: NaN and ±Inf would reach the analyses as silently
+// finite delays, and a negative value would fail far from this line.
+func parseValues(fields []string, dst ...*float64) error {
+	for i, f := range fields {
+		v, err := strconv.ParseFloat(f, 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("%q is not a finite non-negative number", f)
+		}
+		*dst[i] = v
+	}
 	return nil
 }
 

@@ -2,7 +2,9 @@ package spef
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,4 +138,93 @@ func TestValidateSymmetryCatches(t *testing.T) {
 	if err := ValidateSymmetry(c); err != nil {
 		t.Errorf("symmetric coupling rejected: %v", err)
 	}
+}
+
+// TestReadRejectsMalformed: malformed parasitics must fail with an error
+// naming the offending line — never a panic, never a silently dropped
+// or non-finite annotation.
+func TestReadRejectsMalformed(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, extracted(t)); err != nil {
+		t.Fatal(err)
+	}
+	good := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	firstPin := -1
+	for i, l := range good {
+		if strings.HasPrefix(l, "*PIN ") {
+			firstPin = i
+			break
+		}
+	}
+	if firstPin < 0 {
+		t.Fatal("extracted circuit wrote no *PIN line")
+	}
+	// edit rewrites field f of every line starting with directive
+	// (only the first such line when once is set).
+	edit := func(directive string, f int, val string, once bool) string {
+		out := append([]string(nil), good...)
+		for i, l := range out {
+			if fs := strings.Fields(l); fs[0] == directive {
+				fs[f] = val
+				out[i] = strings.Join(fs, " ")
+				if once {
+					break
+				}
+			}
+		}
+		return strings.Join(out, "\n") + "\n"
+	}
+	// A 2-input cell whose inputs are distinct nets: its pin 0 is not
+	// on its In[1] net.
+	bare := cloneBare(t)
+	var wrongNet string
+	for _, cell := range bare.Cells {
+		if len(cell.In) == 2 && cell.In[0] != cell.In[1] {
+			wrongNet = fmt.Sprintf("*SPEF xtalksta-1\n*D_NET %s 1 1\n*PIN %s 0 1\n*END\n",
+				bare.Net(cell.In[1]).Name, bare.Net(cell.Out).Name)
+			break
+		}
+	}
+	if wrongNet == "" {
+		t.Fatal("no 2-input cell with distinct inputs")
+	}
+
+	cases := []struct {
+		name, src string
+		line      int
+	}{
+		{"PO without value", "*SPEF xtalksta-1\n*D_NET N0 1 1\n*PO\n*END\n", 3},
+		{"PO extra field", "*SPEF xtalksta-1\n*D_NET N0 1 1\n*PO 1 2\n*END\n", 3},
+		{"pin 7", edit("*PIN", 2, "7", true), firstPin + 1},
+		{"pin -1", edit("*PIN", 2, "-1", true), firstPin + 1},
+		{"pin -2", edit("*PIN", 2, "-2", true), firstPin + 1},
+		{"clock pin on a gate", edit("*PIN", 2, strconv.Itoa(netlist.ClockPinIndex), true), firstPin + 1},
+		{"pin on another net", wrongNet, 3},
+		{"NaN wire caps", edit("*D_NET", 2, "NaN", false), 3},
+		{"+Inf wire caps", edit("*D_NET", 2, "+Inf", false), 3},
+		{"negative wire cap", edit("*D_NET", 2, "-1", true), 3},
+		{"negative resistance", edit("*D_NET", 3, "-5", true), 3},
+		{"NaN pin delay", edit("*PIN", 3, "NaN", true), firstPin + 1},
+		{"negative coupling", "*SPEF xtalksta-1\n*D_NET N0 1 1\n*CC N1 -5\n*END\n", 3},
+		{"Inf PO delay", "*SPEF xtalksta-1\n*D_NET N0 1 1\n*PO Inf\n*END\n", 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := readNoPanic(tc.src, cloneBare(t))
+			want := fmt.Sprintf("spef: line %d:", tc.line)
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("got %v, want an error starting %q", err, want)
+			}
+		})
+	}
+}
+
+// readNoPanic is Read with a panic turned into an error.
+func readNoPanic(src string, c *netlist.Circuit) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return Read(strings.NewReader(src), c)
 }

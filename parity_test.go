@@ -124,14 +124,7 @@ func TestRefactorParity(t *testing.T) {
 		t.Logf("wrote %d parity entries to %s", len(got), path)
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden fixture (regenerate with -update-parity ONLY from the pre-refactor tree): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := loadParityFixture(t)
 	if len(want) != len(got) {
 		t.Errorf("fixture has %d entries, matrix produced %d", len(want), len(got))
 	}
@@ -147,6 +140,53 @@ func TestRefactorParity(t *testing.T) {
 				k, gotHex, wantHex, math.Float64frombits(bits), mustParseBits(t, wantHex))
 		}
 	}
+}
+
+// TestTier0PresetParity: tier-0 is a dispatch optimization, never a
+// numeric change. Every mode on both parity presets, run the way
+// AnalyzeAllOpts runs the paper table (cache cleared before each mode)
+// with tier-0 on, must reproduce the fixture's all-Newton bits — and
+// tier-0 must actually have skipped exact evaluations.
+func TestTier0PresetParity(t *testing.T) {
+	want := loadParityFixture(t)
+	for _, pc := range parityCircuits {
+		d, err := xtalksta.GeneratePreset(pc.preset, pc.scale, xtalksta.Defaults())
+		if err != nil {
+			t.Fatalf("generate %s: %v", pc.preset, err)
+		}
+		results, err := d.AnalyzeAllOpts(xtalksta.AnalysisOptions{Tier0: true})
+		if err != nil {
+			t.Fatalf("%s: %v", pc.preset, err)
+		}
+		for _, res := range results {
+			key := fmt.Sprintf("%s/%s/dataflow", pc.preset, res.Mode)
+			wantHex, ok := want[key]
+			if !ok {
+				t.Fatalf("%s: missing from fixture", key)
+			}
+			if gotHex := fmt.Sprintf("%016x", math.Float64bits(res.LongestPath)); gotHex != wantHex {
+				t.Errorf("%s with tier-0: longest path bits %s, fixture %s", key, gotHex, wantHex)
+			}
+			if res.Tier0Hits <= 0 {
+				t.Errorf("%s: tier-0 skipped no evaluations", key)
+			}
+		}
+	}
+}
+
+// loadParityFixture reads testdata/parity_bits.json: "preset/config" →
+// hex IEEE-754 bits of the longest-path delay.
+func loadParityFixture(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "parity_bits.json"))
+	if err != nil {
+		t.Fatalf("read golden fixture (regenerate with -update-parity ONLY from the pre-refactor tree): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 func mustParseBits(t *testing.T, hex string) float64 {
