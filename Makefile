@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint bench bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench bench-100k clean
 
 all: check
 
@@ -9,7 +9,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -57,6 +57,13 @@ race-server:
 metrics-lint:
 	$(GO) test -run 'TestMetricNameDrift|TestRegisterAllCoversVocabulary' -count=1 . ./internal/obs/
 	$(GO) vet ./...
+
+# The benchmark is a Go module of its own (perfbench/go.mod), so the
+# root `go test ./...` never compiles it. It calls the engine directly
+# (core.Compile, core.NewSession, Design.Calc); vet and test it here so
+# a signature change breaks the build gate, not the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -32,28 +32,39 @@ func TestCompileAllocsBounded(t *testing.T) {
 // and ECO scratch come from session pools, and the characterization
 // cache absorbs the transient solves, so a repeat analysis allocates
 // about one allocation per net (result assembly, frontier growth),
-// not the tens-of-allocations-per-arc of the cold run.
+// not the tens-of-allocations-per-arc of the cold run. Tier-0 adds its
+// per-analysis memo, one slot slice per cell; the bracket memo lives in
+// those slots, so it adds no allocation per net.
 func TestAnalyzeAllocsBounded(t *testing.T) {
 	c, calc := buildExtracted(t, 800, 64, 8, 405)
-	eng, err := NewEngine(c, calc, Options{Mode: Iterative})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the characterization cache and the session pools.
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 	nets := len(c.Nets)
-	allocs := testing.AllocsPerRun(3, func() {
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		perNet float64
+	}{
+		{"all-Newton", Options{Mode: Iterative}, 8},
+		{"tier-0", Options{Mode: Iterative, Tier0: true}, 2.5},
+	} {
+		eng, err := NewEngine(c, calc, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the characterization cache and the session pools.
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if maxAllocs := 8 * float64(nets); allocs > maxAllocs {
-		t.Fatalf("warm Analyze allocated %.0f times for %d nets (bound %.0f)",
-			allocs, nets, maxAllocs)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if maxAllocs := tc.perNet * float64(nets); allocs > maxAllocs {
+			t.Errorf("%s: warm Analyze allocated %.0f times for %d nets (bound %.0f)",
+				tc.name, allocs, nets, maxAllocs)
+		}
+		t.Logf("%s: warm Analyze: %.0f allocs for %d nets (%.2f/net)", tc.name, allocs, nets, allocs/float64(nets))
 	}
-	t.Logf("warm Analyze: %.0f allocs for %d nets (%.1f/net)", allocs, nets, allocs/float64(nets))
 }
 
 func BenchmarkCompile(b *testing.B) {

@@ -45,7 +45,11 @@ type PassStat struct {
 
 // engineMetrics holds the engine's resolved registry instruments. With
 // a nil Options.Metrics the instruments are live but unregistered, so
-// the hot path is identical either way (one atomic add per event).
+// the hot path is identical either way. Every add is a shared atomic
+// that the sweep workers contend on, so the hot path tallies its events
+// in locals — coupling decisions per arc, tier-0 dispatch decisions per
+// cell and direction — and publishes each total once; nothing adds per
+// coupled neighbour or per candidate pin.
 type engineMetrics struct {
 	arcEvals, sims, newtonIters, newtonFails                *obs.Counter
 	couplingActive, couplingGrounded, couplingWindowPruned  *obs.Counter
@@ -104,6 +108,20 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		queueWait:            r.HistogramVec(obs.MQueueWait, obs.DurationBounds, "mode"),
 		analyses:             r.CounterVec(obs.MAnalyses, "mode", "corner"),
 		attributionBuilds:    r.Counter(obs.MAttributionBuilds),
+	}
+}
+
+// addCoupling publishes one arc's tallied coupling decisions, skipping
+// the shared atomic adds a zero total does not need.
+func (m *engineMetrics) addCoupling(active, grounded, pruned int) {
+	if active > 0 {
+		m.couplingActive.Add(int64(active))
+	}
+	if grounded > 0 {
+		m.couplingGrounded.Add(int64(grounded))
+	}
+	if pruned > 0 {
+		m.couplingWindowPruned.Add(int64(pruned))
 	}
 }
 

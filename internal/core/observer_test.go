@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
+	"xtalksta/internal/netlist"
 	"xtalksta/internal/obs"
 )
 
@@ -125,6 +127,80 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 	}
 	if d.Counters[obs.MSequentialCells] <= 0 {
 		t.Errorf("no sequentially swept cells recorded")
+	}
+}
+
+// TestCouplingCountersExact: evalArc tallies its coupling decisions per
+// arc and publishes each total once, so the totals must stay exact. In
+// OneStep with tier-0 off every evaluated arc driving a coupled net
+// classifies each neighbour once, as active or grounded, so the two
+// totals sum to the number of (evaluated arc, coupled neighbour) pairs
+// for any worker count. An Iterative Windows run adds window-pruned
+// decisions; its three totals must not depend on the worker count.
+func TestCouplingCountersExact(t *testing.T) {
+	c, calc := buildExtracted(t, 200, 16, 8, 715)
+	type totals struct{ active, grounded, pruned int64 }
+	run := func(opts Options) (*Engine, *Result, totals) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		opts.Metrics = reg
+		eng, err := NewEngine(c, calc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := reg.Snapshot()
+		return eng, res, totals{
+			d.Counters[obs.MCouplingActive],
+			d.Counters[obs.MCouplingGrounded],
+			d.Counters[obs.MCouplingWindowPruned],
+		}
+	}
+
+	var oneStep []totals
+	for _, w := range []int{1, 4} {
+		eng, res, got := run(Options{Mode: OneStep, Workers: w})
+		// Count the pairs from the snapshot's coupling CSR and the pass's
+		// candidate pins: an input pin is evaluated when its net is
+		// calculated with a finite arrival in the switching direction.
+		st := res.Replay.passes[len(res.Replay.passes)-1]
+		var pairs int64
+		for _, cell := range c.Cells {
+			if cell.Kind == netlist.DFF || cell.Out == netlist.NoNet || eng.info[cell.Out-1].sumCc == 0 {
+				continue
+			}
+			lo, hi := eng.cc.Span(cell.Out)
+			for dOut := 0; dOut < 2; dOut++ {
+				for _, in := range cell.In {
+					if is := &st[in-1]; is.calculated && !math.IsInf(is.arrival[1-dOut], -1) {
+						pairs += int64(hi - lo)
+					}
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatal("no coupled arcs evaluated; the check is vacuous")
+		}
+		if got.active+got.grounded != pairs || got.pruned != 0 {
+			t.Errorf("OneStep workers=%d: active %d + grounded %d = %d, pruned %d; want %d evaluated (arc, neighbour) pairs, 0 pruned",
+				w, got.active, got.grounded, got.active+got.grounded, got.pruned, pairs)
+		}
+		oneStep = append(oneStep, got)
+	}
+	if oneStep[0] != oneStep[1] {
+		t.Errorf("OneStep coupling totals differ by worker count: 1 worker %+v, 4 workers %+v", oneStep[0], oneStep[1])
+	}
+
+	_, _, seq := run(Options{Mode: Iterative, Windows: true, Workers: 1})
+	_, _, par := run(Options{Mode: Iterative, Windows: true, Workers: 4})
+	if seq != par {
+		t.Errorf("Iterative Windows coupling totals differ by worker count: 1 worker %+v, 4 workers %+v", seq, par)
+	}
+	if seq.pruned <= 0 {
+		t.Errorf("Iterative Windows pruned no coupling: %+v", seq)
 	}
 }
 

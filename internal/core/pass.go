@@ -280,8 +280,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 					// Coupling metrics commit only here — the bail paths
 					// fall through to the exact classification, which
 					// counts them itself.
-					e.m.couplingActive.Add(int64(nCouple))
-					e.m.couplingGrounded.Add(int64(nGround))
+					e.m.addCoupling(nCouple, nGround, 0)
 					e.t0.hits.Add(1) // the elided best-case evaluation
 					e.m.tier0Hits.Inc()
 					load(&req, inf.baseCap+(inf.sumCc-ccActive))
@@ -322,7 +321,10 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 				victimQuiet = q
 			}
 		}
+		// Decisions are tallied per arc and published once: the
+		// counters are shared by every worker.
 		ccActive := 0.0
+		nActive, nGrounded, nPruned := 0, 0, 0
 		ccNbr, ccC := e.cc.Nbr, e.cc.C
 		for k := inf.ccLo; k < inf.ccHi; k++ {
 			other := ccNbr[k]
@@ -357,13 +359,14 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 			switch {
 			case couples:
 				ccActive += ccC[k]
-				e.m.couplingActive.Inc()
+				nActive++
 			case pruned:
-				e.m.couplingWindowPruned.Inc()
+				nPruned++
 			default:
-				e.m.couplingGrounded.Inc()
+				nGrounded++
 			}
 		}
+		e.m.addCoupling(nActive, nGrounded, nPruned)
 		if ccActive == 0 {
 			// Every neighbor is quiet: the worst-case request would carry
 			// the full coupling capacitance grounded — electrically the

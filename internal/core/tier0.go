@@ -55,9 +55,9 @@ type tier0Run struct {
 	// longest-path arrival at its rank" the margin gate compares
 	// against). Estimates, not bounds: the gate is policy, not proof.
 	frontier []float64
-	// memo caches the final arc request and result per
-	// [out−1][pin*2+dOut] slot, mirroring Engine.bcs: exactly one
-	// worker owns a cell within a pass and passes are
+	// memo caches the final arc request and result, and the last
+	// bracket, per [out−1][pin*2+dOut] slot, mirroring Engine.bcs:
+	// exactly one worker owns a cell within a pass and passes are
 	// barrier-separated, so the slots need no locking.
 	memo [][]arcMemo
 	// hits counts arc evaluations avoided (dominance skips, elided
@@ -70,11 +70,21 @@ type tier0Run struct {
 	taint atomic.Bool
 }
 
-// arcMemo is one remembered final arc evaluation (see tier0Run.memo).
+// arcMemo is one slot of tier0Run.memo: the remembered final arc
+// evaluation (valid once filled) and the bracket t0Gate last computed
+// for the slot, at input slew bSlew (bSet once filled). t0ArcBounds is
+// a pure function of the session's snapshot, the mode class, the slot
+// and the slew, and one analysis runs one mode class (OneStep and
+// Iterative issue the same configurations), so a bit-equal slew reuses
+// the bracket exactly.
 type arcMemo struct {
 	req   delaycalc.Request
 	res   delaycalc.Result
+	b     arcBounds
+	bSlew float64
 	valid bool
+	bok   bool
+	bSet  bool
 }
 
 // arcBounds brackets one candidate arc under the mode's possible load
@@ -360,13 +370,19 @@ func (e *Engine) t0ArcBounds(mode Mode, cell *netlist.Cell, pin, dOut int, inSle
 // the predecessor choice are all preserved bit-exactly.
 func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand) {
 	t0 := e.t0
+	memo := t0.memo[cell.Out-1]
 	outRank := e.netRank[cell.Out]
 	arrTop := [2]float64{math.Inf(-1), math.Inf(-1)}
 	compTop := [2]float64{math.Inf(-1), math.Inf(-1)}
 	arrIdx, compIdx := -1, -1
 	for i := range cands {
 		c := &cands[i]
-		c.b, c.bok = e.t0ArcBounds(mode, cell, c.pin, dOut, c.inSlew)
+		slot := &memo[c.pin*2+dOut]
+		if !slot.bSet || math.Float64bits(slot.bSlew) != math.Float64bits(c.inSlew) {
+			slot.b, slot.bok = e.t0ArcBounds(mode, cell, c.pin, dOut, c.inSlew)
+			slot.bSlew, slot.bSet = c.inSlew, true
+		}
+		c.b, c.bok = slot.b, slot.bok
 		if !c.bok {
 			continue
 		}
@@ -382,11 +398,13 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand)
 			compTop[1] = v
 		}
 	}
+	// Decisions are tallied here and published once per call: the
+	// counters are shared by every worker.
+	var hits, fallbacks int64
 	for i := range cands {
 		c := &cands[i]
 		if !c.bok || c.nearCrit {
-			t0.fallbacks.Add(1)
-			e.m.tier0Fallbacks.Inc()
+			fallbacks++
 			continue
 		}
 		maxArr, maxComp := arrTop[0], compTop[0]
@@ -398,9 +416,16 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand)
 		}
 		if c.inArr+c.b.delayHi < maxArr && c.inArr+c.b.compHi < maxComp {
 			c.skip = true
-			t0.hits.Add(1)
-			e.m.tier0Hits.Inc()
+			hits++
 		}
+	}
+	if fallbacks > 0 {
+		t0.fallbacks.Add(fallbacks)
+		e.m.tier0Fallbacks.Add(fallbacks)
+	}
+	if hits > 0 {
+		t0.hits.Add(hits)
+		e.m.tier0Hits.Add(hits)
 	}
 }
 

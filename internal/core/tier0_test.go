@@ -110,6 +110,72 @@ func TestTier0ParallelParity(t *testing.T) {
 	}
 }
 
+// TestTier0BoundsMemoExact: t0Gate reuses a slot's stored bracket when
+// the input slew repeats bit for bit. That is exact only because
+// t0ArcBounds is a pure function of the snapshot, the mode class, the
+// slot and the slew, so after a run every filled slot must hold exactly
+// what a fresh t0ArcBounds computes at the slot's stored slew — and
+// that slew must be the one the pin's input carries in the final state
+// (a line the last pass skipped kept the inputs it was last gated on).
+func TestTier0BoundsMemoExact(t *testing.T) {
+	c, calc := buildExtracted(t, 260, 20, 9, 306)
+	eng, err := NewEngine(c, calc, Options{Mode: Iterative, Tier0: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tier0Rerun || eng.t0 == nil {
+		t.Fatal("tier-0 did not run to completion")
+	}
+	fields := func(b arcBounds) [8]float64 {
+		return [8]float64{b.delayLo, b.delayHi, b.slewLo, b.slewHi, b.compLo, b.compHi, b.ttrLo, b.ttrHi}
+	}
+	st := res.Replay.passes[len(res.Replay.passes)-1]
+	filled, bounded := 0, 0
+	for _, cell := range c.Cells {
+		if cell.Kind == netlist.DFF || cell.Out == netlist.NoNet {
+			continue
+		}
+		slots := eng.t0.memo[cell.Out-1]
+		for pin, in := range cell.In {
+			for dOut := 0; dOut < 2; dOut++ {
+				slot := &slots[pin*2+dOut]
+				if !slot.bSet {
+					continue
+				}
+				filled++
+				if inSlew := st[in-1].slew[1-dOut]; inSlew > 0 && math.Float64bits(inSlew) != math.Float64bits(slot.bSlew) {
+					t.Errorf("%s pin %d dir %d: bracket stored at slew %g, final input slew %g",
+						cell.Name, pin, dOut, slot.bSlew, inSlew)
+				}
+				b, ok := eng.t0ArcBounds(Iterative, cell, pin, dOut, slot.bSlew)
+				if ok != slot.bok {
+					t.Errorf("%s pin %d dir %d: stored ok=%v, fresh ok=%v", cell.Name, pin, dOut, slot.bok, ok)
+					continue
+				}
+				if !ok {
+					continue
+				}
+				bounded++
+				want, got := fields(b), fields(slot.b)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("%s pin %d dir %d: stored bracket %v, fresh %v", cell.Name, pin, dOut, got, want)
+						break
+					}
+				}
+			}
+		}
+	}
+	if bounded == 0 {
+		t.Fatalf("%d filled slots, none bounded; the check is vacuous", filled)
+	}
+	t.Logf("%d filled bracket slots, %d bounded", filled, bounded)
+}
+
 // narrowBounds is a calculator whose tier-0 brackets collapse to their
 // midpoints, so no evaluated arc lands inside its bracket and the
 // audit must fire.

@@ -131,6 +131,9 @@ type Calculator struct {
 	Sizing ccc.Sizing
 	Model  coupling.Model
 	opts   Options
+	// logRatio is math.Log(opts.SlewLoadBucket), the divisor of every
+	// geometric bucket key.
+	logRatio float64
 
 	shards    []cacheShard
 	shardMask uint64
@@ -251,6 +254,7 @@ func New(lib *device.Library, sizing ccc.Sizing, model coupling.Model, opts Opti
 		Sizing:    sizing,
 		Model:     model,
 		opts:      opts,
+		logRatio:  math.Log(opts.SlewLoadBucket),
 		shards:    make([]cacheShard, n),
 		shardMask: uint64(n - 1),
 		m:         newCalcMetrics(opts.Metrics),
@@ -367,54 +371,69 @@ type cacheKey struct {
 // zeroBucket marks an exactly-zero quantity in the cache key.
 const zeroBucket = int16(-32768)
 
-// geoBucket maps v onto a geometric grid with the configured ratio,
-// anchored at ref.
-func geoBucket(v, ref, ratio float64) int16 {
+// Quantization anchors: bucket 0 of the geometric grids.
+const (
+	slewRef = 5e-12   // 5 ps
+	loadRef = 0.5e-15 // 0.5 fF
+	rRef    = 1.0     // 1 Ω
+)
+
+// geoBucket maps v onto the geometric grid anchored at ref whose ratio
+// has natural log logRatio.
+func geoBucket(v, ref, logRatio float64) int16 {
 	if v <= ref {
 		return 0
 	}
-	return int16(math.Round(math.Log(v/ref) / math.Log(ratio)))
+	return int16(math.Round(math.Log(v/ref) / logRatio))
+}
+
+// bucketOrZero is geoBucket with exact zero kept distinct.
+func bucketOrZero(v, ref, logRatio float64) int16 {
+	if v <= 0 {
+		return zeroBucket
+	}
+	return geoBucket(v, ref, logRatio)
 }
 
 func geoCenter(b int16, ref, ratio float64) float64 {
 	return ref * math.Pow(ratio, float64(b))
 }
 
-// quantize maps a request to its cache key and to the representative
-// request actually simulated.
-func (c *Calculator) quantize(r Request) (cacheKey, Request) {
-	const slewRef = 5e-12   // 5 ps
-	const loadRef = 0.5e-15 // 0.5 fF
-	const rRef = 1.0        // 1 Ω
-	ratio := c.opts.SlewLoadBucket
-	bucketOrZero := func(v, ref float64) int16 {
-		if v <= 0 {
-			return zeroBucket
-		}
-		return geoBucket(v, ref, ratio)
+func centerOrZero(b int16, ref, ratio float64) float64 {
+	if b == zeroBucket {
+		return 0
 	}
-	centerOrZero := func(b int16, ref float64) float64 {
-		if b == zeroBucket {
-			return 0
-		}
-		return geoCenter(b, ref, ratio)
-	}
-	k := cacheKey{kind: r.Kind, nin: r.NIn, pin: r.Pin, dir: r.Dir}
-	k.slewB = geoBucket(r.InSlew, slewRef, ratio)
-	k.loadB = bucketOrZero(r.CLoad, loadRef)
-	k.cplB = bucketOrZero(r.CCouple, loadRef)
-	k.farB = bucketOrZero(r.CFar, loadRef)
-	k.rwB = bucketOrZero(r.RWire, rRef)
-	k.sizeB = int16(math.Round(math.Log2(math.Max(r.SizeMult, 1)) * 4))
+	return geoCenter(b, ref, ratio)
+}
 
+// key maps a validated request to its cache key: all a cache hit needs,
+// so the hit path pays only the bucket logarithms.
+func (c *Calculator) key(r Request) cacheKey {
+	lr := c.logRatio
+	k := cacheKey{kind: r.Kind, nin: r.NIn, pin: r.Pin, dir: r.Dir}
+	k.slewB = geoBucket(r.InSlew, slewRef, lr)
+	k.loadB = bucketOrZero(r.CLoad, loadRef, lr)
+	k.cplB = bucketOrZero(r.CCouple, loadRef, lr)
+	k.farB = bucketOrZero(r.CFar, loadRef, lr)
+	k.rwB = bucketOrZero(r.RWire, rRef, lr)
+	k.sizeB = int16(math.Round(math.Log2(math.Max(r.SizeMult, 1)) * 4))
+	return k
+}
+
+// representative is the request actually simulated for key k: r with
+// every quantized field moved to its bucket centre. Built only on a
+// cache miss and for Tier0Bounds, which must bracket the result a hit
+// on k serves.
+func (c *Calculator) representative(k cacheKey, r Request) Request {
+	ratio := c.opts.SlewLoadBucket
 	q := r
 	q.InSlew = geoCenter(k.slewB, slewRef, ratio)
-	q.CLoad = centerOrZero(k.loadB, loadRef)
-	q.CCouple = centerOrZero(k.cplB, loadRef)
-	q.CFar = centerOrZero(k.farB, loadRef)
-	q.RWire = centerOrZero(k.rwB, rRef)
+	q.CLoad = centerOrZero(k.loadB, loadRef, ratio)
+	q.CCouple = centerOrZero(k.cplB, loadRef, ratio)
+	q.CFar = centerOrZero(k.farB, loadRef, ratio)
+	q.RWire = centerOrZero(k.rwB, rRef, ratio)
 	q.SizeMult = math.Pow(2, float64(k.sizeB)/4)
-	return k, q
+	return q
 }
 
 // Eval evaluates a timing arc, consulting the cache. Concurrent
@@ -456,7 +475,7 @@ func (c *Calculator) evalInfo(r Request) (Result, Info, error) {
 		res, err := c.simulate(r, &info)
 		return res, info, err
 	}
-	key, q := c.quantize(r)
+	key := c.key(r)
 	sh := c.shardOf(key)
 	c.lock(sh)
 	if res, ok := sh.cache[key]; ok {
@@ -483,7 +502,7 @@ func (c *Calculator) evalInfo(r Request) (Result, Info, error) {
 	c.misses.Add(1)
 	c.m.misses.Inc()
 
-	res, err := c.simulate(q, &info)
+	res, err := c.simulate(c.representative(key, r), &info)
 	c.lock(sh)
 	if err == nil {
 		sh.cache[key] = res
@@ -509,11 +528,21 @@ func (c *Calculator) addNewton(info *Info, iters, fails int64) {
 	}
 }
 
+// requestFloatFields names Request's float fields in validate's order.
+var requestFloatFields = [...]string{"InSlew", "CLoad", "CCouple", "CFar", "RWire", "SizeMult"}
+
 func (c *Calculator) validate(r Request) error {
 	switch r.Kind {
 	case netlist.INV, netlist.NAND, netlist.NOR:
 	default:
 		return fmt.Errorf("delaycalc: kind %s is not a simulatable primitive", r.Kind)
+	}
+	// NaN passes every ordered comparison below and ±Inf has no cache
+	// bucket, so non-finite values are refused first, by field.
+	for i, v := range [...]float64{r.InSlew, r.CLoad, r.CCouple, r.CFar, r.RWire, r.SizeMult} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("delaycalc: non-finite %s %g", requestFloatFields[i], v)
+		}
 	}
 	if r.InSlew <= 0 {
 		return fmt.Errorf("delaycalc: non-positive input slew %g", r.InSlew)

@@ -1,7 +1,9 @@
 package delaycalc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"xtalksta/internal/ccc"
@@ -218,22 +220,60 @@ func TestNANDAndNORArcs(t *testing.T) {
 	}
 }
 
+// TestValidation: a malformed request is refused, naming what is wrong,
+// before anything is counted, cached or bounded. NaN passes the sign
+// checks and ±Inf has no cache bucket, so every float field is also
+// tried non-finite, with the cache on and off.
 func TestValidation(t *testing.T) {
-	c := newCalc(t, Options{})
-	bad := baseReq()
-	bad.Kind = netlist.DFF
-	if _, err := c.Eval(bad); err == nil {
-		t.Error("DFF arc must error")
+	type validationCase struct {
+		name string
+		set  func(r *Request)
+		want string
 	}
-	bad = baseReq()
-	bad.InSlew = 0
-	if _, err := c.Eval(bad); err == nil {
-		t.Error("zero slew must error")
+	cases := []validationCase{
+		{"DFF arc", func(r *Request) { r.Kind = netlist.DFF }, "not a simulatable primitive"},
+		{"zero slew", func(r *Request) { r.InSlew = 0 }, "non-positive input slew"},
+		{"negative load", func(r *Request) { r.CLoad = -1 }, "negative load"},
 	}
-	bad = baseReq()
-	bad.CLoad = -1
-	if _, err := c.Eval(bad); err == nil {
-		t.Error("negative load must error")
+	for _, f := range []struct {
+		name  string
+		field func(r *Request) *float64
+	}{
+		{"InSlew", func(r *Request) *float64 { return &r.InSlew }},
+		{"CLoad", func(r *Request) *float64 { return &r.CLoad }},
+		{"CCouple", func(r *Request) *float64 { return &r.CCouple }},
+		{"CFar", func(r *Request) *float64 { return &r.CFar }},
+		{"RWire", func(r *Request) *float64 { return &r.RWire }},
+		{"SizeMult", func(r *Request) *float64 { return &r.SizeMult }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cases = append(cases, validationCase{
+				fmt.Sprintf("%s=%g", f.name, v),
+				func(r *Request) { *f.field(r) = v },
+				"non-finite " + f.name,
+			})
+		}
+	}
+	for _, disable := range []bool{false, true} {
+		c := newCalc(t, Options{DisableCache: disable})
+		for _, tc := range cases {
+			r := baseReq()
+			tc.set(&r)
+			if res, err := c.Eval(r); err == nil {
+				t.Errorf("cache off=%v, %s: accepted, delay %g", disable, tc.name, res.Delay)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("cache off=%v, %s: error %q does not mention %q", disable, tc.name, err, tc.want)
+			}
+			if _, ok := c.Tier0Bounds(r); ok {
+				t.Errorf("cache off=%v, %s: bounded", disable, tc.name)
+			}
+		}
+		if req, sims := c.Stats(); req != 0 || sims != 0 {
+			t.Errorf("cache off=%v: refused requests counted: %d requests, %d simulations", disable, req, sims)
+		}
+		if n := c.CacheEntries(); n != 0 {
+			t.Errorf("cache off=%v: refused requests cached %d entries", disable, n)
+		}
 	}
 }
 

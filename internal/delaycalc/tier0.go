@@ -219,7 +219,7 @@ func (c *Calculator) Tier0Bounds(r Request) (Bounds, bool) {
 		r.SizeMult = 1
 	}
 	if !c.opts.DisableCache {
-		_, r = c.quantize(r)
+		r = c.representative(c.key(r), r)
 	}
 	if !tier0InDomain(r) {
 		return Bounds{}, false

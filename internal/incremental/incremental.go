@@ -9,6 +9,7 @@ package incremental
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"xtalksta/internal/core"
@@ -226,6 +227,11 @@ func Apply(c *netlist.Circuit, ov *Overrides, edits []Edit, reg *obs.Registry, t
 
 func resolve(c *netlist.Circuit, ed Edit) (resolved, error) {
 	r := resolved{edit: ed, a: netlist.NoNet, b: netlist.NoNet, cell: netlist.NoCell}
+	// NaN passes every range check below and ±Inf overflows the loads
+	// the analysis builds from it.
+	if math.IsNaN(ed.Value) || math.IsInf(ed.Value, 0) {
+		return r, fmt.Errorf("value must be finite, got %g", ed.Value)
+	}
 	net := func(name, field string) (netlist.NetID, error) {
 		if name == "" {
 			return netlist.NoNet, fmt.Errorf("missing net name %q", field)
@@ -339,17 +345,26 @@ func removePair(c *netlist.Circuit, from, to netlist.NetID) int {
 func apply(c *netlist.Circuit, ov *Overrides, r resolved, seed func(...netlist.NetID)) error {
 	switch r.edit.Op {
 	case OpScaleCoupling, OpSetCoupling:
+		finite := true
 		mutate := func(cp *netlist.Coupling) {
 			if r.edit.Op == OpScaleCoupling {
 				cp.C *= r.edit.Value
 			} else {
 				cp.C = r.edit.Value
 			}
+			if math.IsNaN(cp.C) || math.IsInf(cp.C, 0) {
+				finite = false
+			}
 		}
 		na := pairEntries(c, r.a, r.b, mutate)
 		nb := pairEntries(c, r.b, r.a, mutate)
 		if na == 0 || nb == 0 {
 			return fmt.Errorf("nets %q and %q are not coupled", r.edit.A, r.edit.B)
+		}
+		if !finite {
+			// A finite factor can still overflow a cap, alone or
+			// compounded by earlier edits of the batch.
+			return fmt.Errorf("coupling cap between %q and %q would be non-finite", r.edit.A, r.edit.B)
 		}
 		seed(r.a, r.b)
 	case OpAddCoupling:

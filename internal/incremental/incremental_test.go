@@ -1,6 +1,8 @@
 package incremental_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -161,11 +163,19 @@ func TestApplyValidation(t *testing.T) {
 			break
 		}
 	}
-	cases := []struct {
+	var gate string
+	for _, cell := range c.Cells {
+		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
+			gate = cell.Name
+			break
+		}
+	}
+	type validationCase struct {
 		name string
 		edit incremental.Edit
 		want string
-	}{
+	}
+	cases := []validationCase{
 		{"unknown net", incremental.Edit{Op: incremental.OpScaleCoupling, A: "nope", B: b, Value: 2}, "unknown net"},
 		{"self coupling", incremental.Edit{Op: incremental.OpAddCoupling, A: a, B: a, Value: 1e-15}, "itself"},
 		{"negative scale", incremental.Edit{Op: incremental.OpScaleCoupling, A: a, B: b, Value: -1}, "non-negative"},
@@ -175,6 +185,20 @@ func TestApplyValidation(t *testing.T) {
 		{"slew on non-PI", incremental.Edit{Op: incremental.OpSetInputSlew, A: driven, Value: 1e-10}, "not a primary input"},
 		{"zero slew", incremental.Edit{Op: incremental.OpSetInputSlew, A: pi, Value: 0}, "positive"},
 		{"unknown op", incremental.Edit{Op: "teleport", A: a}, "unknown op"},
+	}
+	// NaN passes every sign check and ±Inf overflows the loads built
+	// from it, so each op that reads Value refuses all three.
+	for _, ed := range []incremental.Edit{
+		{Op: incremental.OpScaleCoupling, A: a, B: b},
+		{Op: incremental.OpSetCoupling, A: a, B: b},
+		{Op: incremental.OpAddCoupling, A: a, B: b},
+		{Op: incremental.OpResizeCell, Cell: gate},
+		{Op: incremental.OpSetInputSlew, A: pi},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ed.Value = v
+			cases = append(cases, validationCase{fmt.Sprintf("%s=%g", ed.Op, v), ed, "must be finite"})
+		}
 	}
 	for _, tc := range cases {
 		var ov incremental.Overrides
@@ -235,6 +259,29 @@ func TestApplyAtomicity(t *testing.T) {
 	}
 	if len(ov.CellSizes) != 0 {
 		t.Fatalf("overrides not rolled back: %v", ov.CellSizes)
+	}
+
+	// Finite factors can still overflow: two 1e300 scales leave the cap
+	// at +Inf, which the analysis would time as the smallest load
+	// bucket. The second edit fails and the first rolls back with it,
+	// through Apply and through the facade's copy-on-write Edit alike.
+	overflow := []incremental.Edit{
+		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 1e300},
+		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 1e300},
+	}
+	if _, err := incremental.Apply(c, &ov, overflow, nil, nil); err == nil {
+		t.Fatal("overflowing scale accepted")
+	} else if !strings.Contains(err.Error(), "edit 1") || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("overflow error %q does not name edit 1 and the non-finite cap", err)
+	}
+	if got := couplingOf(c, a, b); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("coupling not rolled back after overflow: %g != %g", got, before)
+	}
+	if err := d.Edit(overflow...); err == nil {
+		t.Fatal("Design.Edit accepted the overflowing scale")
+	}
+	if got := couplingOf(d.Circuit, a, b); math.Float64bits(got) != math.Float64bits(before) {
+		t.Fatalf("Design.Edit changed the coupling: %g != %g", got, before)
 	}
 }
 
