@@ -34,14 +34,15 @@ test:
 
 # Race-detector pass over the packages with worker concurrency and the
 # shared telemetry instruments, plus a dedicated high-worker run of the
-# scheduler parity/abort tests and the concurrent-session contract
-# tests (mixed Analyze/Reanalyze/Edit goroutines on one Design, and
-# the parallel mode/corner sweeps, all bit-compared against serial
-# references — DESIGN.md §11).
+# scheduler parity/abort tests and every root test that drives one
+# Design from several goroutines: mixed Analyze/Reanalyze/Edit
+# sessions, concurrent corner sessions (all bit-compared against serial
+# references — DESIGN.md §11) and the introspection server scraped
+# while analyses and edits run.
 race:
 	$(GO) test -race ./internal/core/ ./internal/delaycalc/ ./internal/obs/ ./internal/incremental/
 	$(GO) test -race -run 'SchedulerParity|Dataflow' -count=1 ./internal/core/
-	$(GO) test -race -run 'Concurrent|Parallel' -count=1 .
+	$(GO) test -race -run 'Concurrent|IntrospectionServerLive' -count=1 .
 
 # Race-detector pass over the serving layer: the daemon's handler,
 # admission-control and coalescing tests (8-worker mixed read/edit

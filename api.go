@@ -153,8 +153,6 @@ type BuildOptions struct {
 	// Process parameters; zero value selects the 0.5 µm set used by the
 	// paper.
 	Process device.Process
-	// DeviceGridN is the device-table resolution (0 = default).
-	DeviceGridN int
 	// Layout tunes placement and routing.
 	Layout layout.Options
 	// Calc tunes the arc delay calculator.
@@ -261,7 +259,7 @@ func FromCircuit(c *netlist.Circuit, opts BuildOptions) (*Design, error) {
 	if err := l.Extract(p, ccc.PinCapFunc(c, p, siz), opts.POCap); err != nil {
 		return nil, fmt.Errorf("xtalksta: extraction: %w", err)
 	}
-	lib := device.NewLibrary(p, opts.DeviceGridN)
+	lib := device.NewLibrary(p, device.DefaultGridN)
 	model, err := coupling.NewModel(p.VDD, p.VthModel)
 	if err != nil {
 		return nil, err
@@ -284,7 +282,7 @@ func FromExtracted(c *netlist.Circuit, opts BuildOptions) (*Design, error) {
 	opts = opts.withDefaults()
 	p := opts.Process
 	siz := ccc.DefaultSizing(p)
-	lib := device.NewLibrary(p, opts.DeviceGridN)
+	lib := device.NewLibrary(p, device.DefaultGridN)
 	model, err := coupling.NewModel(p.VDD, p.VthModel)
 	if err != nil {
 		return nil, err
@@ -513,25 +511,20 @@ func (d *Design) Analyze(opts AnalysisOptions) (*AnalysisResult, error) {
 
 // AnalyzeAll runs all five analyses and returns them in table order.
 // The characterization cache is cleared before each mode so the
-// reported runtimes are standalone, as in the paper's tables; set
-// AnalysisOptions.KeepCache (AnalyzeAllOpts) to measure warm-cache
-// behavior instead.
+// reported runtimes are standalone, as in the paper's tables.
 func (d *Design) AnalyzeAll() ([]*AnalysisResult, error) {
 	return d.AnalyzeAllOpts(AnalysisOptions{})
 }
 
 // AnalyzeAllOpts is AnalyzeAll with shared per-mode options: the
 // Mode field is overridden per run, everything else (Workers, Metrics,
-// Trace, Events, ...) is passed through. Unless base.KeepCache is
-// set, the characterization cache is cleared before each mode (the
-// paper-table default: every mode's runtime includes its own
-// characterization cost).
+// Trace, Events, ...) is passed through. The characterization cache is
+// cleared before each mode, so every mode's runtime and work counters
+// include its own characterization cost.
 func (d *Design) AnalyzeAllOpts(base AnalysisOptions) ([]*AnalysisResult, error) {
 	var out []*AnalysisResult
 	for _, m := range Modes() {
-		if !base.KeepCache {
-			d.Calc.ClearCache()
-		}
+		d.Calc.ClearCache()
 		opts := base
 		opts.Mode = m
 		res, err := d.Analyze(opts)
@@ -539,41 +532,6 @@ func (d *Design) AnalyzeAllOpts(base AnalysisOptions) ([]*AnalysisResult, error)
 			return nil, fmt.Errorf("xtalksta: %s: %w", m, err)
 		}
 		out = append(out, res)
-	}
-	return out, nil
-}
-
-// AnalyzeAllParallel runs all five analyses concurrently, one session
-// per mode over the shared compiled snapshot, and returns them in table
-// order. Delays are Float64bits-identical to the serial AnalyzeAll; the
-// per-result work counters (ArcEvaluations, Simulations) differ because
-// the modes share one warm characterization cache — KeepCache is
-// implied, as the shared cache cannot be cleared mid-flight.
-func (d *Design) AnalyzeAllParallel(base AnalysisOptions) ([]*AnalysisResult, error) {
-	base.KeepCache = true
-	modes := Modes()
-	out := make([]*AnalysisResult, len(modes))
-	errs := make([]error, len(modes))
-	var wg sync.WaitGroup
-	for i, m := range modes {
-		wg.Add(1)
-		go func(i int, m Mode) {
-			defer wg.Done()
-			opts := base
-			opts.Mode = m
-			res, err := d.Analyze(opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("xtalksta: %s: %w", m, err)
-				return
-			}
-			out[i] = res
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -694,7 +652,7 @@ func (d *Design) cornerFor(corner Corner) (*cornerState, error) {
 		return cs, nil
 	}
 	p := d.Proc.AtCorner(corner)
-	lib := device.NewLibrary(p, d.opts.DeviceGridN)
+	lib := device.NewLibrary(p, device.DefaultGridN)
 	model, err := coupling.NewModel(p.VDD, p.VthModel)
 	if err != nil {
 		return nil, err
@@ -766,37 +724,6 @@ func (d *Design) AnalyzeCorners(opts AnalysisOptions) ([]CornerResult, error) {
 	return out, nil
 }
 
-// AnalyzeCornersParallel runs the corner sweep concurrently, one
-// session per corner, each over its own memoized corner snapshot.
-// Results are Float64bits-identical to the serial AnalyzeCorners (the
-// corners share nothing but the circuit snapshot inputs).
-func (d *Design) AnalyzeCornersParallel(opts AnalysisOptions) ([]CornerResult, error) {
-	opts.DisableReplay = true
-	corners := device.Corners()
-	out := make([]CornerResult, len(corners))
-	errs := make([]error, len(corners))
-	var wg sync.WaitGroup
-	for i, corner := range corners {
-		wg.Add(1)
-		go func(i int, corner Corner) {
-			defer wg.Done()
-			res, err := d.analyzeCorner(corner, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("xtalksta: corner %s: %w", corner, err)
-				return
-			}
-			out[i] = CornerResult{Corner: corner, Result: res}
-		}(i, corner)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // SizingResult reports a timing-driven gate-sizing run.
 type SizingResult = opt.Result
 
@@ -849,24 +776,6 @@ func (d *Design) PaperTableOpts(title string, withGolden bool, base AnalysisOpti
 	if err != nil {
 		return nil, err
 	}
-	return d.buildTable(title, withGolden, base, results)
-}
-
-// PaperTableParallel is PaperTableOpts with the five analyses fanned
-// out concurrently, one session per mode over the shared compiled
-// snapshot (AnalyzeAllParallel semantics: delays bit-identical to the
-// serial table, KeepCache implied). The per-row runtimes overlap on
-// the wall clock and share one warm characterization cache, so they
-// are not comparable to the paper's standalone per-mode runtimes.
-func (d *Design) PaperTableParallel(title string, withGolden bool, base AnalysisOptions) (*Table, error) {
-	results, err := d.AnalyzeAllParallel(base)
-	if err != nil {
-		return nil, err
-	}
-	return d.buildTable(title, withGolden, base, results)
-}
-
-func (d *Design) buildTable(title string, withGolden bool, base AnalysisOptions, results []*AnalysisResult) (*Table, error) {
 	t := &Table{Title: title}
 	var iterRes *AnalysisResult
 	for _, r := range results {

@@ -78,13 +78,7 @@ func run() error {
 		ecoEdits  = flag.Int("eco-edits", 4, "edits per random batch for -eco-random")
 		ecoVerify = flag.Bool("eco-verify", false, "cross-check every incremental result against a from-scratch run")
 
-		lteTol      = flag.Float64("lte-tol", 0, "adaptive-timestep truncation-error tolerance in volts (0 = default 1e-3)")
-		cacheShards = flag.Int("cache-shards", 0, "lock stripes of the characterization cache, rounded up to a power of two (0 = default 8)")
-
-		parallelModes = flag.Bool("parallel-modes", false, "table mode: run the five analyses concurrently over one compiled snapshot (delays identical; runtimes overlap and share a warm cache)")
-
-		tier0       = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
-		tier0Margin = flag.Float64("tier0-margin", 0.05, "relative criticality margin of the tier-0 gate; arcs within this fraction of the longest-path frontier always evaluate exactly")
+		tier0 = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
 
 		workers     = flag.Int("workers", 0, "worker goroutines per BFS sweep (0/1 = sequential)")
 		metricsPath = flag.String("metrics", "", "write the metrics registry as JSON to this file")
@@ -100,6 +94,10 @@ func run() error {
 		attrJSON  = flag.String("attribution-json", "", "single-mode: write the timing attribution as JSON to this file")
 	)
 	flag.Parse()
+
+	if *topk < 1 {
+		return fmt.Errorf("-topk must be at least 1, got %d", *topk)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -210,7 +208,6 @@ func run() error {
 		Esperance:       *esperance,
 		Workers:         *workers,
 		Tier0:           *tier0,
-		Tier0Margin:     *tier0Margin,
 		Metrics:         reg,
 		Trace:           tracer,
 		Events:          events,
@@ -222,8 +219,6 @@ func run() error {
 	bopts.Layout.Metrics = reg
 	bopts.Layout.Trace = tracer
 	bopts.Calc.Metrics = reg
-	bopts.Calc.LTETol = *lteTol
-	bopts.Calc.CacheShards = *cacheShards
 	d, title, err := buildDesign(*benchPath, *spefPath, *preset, *scale, *cells, *dffs, *depth, *seed, bopts)
 	if err != nil {
 		return err
@@ -353,11 +348,7 @@ func run() error {
 		return nil
 	}
 
-	paperTable := d.PaperTableOpts
-	if *parallelModes {
-		paperTable = d.PaperTableParallel
-	}
-	table, err := paperTable(title, *golden, aopts)
+	table, err := d.PaperTableOpts(title, *golden, aopts)
 	if err != nil {
 		return err
 	}

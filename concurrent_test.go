@@ -46,69 +46,116 @@ func diffResults(want, got *AnalysisResult) string {
 	return ""
 }
 
-// TestAnalyzeAllParallelParity runs the five-mode sweep serially and
-// then concurrently on the same design: every mode's delays and final
-// timing state must be Float64bits-identical, the snapshot must be
-// compiled exactly once, and all ten analyses past the first must
-// reuse it.
-func TestAnalyzeAllParallelParity(t *testing.T) {
+// TestAnalyzeAllColdCacheSweep pins the serial five-mode sweep's
+// contract: one compiled snapshot serves all five modes (one build,
+// four reuses), and the characterization cache is cleared before each
+// mode, so every row does the work of a standalone cold-cache analysis
+// (ClearCache, then Analyze) with the same timing state.
+func TestAnalyzeAllColdCacheSweep(t *testing.T) {
 	d, err := Generate(circuitgen.Params{Seed: 31, Cells: 140, DFFs: 10, Depth: 6, ClockFanout: 4}, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := d.AnalyzeAllOpts(AnalysisOptions{})
+	sweep, err := d.AnalyzeAllOpts(AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	parallel, err := d.AnalyzeAllParallel(AnalysisOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i, m := range Modes() {
-		if diff := diffResults(serial[i], parallel[i]); diff != "" {
-			t.Errorf("%s: %s", m, diff)
-		}
 	}
 	builds, reuses := d.SnapshotStats()
-	if builds != 1 {
-		t.Errorf("snapshot builds = %d, want 1 (one revision, one compile key)", builds)
+	if builds != 1 || reuses != 4 {
+		t.Errorf("snapshot builds/reuses = %d/%d, want 1/4 (one revision, one compile key, five modes)", builds, reuses)
 	}
-	if reuses != 9 {
-		t.Errorf("snapshot reuses = %d, want 9 (ten analyses, one build)", reuses)
+	if len(sweep) != len(Modes()) {
+		t.Fatalf("sweep returned %d results, want %d", len(sweep), len(Modes()))
+	}
+	for i, m := range Modes() {
+		d.Calc.ClearCache()
+		cold, err := d.Analyze(AnalysisOptions{Mode: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sweep[i]
+		if got.Mode != m {
+			t.Fatalf("row %d is %s, want %s", i, got.Mode, m)
+		}
+		if diff := diffResults(cold, got); diff != "" {
+			t.Errorf("%s: %s", m, diff)
+		}
+		if got.Simulations != cold.Simulations || got.ArcEvaluations != cold.ArcEvaluations {
+			t.Errorf("%s: sweep row did %d simulations / %d arc evaluations, cold standalone run %d / %d",
+				m, got.Simulations, got.ArcEvaluations, cold.Simulations, cold.ArcEvaluations)
+		}
 	}
 }
 
-// TestAnalyzeCornersParallelParity compares the serial corner sweep
-// against the concurrent one: per-corner delays must be bit-identical
-// (each corner has its own calculator and snapshot; the sessions share
-// nothing mutable).
-func TestAnalyzeCornersParallelParity(t *testing.T) {
-	d, err := Generate(circuitgen.Params{Seed: 32, Cells: 120, DFFs: 10, Depth: 6, ClockFanout: 4}, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestConcurrentCornerSessions runs the three process corners through
+// AnalyzeCorner and a typical-corner Analyze from four goroutines on
+// one fresh design, so cornerFor's memo and the per-slot snapshot
+// cache are first reached concurrently. Every result must be
+// Float64bits-identical to the serial AnalyzeCorners/Analyze on an
+// identical design, with the same work, and each of the four snapshot
+// slots must be compiled exactly once. Run with -race.
+func TestConcurrentCornerSessions(t *testing.T) {
+	params := circuitgen.Params{Seed: 32, Cells: 120, DFFs: 10, Depth: 6, ClockFanout: 4}
 	opts := AnalysisOptions{Mode: OneStep}
-	serial, err := d.AnalyzeCorners(opts)
+	refD, err := Generate(params, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := d.AnalyzeCornersParallel(opts)
+	serial, err := refD.AnalyzeCorners(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("corner counts differ: %d vs %d", len(serial), len(parallel))
+	refTyp, err := refD.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range serial {
-		if serial[i].Corner != parallel[i].Corner {
-			t.Fatalf("corner order differs: %s vs %s", serial[i].Corner, parallel[i].Corner)
+
+	d, err := Generate(params, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*AnalysisResult, len(serial))
+	errs := make([]error, len(serial))
+	var typ *AnalysisResult
+	var typErr error
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, cr := range serial {
+		wg.Add(1)
+		go func(i int, corner Corner) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = d.AnalyzeCorner(corner, opts)
+		}(i, cr.Corner)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		typ, typErr = d.Analyze(opts)
+	}()
+	close(start)
+	wg.Wait()
+
+	check := func(name string, want, res *AnalysisResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if diff := diffResults(serial[i].Result, parallel[i].Result); diff != "" {
-			t.Errorf("corner %s: %s", serial[i].Corner, diff)
+		if diff := diffResults(want, res); diff != "" {
+			t.Errorf("%s: %s", name, diff)
 		}
+		if res.ArcEvaluations != want.ArcEvaluations || res.Simulations != want.Simulations {
+			t.Errorf("%s: %d arc evaluations / %d simulations, serial %d / %d",
+				name, res.ArcEvaluations, res.Simulations, want.ArcEvaluations, want.Simulations)
+		}
+	}
+	for i, cr := range serial {
+		check("corner "+string(cr.Corner), cr.Result, got[i], errs[i])
+	}
+	check("typical", refTyp, typ, typErr)
+	if builds, reuses := d.SnapshotStats(); builds != 4 || reuses != 0 {
+		t.Errorf("snapshot builds/reuses = %d/%d, want 4/0 (one per corner slot plus the typical one)", builds, reuses)
 	}
 }
 

@@ -275,17 +275,21 @@ func (cd *Compiled) buildEndpoints() {
 // correct under concurrency. opts must satisfy cd.Matches; the
 // session-only options (Workers, Windows, Tier0, ...) are free.
 func NewSession(cd *Compiled, calc delaycalc.Evaluator, opts Options) (*Engine, error) {
+	if opts.AttributionTopK < 0 {
+		return nil, fmt.Errorf("core: NewSession: AttributionTopK %d is negative", opts.AttributionTopK)
+	}
 	opts = opts.withDefaults()
 	if !cd.Matches(opts) {
 		return nil, fmt.Errorf("core: NewSession: options do not match the compiled snapshot (POCap/PiModel/CellSizes differ); recompile")
 	}
 	e := &Engine{
-		Compiled: cd,
-		Calc:     delaycalc.Scoped(calc),
-		opts:     opts,
-		m:        newEngineMetrics(opts.Metrics),
-		trace:    opts.Trace,
-		created:  time.Now(),
+		Compiled:    cd,
+		Calc:        delaycalc.Scoped(calc),
+		opts:        opts,
+		tier0Margin: tier0Margin,
+		m:           newEngineMetrics(opts.Metrics),
+		trace:       opts.Trace,
+		created:     time.Now(),
 	}
 	workers := opts.Workers
 	if workers < 1 {

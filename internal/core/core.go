@@ -72,7 +72,7 @@ type Options struct {
 	Mode Mode
 	// Esperance enables the Benkoski-style speedup in Iterative mode:
 	// refinement passes only recalculate wires whose esperance (arrival
-	// + remaining path) reaches within EsperanceMargin of the longest
+	// + remaining path) reaches within esperanceMargin of the longest
 	// path.
 	Esperance bool
 	// Windows (extension beyond the paper) adds the earliest-activity
@@ -87,10 +87,6 @@ type Options struct {
 	// measured at the far (receiver) node — resistive shielding, the
 	// limitation the paper's §2 explicitly concedes.
 	PiModel bool
-	// EsperanceMargin is the relative margin (default 0.05).
-	EsperanceMargin float64
-	// MaxPasses bounds the iterative refinement (default 10).
-	MaxPasses int
 	// Workers evaluates cells concurrently when > 1, pipelining them
 	// through the dataflow wavefront as their dependencies complete.
 	// Results are identical to the sequential run (the one-step
@@ -121,19 +117,6 @@ type Options struct {
 	// (stays off) under Esperance and Windows, and with evaluators that
 	// cannot bound arcs.
 	Tier0 bool
-	// Tier0Margin is the relative margin of the tier-0 criticality
-	// gate (default 0.05): an arc whose bracketed arrival upper bound
-	// reaches within this fraction of the analytic longest-path
-	// frontier at its rank is always dispatched exactly. Policy, not
-	// correctness — exactness holds for any margin.
-	Tier0Margin float64
-	// KeepCache preserves the shared characterization cache across the
-	// modes of an AnalyzeAll/PaperTable sweep instead of clearing it
-	// before each mode. The default (false) matches the paper's tables:
-	// every mode is timed standalone, re-characterizing from cold.
-	// Consumed by the facade's mode sweeps (the engine itself never
-	// clears the cache); the parallel sweep implies it.
-	KeepCache bool
 	// DisableReplay turns off the per-pass state capture that feeds
 	// Result.Replay (the seed for RunSeeded). Analyses that never feed
 	// an incremental re-run — optimizer inner loops, corner sweeps —
@@ -152,7 +135,7 @@ type Options struct {
 	// without the field.
 	Attribution bool
 	// AttributionTopK bounds the number of attributed endpoint paths
-	// (default 10).
+	// (default 10 when 0; negative values are rejected by NewSession).
 	AttributionTopK int
 	// Events, when set, receives one structured JSONL record per
 	// analysis, refinement pass and ECO batch (see obs.EventLog).
@@ -168,13 +151,21 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
+// Fixed analysis parameters.
+const (
+	// esperanceMargin is the relative margin of the Esperance filter.
+	esperanceMargin = 0.05
+	// maxPasses bounds the iterative refinement.
+	maxPasses = 10
+	// tier0Margin is the relative margin of the tier-0 criticality gate:
+	// an arc whose bracketed arrival upper bound reaches within this
+	// fraction of the analytic longest-path frontier at its rank is
+	// always dispatched exactly. Policy, not correctness — exactness
+	// holds for any margin (TestTier0MarginSweepParity).
+	tier0Margin = 0.05
+)
+
 func (o Options) withDefaults() Options {
-	if o.EsperanceMargin == 0 {
-		o.EsperanceMargin = 0.05
-	}
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 10
-	}
 	if o.PISlew == 0 {
 		o.PISlew = 0.2e-9
 	}
@@ -189,9 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AttributionTopK == 0 {
 		o.AttributionTopK = 10
-	}
-	if o.Tier0Margin == 0 {
-		o.Tier0Margin = 0.05
 	}
 	return o
 }
@@ -312,6 +300,9 @@ type Engine struct {
 	Calc delaycalc.Evaluator
 
 	opts Options
+	// tier0Margin is the session's copy of the tier0Margin constant
+	// (in-package tests sweep it before Run).
+	tier0Margin float64
 	// Telemetry plumbing: m is never nil (unregistered instruments when
 	// Options.Metrics is nil); trace may be nil (no-op safe).
 	m          *engineMetrics
@@ -659,7 +650,7 @@ func (e *Engine) criticalNets(st []netState, longest float64) []bool {
 		}
 	}
 	crit := make([]bool, n)
-	thresh := longest * (1 - e.opts.EsperanceMargin)
+	thresh := longest * (1 - esperanceMargin)
 	for i := range crit {
 		for d := 0; d < 2; d++ {
 			if math.IsInf(st[i].arrival[d], -1) || math.IsInf(remaining[i][d], -1) {

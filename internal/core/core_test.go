@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"xtalksta/internal/ccc"
@@ -126,11 +127,11 @@ func TestCriticalPathWellFormed(t *testing.T) {
 
 func TestIterativeConverges(t *testing.T) {
 	c, calc := buildExtracted(t, 150, 12, 8, 103)
-	res := runMode(t, c, calc, Options{Mode: Iterative, MaxPasses: 10})
+	res := runMode(t, c, calc, Options{Mode: Iterative})
 	if res.Passes < 2 {
 		t.Errorf("iterative must run at least 2 passes, ran %d", res.Passes)
 	}
-	if res.Passes > 10 {
+	if res.Passes > maxPasses {
 		t.Errorf("pass cap exceeded: %d", res.Passes)
 	}
 }
@@ -234,6 +235,42 @@ func TestModeString(t *testing.T) {
 	for m, want := range names {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
+		}
+	}
+}
+
+// TestAttributionTopKValidation: NewSession refuses a negative
+// AttributionTopK with an error naming the field instead of slicing the
+// endpoint list with a negative bound; 0 selects the default of 10 and
+// a positive value caps the attributed paths.
+func TestAttributionTopKValidation(t *testing.T) {
+	c, calc := buildExtracted(t, 120, 10, 6, 131)
+	for _, tc := range []struct {
+		topK     int
+		wantErr  bool
+		maxPaths int
+	}{
+		{topK: -1, wantErr: true},
+		{topK: math.MinInt, wantErr: true},
+		{topK: 0, maxPaths: 10},
+		{topK: 1, maxPaths: 1},
+	} {
+		eng, err := NewEngine(c, calc, Options{Mode: OneStep, Attribution: true, AttributionTopK: tc.topK})
+		if tc.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "AttributionTopK") {
+				t.Errorf("topK %d: NewEngine error %v, want one naming AttributionTopK", tc.topK, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("topK %d: %v", tc.topK, err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatalf("topK %d: %v", tc.topK, err)
+		}
+		if n := len(res.Attribution.Paths); n == 0 || n > tc.maxPaths {
+			t.Errorf("topK %d: %d attributed paths, want 1..%d", tc.topK, n, tc.maxPaths)
 		}
 	}
 }

@@ -200,7 +200,7 @@ func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator
 	}
 	delay, _ := eng.longest(st)
 	passes := 1
-	for passes < eng.opts.MaxPasses {
+	for passes < maxPasses {
 		next, err := eng.pass(Iterative, snapshotQuiet(st), nil, st)
 		if err != nil {
 			t.Fatal(err)

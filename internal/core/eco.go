@@ -406,7 +406,7 @@ func (e *Engine) runPassesSeeded(prev *ReplayState, seed []bool, eco *ECOStats) 
 	}
 	passes := 1
 	prevEc := ec
-	for passes < e.opts.MaxPasses {
+	for passes < maxPasses {
 		ec := e.newEcoPass(prev, passes, seed)
 		e.seedRefinementDirty(ec, prevEc.changed, earlyVictims)
 		e.putEcoPass(prevEc)

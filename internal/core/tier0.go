@@ -23,7 +23,7 @@ package core
 //     collapses the recompute passes of converged logic.
 //
 // The margin gate is pure dispatch policy on top: an arc whose arrival
-// upper bound reaches within Tier0Margin of the analytic longest-path
+// upper bound reaches within tier0Margin of the analytic longest-path
 // frontier at its rank is near-critical and always dispatched exactly
 // (no dominance, no elision) — the ISSUE-level contract that tier-0
 // never touches the critical region. Exactness never rests on the
@@ -122,7 +122,7 @@ func (e *Engine) setupTier0() error {
 	if !ok {
 		return nil
 	}
-	t0 := &tier0Run{margin: e.opts.Tier0Margin, be: be}
+	t0 := &tier0Run{margin: e.tier0Margin, be: be}
 	t0.memo = make([][]arcMemo, len(e.C.Nets))
 	for _, cell := range e.C.Cells {
 		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {

@@ -67,14 +67,31 @@ func TestTier0ParitySeeded(t *testing.T) {
 }
 
 // TestTier0MarginSweepParity: the margin gate is pure dispatch policy,
-// so parity holds for any margin — including 0 (prune maximally) and
-// a margin so wide nothing ever prunes.
+// so parity holds for any margin — including ~0 (prune maximally) and
+// a margin so wide nothing ever prunes. The margin is a constant; the
+// sweep overrides the session's copy before Run.
 func TestTier0MarginSweepParity(t *testing.T) {
 	c, calc := buildExtracted(t, 200, 14, 8, 303)
 	ref := runMode(t, c, calc, Options{Mode: Iterative})
-	for _, margin := range []float64{1e-9, 0.05, 0.5, 0.999} {
-		got := runMode(t, c, calc, Options{Mode: Iterative, Tier0: true, Tier0Margin: margin})
-		bitEqual(t, ref, got, "margin sweep")
+	margins := []float64{1e-9, tier0Margin, 0.5, 0.999}
+	fallbacks := make([]int64, len(margins))
+	for i, margin := range margins {
+		eng, err := NewEngine(c, calc, Options{Mode: Iterative, Tier0: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.tier0Margin = margin
+		got, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitEqual(t, ref, got, fmt.Sprintf("margin %g", margin))
+		fallbacks[i] = got.Tier0Fallbacks
+	}
+	// The override must reach the gate: the widest margin dispatches
+	// more near-critical arcs exactly than the narrowest.
+	if fallbacks[len(fallbacks)-1] <= fallbacks[0] {
+		t.Errorf("tier-0 fallbacks per margin %v: the margin override did not reach the gate", fallbacks)
 	}
 }
 

@@ -246,7 +246,7 @@ func (e *Engine) runPasses() ([]netState, int, error) {
 		// is exact relative to itself only without delta carry-over.
 		var prevChanged []bool
 		var prevEc *ecoPass
-		for passes < e.opts.MaxPasses {
+		for passes < maxPasses {
 			var critical []bool
 			var ec *ecoPass
 			if e.opts.Esperance {

@@ -11,7 +11,7 @@ import (
 
 // fixedGridEval is the reference integration the adaptive kernel is
 // held to: the request's stage on spice.Transient's fixed
-// StepsPerRun-step grid, resimulated from t=0 with a 2.5× window
+// stepsPerRun-step grid, resimulated from t=0 with a 2.5× window
 // whenever the output fails to settle, measured like the production
 // path. It also returns the Newton iterations spent.
 func fixedGridEval(t *testing.T, c *Calculator, r Request) (Result, int64) {
@@ -29,7 +29,7 @@ func fixedGridEval(t *testing.T, c *Calculator, r Request) (Result, int64) {
 		eventTime := math.NaN()
 		res, err := s.st.Ckt.Transient(spice.TranOptions{
 			TStop:    window,
-			DT:       window / float64(c.opts.StepsPerRun),
+			DT:       window / stepsPerRun,
 			InitialV: s.st.InitialV,
 			Probes:   []spice.NodeID{s.st.Far},
 			Events:   s.events(&eventTime),

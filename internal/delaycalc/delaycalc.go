@@ -4,10 +4,11 @@
 // coupling model (§2) injected as an instantaneous state event when the
 // arc has actively coupling neighbors.
 //
-// A memoizing characterization cache quantizes input slew, load and
-// coupling ratio onto geometric buckets, so large circuits reuse the
-// handful of electrically distinct stage simulations — the same idea as
-// on-the-fly library characterization in production timers.
+// A memoizing characterization cache quantizes input slew, load,
+// coupling capacitance, far-node capacitance and wire resistance onto
+// geometric buckets, so large circuits reuse the handful of
+// electrically distinct stage simulations — the same idea as on-the-fly
+// library characterization in production timers.
 package delaycalc
 
 import (
@@ -78,47 +79,36 @@ type Result struct {
 type Options struct {
 	// DisableCache forces every request through a fresh simulation.
 	DisableCache bool
-	// SlewLoadBucket is the geometric bucket ratio for slew and load
-	// quantization (default 1.10, i.e. 10% buckets).
-	SlewLoadBucket float64
-	// CouplingBuckets is the number of linear buckets for the coupling
-	// ratio Cc/(Cc+Cgnd) (default 16).
-	CouplingBuckets int
-	// StepsPerRun sets the transient resolution: the baseline fine step
-	// (window/StepsPerRun) of the adaptive kernel (default 700).
-	StepsPerRun int
-	// LTETol is the adaptive kernel's local-truncation-error tolerance
-	// in volts per step (default 1 mV). Smaller is more accurate and
-	// slower; a fixed StepsPerRun-step grid is the reference it
-	// converges to.
-	LTETol float64
-	// CacheShards is the number of lock stripes of the characterization
-	// cache, rounded up to a power of two (default 8). More shards cut
-	// lock contention between parallel sweep workers.
-	CacheShards int
 	// Metrics, when set, receives cache-shard and integration-kernel
 	// instrumentation under the obs.M* names.
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.SlewLoadBucket == 0 {
-		o.SlewLoadBucket = 1.10
-	}
-	if o.CouplingBuckets == 0 {
-		o.CouplingBuckets = 16
-	}
-	if o.StepsPerRun == 0 {
-		o.StepsPerRun = 700
-	}
-	if o.LTETol == 0 {
-		o.LTETol = 1e-3
-	}
-	if o.CacheShards == 0 {
-		o.CacheShards = 8
-	}
-	return o
-}
+// Characterization numerics. The tier-0 envelopes (tier0_bands.go) and
+// the parity fixture are calibrated against exactly these values;
+// changing one is a numeric change that needs both regenerated.
+const (
+	// slewLoadBucket is the geometric bucket ratio of the cache key's
+	// slew, load, coupling, far-cap and wire-R quantization (10%
+	// buckets).
+	slewLoadBucket = 1.10
+	// stepsPerRun sets the transient resolution: the baseline fine step
+	// (window/stepsPerRun) of the adaptive kernel.
+	stepsPerRun = 700
+	// lteTol is the adaptive kernel's local-truncation-error tolerance
+	// in volts per step; a fixed stepsPerRun-step grid is the reference
+	// it converges to.
+	lteTol = 1e-3
+)
+
+// cacheShards is the number of lock stripes of the characterization
+// cache; a power of two, since shardOf masks the hash with
+// cacheShards-1.
+const cacheShards = 8
+
+// logRatio is math.Log(slewLoadBucket), the divisor of every geometric
+// bucket key.
+var logRatio = math.Log(slewLoadBucket)
 
 // Calculator evaluates timing arcs. It is safe for concurrent use: the
 // characterization cache is lock-striped into power-of-two shards so
@@ -131,12 +121,8 @@ type Calculator struct {
 	Sizing ccc.Sizing
 	Model  coupling.Model
 	opts   Options
-	// logRatio is math.Log(opts.SlewLoadBucket), the divisor of every
-	// geometric bucket key.
-	logRatio float64
 
-	shards    []cacheShard
-	shardMask uint64
+	shards [cacheShards]cacheShard
 
 	// Work counters. Atomic (not mutex-guarded) so concurrent level
 	// workers never serialize on bookkeeping; read via Stats/Counters.
@@ -150,52 +136,6 @@ type Calculator struct {
 	// is nil). Hit/contention counts depend on goroutine scheduling and
 	// are deliberately NOT part of Counters.
 	m calcMetrics
-
-	// Stamp-table prototypes keyed by stage topology. Stage circuits for
-	// the same (kind, fan-in, pin, wire model) are structurally identical
-	// regardless of element values or corner, so the unknown numbering
-	// and compiled stamp references are derived once and shared by every
-	// matching transient run (spice.StampProto.Matches re-verifies the
-	// structure before each reuse, so a stale entry is ignored, never
-	// wrong).
-	protoMu sync.RWMutex
-	protos  map[protoKey]*spice.StampProto
-}
-
-// protoKey identifies a stage-circuit topology: BuildStageRC's structure
-// is fully determined by the gate kind, fan-in, switching pin and
-// whether the π wire model (RWire > 0) is in play.
-type protoKey struct {
-	kind netlist.GateKind
-	nin  int
-	pin  int
-	rc   bool
-}
-
-// protoFor returns the cached stamp prototype for the request's stage
-// topology, compiling and caching it on first use. Returns nil (run
-// compiles from scratch) when the cached entry does not match the
-// circuit or compilation fails — the prototype is purely an
-// optimization and never load-bearing for correctness.
-func (c *Calculator) protoFor(r Request, ckt *spice.Circuit) *spice.StampProto {
-	key := protoKey{kind: r.Kind, nin: r.NIn, pin: r.Pin, rc: r.RWire > 0}
-	c.protoMu.RLock()
-	p := c.protos[key]
-	c.protoMu.RUnlock()
-	if p.Matches(ckt) {
-		return p
-	}
-	np, err := spice.CompileProto(ckt)
-	if err != nil {
-		return nil
-	}
-	c.protoMu.Lock()
-	if c.protos == nil {
-		c.protos = make(map[protoKey]*spice.StampProto)
-	}
-	c.protos[key] = np
-	c.protoMu.Unlock()
-	return np
 }
 
 // cacheShard is one lock stripe of the characterization cache.
@@ -212,7 +152,6 @@ type cacheShard struct {
 type calcMetrics struct {
 	hits, misses, contention           *obs.Counter
 	steps, rejections, earlyStops, ext *obs.Counter
-	shards                             *obs.Gauge
 	evalDur                            *obs.Histogram
 	enabled                            bool
 }
@@ -226,7 +165,6 @@ func newCalcMetrics(r *obs.Registry) calcMetrics {
 		rejections: r.Counter(obs.MSimStepRejections),
 		earlyStops: r.Counter(obs.MSimEarlyStops),
 		ext:        r.Counter(obs.MSimWindowExtensions),
-		shards:     r.Gauge(obs.MDelayCacheShards),
 		evalDur:    r.HistogramWith(obs.MArcEvalDuration, obs.DurationBounds),
 		enabled:    r != nil,
 	}
@@ -244,26 +182,17 @@ type flight struct {
 
 // New builds a calculator for the process behind lib.
 func New(lib *device.Library, sizing ccc.Sizing, model coupling.Model, opts Options) *Calculator {
-	opts = opts.withDefaults()
-	n := 1
-	for n < opts.CacheShards {
-		n <<= 1
-	}
 	c := &Calculator{
-		Lib:       lib,
-		Sizing:    sizing,
-		Model:     model,
-		opts:      opts,
-		logRatio:  math.Log(opts.SlewLoadBucket),
-		shards:    make([]cacheShard, n),
-		shardMask: uint64(n - 1),
-		m:         newCalcMetrics(opts.Metrics),
+		Lib:    lib,
+		Sizing: sizing,
+		Model:  model,
+		opts:   opts,
+		m:      newCalcMetrics(opts.Metrics),
 	}
 	for i := range c.shards {
 		c.shards[i].cache = make(map[cacheKey]Result)
 		c.shards[i].inflight = make(map[cacheKey]*flight)
 	}
-	c.m.shards.Set(float64(n))
 	return c
 }
 
@@ -286,7 +215,7 @@ func (c *Calculator) shardOf(k cacheKey) *cacheShard {
 	w2 := uint64(uint16(k.loadB)) | uint64(uint16(k.cplB))<<16 |
 		uint64(uint16(k.farB))<<32 | uint64(uint16(k.rwB))<<48
 	h := mix64(mix64(w1) ^ w2 ^ uint64(uint16(k.sizeB))<<13)
-	return &c.shards[h&c.shardMask]
+	return &c.shards[h&(cacheShards-1)]
 }
 
 // lock acquires a shard's mutex, counting the acquisitions that had to
@@ -338,9 +267,6 @@ func (c *Calculator) ClearCache() {
 		sh.mu.Unlock()
 	}
 }
-
-// CacheShards returns the number of lock stripes (a power of two).
-func (c *Calculator) CacheShards() int { return len(c.shards) }
 
 // CacheEntries returns the number of characterized results currently
 // held across all shards. The ECO flow reports it to show how much of
@@ -409,7 +335,7 @@ func centerOrZero(b int16, ref, ratio float64) float64 {
 // key maps a validated request to its cache key: all a cache hit needs,
 // so the hit path pays only the bucket logarithms.
 func (c *Calculator) key(r Request) cacheKey {
-	lr := c.logRatio
+	lr := logRatio
 	k := cacheKey{kind: r.Kind, nin: r.NIn, pin: r.Pin, dir: r.Dir}
 	k.slewB = geoBucket(r.InSlew, slewRef, lr)
 	k.loadB = bucketOrZero(r.CLoad, loadRef, lr)
@@ -425,7 +351,7 @@ func (c *Calculator) key(r Request) cacheKey {
 // cache miss and for Tier0Bounds, which must bracket the result a hit
 // on k serves.
 func (c *Calculator) representative(k cacheKey, r Request) Request {
-	ratio := c.opts.SlewLoadBucket
+	const ratio = slewLoadBucket
 	q := r
 	q.InSlew = geoCenter(k.slewB, slewRef, ratio)
 	q.CLoad = centerOrZero(k.loadB, loadRef, ratio)
@@ -655,12 +581,11 @@ func (c *Calculator) simulateAdaptive(r Request, s *stageSetup, info *Info) (Res
 	st, window := s.st, s.window
 	eventTime := math.NaN()
 	tn, err := st.Ckt.StartTransient(spice.TranOptions{
-		DT:       window / float64(c.opts.StepsPerRun),
-		LTETol:   c.opts.LTETol,
+		DT:       window / stepsPerRun,
+		LTETol:   lteTol,
 		InitialV: st.InitialV,
 		Probes:   []spice.NodeID{st.Far},
 		Events:   s.events(&eventTime),
-		Proto:    c.protoFor(r, st.Ckt),
 		// The settle detector uses a tolerance tighter than the 5%-of-
 		// VDD settled check below, so an early stop always passes it.
 		SettleV:       map[spice.NodeID]float64{st.Far: st.OutFinal},

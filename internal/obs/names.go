@@ -17,7 +17,6 @@ const (
 	MDelayCacheHits       = "delaycalc_cache_hits_total"
 	MDelayCacheMisses     = "delaycalc_cache_misses_total"
 	MDelayCacheContention = "delaycalc_cache_contention_total"
-	MDelayCacheShards     = "delaycalc_cache_shards" // gauge
 
 	// Adaptive transient kernel.
 	MSimSteps            = "sim_steps_total"
@@ -168,7 +167,7 @@ func AllMetrics() []MetricDef {
 	}
 	return []MetricDef{
 		c(MArcEvaluations), c(MSimulations), c(MNewtonIters), c(MNewtonFailures),
-		c(MDelayCacheHits), c(MDelayCacheMisses), c(MDelayCacheContention), g(MDelayCacheShards),
+		c(MDelayCacheHits), c(MDelayCacheMisses), c(MDelayCacheContention),
 		c(MSimSteps), c(MSimStepRejections), c(MSimEarlyStops), c(MSimWindowExtensions),
 		c(MCouplingActive), c(MCouplingGrounded), c(MCouplingWindowPruned),
 		c(MCouplingZeroSkips), c(MTBCSReuseHits),

@@ -89,8 +89,8 @@ func resizeSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// newRunWS builds the per-run state like newRun but backed by the
-// pooled workspace's slices (grow-only reuse).
+// newRunWS builds the per-run state (unknown numbering and compiled
+// stamps) backed by the pooled workspace's slices (grow-only reuse).
 func (c *Circuit) newRunWS(opts TranOptions, ws *tranWorkspace) (*tranRun, error) {
 	tr := &tranRun{
 		ckt:     c,
@@ -106,31 +106,19 @@ func (c *Circuit) newRunWS(opts TranOptions, ws *tranWorkspace) (*tranRun, error
 	tr.drivenSrc = ws.drivenSrc
 	tr.drivenNow = ws.drivenNow
 	tr.drivenIDs = ws.drivenIDs[:0]
-	if p := opts.Proto; p.Matches(c) {
-		// Structure precompiled: copy the numbering and look up only the
-		// driven nodes' sources instead of scanning every node.
-		tr.proto = p
-		copy(tr.unkIdx, p.unkIdx)
-		for _, id := range p.drivenIDs {
-			tr.drivenSrc[id] = c.driven[id]
-			tr.drivenIDs = append(tr.drivenIDs, id)
+	idx := 0
+	tr.unkIdx[Ground] = -1
+	for id := 1; id < len(c.nodeNames); id++ {
+		if src, ok := c.driven[NodeID(id)]; ok {
+			tr.unkIdx[id] = -1
+			tr.drivenSrc[id] = src
+			tr.drivenIDs = append(tr.drivenIDs, NodeID(id))
+			continue
 		}
-		tr.nFree = p.nFree
-	} else {
-		idx := 0
-		tr.unkIdx[Ground] = -1
-		for id := 1; id < len(c.nodeNames); id++ {
-			if src, ok := c.driven[NodeID(id)]; ok {
-				tr.unkIdx[id] = -1
-				tr.drivenSrc[id] = src
-				tr.drivenIDs = append(tr.drivenIDs, NodeID(id))
-				continue
-			}
-			tr.unkIdx[id] = idx
-			idx++
-		}
-		tr.nFree = idx
+		tr.unkIdx[id] = idx
+		idx++
 	}
+	tr.nFree = idx
 	ws.drivenIDs = tr.drivenIDs
 	nUnk := tr.nFree + tr.nBranch
 	if nUnk == 0 {
@@ -154,24 +142,7 @@ func (c *Circuit) newRunWS(opts TranOptions, ws *tranWorkspace) (*tranRun, error
 	tr.mosS = ws.mosS
 	tr.capGeq = ws.capGeq
 	tr.capHist = ws.capHist
-	if p := tr.proto; p != nil {
-		// Stamp references come from the prototype; only the element
-		// values are read live from the circuit.
-		for i, r := range c.resistors {
-			pr := p.resRef[i]
-			tr.resS[i] = resStamp{pr.va, pr.vb, pr.ca, pr.cb, r.g}
-		}
-		for i, cp := range c.capacitors {
-			pr := p.capRef[i]
-			tr.capS[i] = capStamp{pr.va, pr.vb, pr.ca, pr.cb, cp.c}
-		}
-		for i, m := range c.mosfets {
-			pr := p.mosRef[i]
-			tr.mosS[i] = mosStamp{pr.vd, pr.vg, pr.vs, pr.cd, pr.cg, pr.cs, m.model}
-		}
-	} else {
-		tr.compileStamps()
-	}
+	tr.compileStamps()
 	for n, v := range opts.InitialV {
 		if n != Ground {
 			if i := tr.unkIdx[n]; i >= 0 {
@@ -290,13 +261,7 @@ func (c *Circuit) StartTransient(opts TranOptions) (*Tran, error) {
 	}
 	banded := false
 	if !opts.ForceDense {
-		bw := 0
-		if tr.proto != nil {
-			bw = tr.proto.bw
-		} else {
-			bw = tr.bandwidth()
-		}
-		if nUnk >= 40 && bw <= 16 {
+		if bw := tr.bandwidth(); nUnk >= 40 && bw <= 16 {
 			if ws.banded == nil {
 				ws.banded = solver.NewBandedLU(nUnk, bw)
 			} else {

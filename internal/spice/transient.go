@@ -112,13 +112,6 @@ type TranOptions struct {
 	SettleTol float64
 	// MinSettleTime blocks the early-stop latch before this time.
 	MinSettleTime float64
-
-	// Proto, when non-nil and structurally matching the circuit, lets
-	// StartTransient and Transient reuse a precompiled unknown
-	// numbering, stamp references and bandwidth instead of re-deriving
-	// them (see CompileProto). Purely an optimization: a non-matching
-	// prototype is ignored.
-	Proto *StampProto
 }
 
 // Result holds the recorded traces of a transient run.
@@ -165,10 +158,6 @@ type tranRun struct {
 	unkIdx  []int // per node: unknown index, or -1 (ground / driven)
 	nFree   int
 	nBranch int
-	// proto is set when the run's numbering and stamps were copied from
-	// a matching StampProto (adaptive kernel only); its bandwidth then
-	// substitutes for the per-run scan.
-	proto *StampProto
 
 	// drivenSrc flattens ckt.driven into a per-node slice (nil = free
 	// node) so the Eval/nodeV hot paths never touch the map. drivenNow
@@ -567,13 +556,7 @@ func (c *Circuit) Transient(opts TranOptions) (*Result, error) {
 	}
 	banded := false
 	if !opts.ForceDense {
-		bw := 0
-		if tr.proto != nil {
-			bw = tr.proto.bw
-		} else {
-			bw = tr.bandwidth()
-		}
-		if nUnk >= 40 && bw <= 16 {
+		if bw := tr.bandwidth(); nUnk >= 40 && bw <= 16 {
 			if ws.banded == nil {
 				ws.banded = solver.NewBandedLU(nUnk, bw)
 			} else {

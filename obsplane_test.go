@@ -141,7 +141,7 @@ func TestIntrospectionServerLive(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, err := d.Analyze(AnalysisOptions{Mode: Modes()[(g+i)%len(Modes())], Metrics: reg, KeepCache: true}); err != nil {
+				if _, err := d.Analyze(AnalysisOptions{Mode: Modes()[(g+i)%len(Modes())], Metrics: reg}); err != nil {
 					errs <- err
 					return
 				}
@@ -256,7 +256,7 @@ func TestAttributionExactAllModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := d.Analyze(AnalysisOptions{Mode: m, Attribution: true, KeepCache: true})
+		res, err := d.Analyze(AnalysisOptions{Mode: m, Attribution: true})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -364,6 +364,22 @@ func TestAttributionRendersAndReanalyze(t *testing.T) {
 	}
 	if parsed.Mode != inc.Mode.String() || len(parsed.Paths) != len(inc.Attribution.Paths) {
 		t.Errorf("JSON round-trip lost content: %+v", parsed)
+	}
+}
+
+// TestAnalyzeRejectsNegativeAttributionTopK: a negative top-K reaches
+// the engine through the facade and must come back as an error naming
+// the option, not a slice-bounds panic in the attribution build.
+func TestAnalyzeRejectsNegativeAttributionTopK(t *testing.T) {
+	d, err := Generate(circuitgen.Params{Seed: 45, Cells: 100, DFFs: 8, Depth: 5, ClockFanout: 4}, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{-1, math.MinInt} {
+		res, err := d.Analyze(AnalysisOptions{Mode: Iterative, Attribution: true, AttributionTopK: k})
+		if err == nil || !strings.Contains(err.Error(), "AttributionTopK") {
+			t.Errorf("AttributionTopK %d: got result %v, error %v; want an error naming AttributionTopK", k, res != nil, err)
+		}
 	}
 }
 
