@@ -33,15 +33,15 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with worker concurrency and the
-# shared telemetry instruments, plus a dedicated high-worker run of the
-# scheduler parity/abort tests and every root test that drives one
+# shared telemetry instruments — core's scheduler parity and abort tests
+# sweep 2, 8 and NumCPU workers — plus every root test that drives one
 # Design from several goroutines: mixed Analyze/Reanalyze/Edit
 # sessions, concurrent corner sessions (all bit-compared against serial
 # references — DESIGN.md §11) and the introspection server scraped
-# while analyses and edits run.
+# while analyses and edits run. -count=1: no result comes from the test
+# cache.
 race:
-	$(GO) test -race ./internal/core/ ./internal/delaycalc/ ./internal/obs/ ./internal/incremental/
-	$(GO) test -race -run 'SchedulerParity|Dataflow' -count=1 ./internal/core/
+	$(GO) test -race -count=1 ./internal/core/ ./internal/delaycalc/ ./internal/obs/ ./internal/incremental/
 	$(GO) test -race -run 'Concurrent|IntrospectionServerLive' -count=1 .
 
 # Race-detector pass over the serving layer: the daemon's handler,

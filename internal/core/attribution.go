@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"xtalksta/internal/coupling"
 	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
 	"xtalksta/internal/waveform"
@@ -265,121 +263,54 @@ func (e *Engine) attributeStep(st []netState, pr arcPred, dOut int, outArr float
 	return *first, nil
 }
 
-// attributeArc is evalArc without instrument traffic, returning both
-// the arc's actual result and its all-quiet reference, plus the
-// actively coupling aggressors. It must mirror evalArc's request
-// construction exactly — the deterministic calculator then reproduces
-// the analysis's results bit-identically from cache.
+// attributeArc re-evaluates one arc with evalArc's requests and coupling
+// classification, returning the arc's actual result, its all-quiet
+// reference and the actively coupling aggressors. It calls the
+// calculator directly — no caches, memo or instrument traffic — so the
+// deterministic calculator reproduces the analysis's results
+// bit-identically from cache.
 func (e *Engine) attributeArc(mode Mode, st []netState, quietPrev [][2]float64,
 	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64) (actual, quiet delaycalc.Result, aggs []AttributionAggressor, err error) {
 
 	out := cell.Out
 	inf := &e.info[out-1]
-	req := delaycalc.Request{
-		Kind:     cell.Kind,
-		NIn:      len(cell.In),
-		Pin:      pin,
-		Dir:      dirOf(dOut),
-		InSlew:   inSlew,
-		SizeMult: inf.sizeMult,
-	}
-	load := func(r *delaycalc.Request, grounded float64) {
-		if e.opts.PiModel && inf.rwire > 0 {
-			r.CLoad = inf.cwire / 2
-			r.CFar = grounded - inf.cwire/2
-			r.RWire = inf.rwire
-			return
-		}
-		r.CLoad = grounded
-	}
+	pi := e.opts.PiModel
 	// All-quiet reference: every coupling cap grounded at face value
 	// (the best-case request; for OneStep/Iterative also the t_bcs
 	// request, so it is already cached).
-	bcs := req
-	load(&bcs, inf.baseCap+inf.sumCc)
-
-	switch mode {
-	case BestCase:
+	bcs := e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, pi)
+	if mode == BestCase || ((mode == OneStep || mode == Iterative) && inf.sumCc == 0) {
 		actual, err = e.Calc.Eval(bcs)
 		return actual, actual, nil, err
-	case StaticDoubled:
-		r := req
-		load(&r, inf.baseCap+2*inf.sumCc)
-		if actual, err = e.Calc.Eval(r); err != nil {
-			return
-		}
-		quiet, err = e.Calc.Eval(bcs)
-		return
-	case WorstCase:
-		r := req
-		load(&r, inf.baseCap)
-		r.CCouple = inf.sumCc
-		if actual, err = e.Calc.Eval(r); err != nil {
+	}
+	if mode != OneStep && mode != Iterative {
+		grounded, cc := modeLoad(mode, inf)
+		if actual, err = e.Calc.Eval(e.arcRequest(cell, pin, dOut, inSlew, grounded, cc, pi)); err != nil {
 			return
 		}
 		if quiet, err = e.Calc.Eval(bcs); err != nil {
 			return
 		}
-		for k := inf.ccLo; k < inf.ccHi; k++ {
-			aggs = append(aggs, AttributionAggressor{Net: e.C.Net(e.cc.Nbr[k]).Name, C: e.cc.C[k]})
+		if mode == WorstCase {
+			for k := inf.ccLo; k < inf.ccHi; k++ {
+				aggs = append(aggs, AttributionAggressor{Net: e.C.Net(e.cc.Nbr[k]).Name, C: e.cc.C[k]})
+			}
 		}
 		return
-	case OneStep, Iterative:
-		if inf.sumCc == 0 {
-			actual, err = e.Calc.Eval(bcs)
-			return actual, actual, nil, err
-		}
-		var bcsRes delaycalc.Result
-		if bcsRes, err = e.Calc.Eval(bcs); err != nil {
-			return
-		}
-		tBCS := inArr + bcsRes.TimeToRestart
-		dAggressor := 1 - dOut
-		victimQuiet := math.Inf(1)
-		if e.earliestStart != nil && quietPrev != nil {
-			if q := quietPrev[out-1][dOut]; !math.IsInf(q, -1) {
-				victimQuiet = q
-			}
-		}
-		ccActive := 0.0
-		for k := inf.ccLo; k < inf.ccHi; k++ {
-			other, cval := e.cc.Nbr[k], e.cc.C[k]
-			var calculated bool
-			var quietAt float64
-			if quietPrev != nil {
-				calculated = true
-				quietAt = quietPrev[other-1][dAggressor]
-				if math.IsInf(quietAt, -1) {
-					calculated, quietAt = true, math.Inf(-1)
-				}
-			} else {
-				// Final-pass st is frozen, so the level rule reads the
-				// same quiescent values the sweep saw (lower-rank
-				// neighbors were final before this cell ran).
-				calculated = e.netCalculatedAt(other, e.netRank[out])
-				if calculated {
-					quietAt = st[other-1].quiet[dAggressor]
-				}
-			}
-			couples := coupling.ShouldCouple(calculated, quietAt, tBCS)
-			if couples && e.earliestStart != nil && quietPrev != nil {
-				if e.earliestStart[other-1][dAggressor] >= victimQuiet {
-					couples = false
-				}
-			}
-			if couples {
-				ccActive += cval
-				aggs = append(aggs, AttributionAggressor{Net: e.C.Net(other).Name, C: cval})
-			}
-		}
-		if ccActive == 0 {
-			return bcsRes, bcsRes, aggs, nil
-		}
-		r := req
-		load(&r, inf.baseCap+(inf.sumCc-ccActive))
-		r.CCouple = ccActive
-		actual, err = e.Calc.Eval(r)
-		return actual, bcsRes, aggs, err
 	}
-	return actual, quiet, nil, fmt.Errorf("core: attributeArc: unknown mode %d", int(mode))
+	if quiet, err = e.Calc.Eval(bcs); err != nil {
+		return
+	}
+	// Final-pass st is frozen, so the level rule reads the same
+	// quiescent values the sweep saw (lower-rank neighbors were final
+	// before this cell ran).
+	tBCS := inArr + quiet.TimeToRestart
+	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, func(k int32) {
+		aggs = append(aggs, AttributionAggressor{Net: e.C.Net(e.cc.Nbr[k]).Name, C: e.cc.C[k]})
+	})
+	if c.cc == 0 {
+		return quiet, quiet, aggs, nil
+	}
+	actual, err = e.Calc.Eval(e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi))
+	return actual, quiet, aggs, err
 }

@@ -46,8 +46,8 @@ type Compiled struct {
 	sink *netlist.SinkDelayCSR
 	// clockSinks is the CSR mapping a clock net to the flip-flops it
 	// clocks (span [clockSinkOff[id-1], clockSinkOff[id]) of
-	// clockSinkCells), for dirty-cone expansion through launch seeding
-	// (eco.go) and the min-pass clock sweep (windows.go).
+	// clockSinkCells), for dirty-set expansion through launch seeding
+	// (forFanout).
 	clockSinkOff   []int32
 	clockSinkCells []netlist.CellID
 
@@ -132,6 +132,22 @@ func (cd *Compiled) buildClockSinks() {
 // clockSinksOf returns the flip-flops clocked by net id.
 func (cd *Compiled) clockSinksOf(id netlist.NetID) []netlist.CellID {
 	return cd.clockSinkCells[cd.clockSinkOff[id-1]:cd.clockSinkOff[id]]
+}
+
+// forFanout calls mark on every line whose timing reads net directly:
+// the outputs of the cells it feeds (a flip-flop's D pin ends the path
+// instead) and, through launch, of the flip-flops it clocks.
+func (cd *Compiled) forFanout(net netlist.NetID, mark func(netlist.NetID)) {
+	for _, ref := range cd.C.Net(net).Fanout {
+		if sink := cd.C.Cell(ref.Cell); sink.Kind != netlist.DFF && sink.Out != netlist.NoNet {
+			mark(sink.Out)
+		}
+	}
+	for _, dff := range cd.clockSinksOf(net) {
+		if out := cd.C.Cell(dff).Out; out != netlist.NoNet {
+			mark(out)
+		}
+	}
 }
 
 // Matches reports whether the snapshot's compile key covers the given

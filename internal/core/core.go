@@ -305,11 +305,9 @@ type Engine struct {
 	tier0Margin float64
 	// Telemetry plumbing: m is never nil (unregistered instruments when
 	// Options.Metrics is nil); trace may be nil (no-op safe).
-	m          *engineMetrics
-	trace      *obs.Tracer
-	passStats  []PassStat
-	passRecalc atomic.Int64
-	passSkips  atomic.Int64
+	m         *engineMetrics
+	trace     *obs.Tracer
+	passStats []PassStat
 	// earliestStart holds per-(net, dir) earliest transition-start
 	// bounds when Options.Windows is active (nil otherwise).
 	earliestStart [][2]float64
@@ -332,19 +330,16 @@ type Engine struct {
 	// passes and runs so steady-state analysis allocates no per-pass
 	// O(nets) scratch: seenBits deduplicates coupled-victim walks
 	// (callers must clear the bits they set), coneBuf/coneQueue back
-	// structuralCone, ecoPool recycles ecoPass dirty/changed arrays.
+	// structuralCone, dirtyPool recycles the sweeps' dirty sets.
 	seenBits  []bool
 	coneBuf   []bool
 	coneQueue []netlist.NetID
-	ecoPool   []*ecoPass
-	// passConverged is the delta-refinement carry-over count of the
-	// in-flight pass (driver goroutine only; harvested by endPass).
-	passConverged int64
+	dirtyPool []*dirtySet
 	// Replay capture (eco.go): per-pass state copies and the raw
 	// min-pass outputs, reset per analysis, harvested by takeReplay.
 	replayPasses             [][]netState
 	replayEarly, replaySlews [][2]float64
-	// Final-pass evalArc context, captured by runPasses(Seeded) for the
+	// Final-pass evalArc context, captured by runPasses for the
 	// attribution rebuild: the quiescent-time snapshot the last executed
 	// sweep classified against (nil for first/single passes) and that
 	// sweep's mode (OneStep for the Iterative seed pass).
@@ -387,12 +382,38 @@ func (e *Engine) piSlewFor(net netlist.NetID) float64 {
 const layoutClockPin = netlist.ClockPinIndex
 
 // Run executes the configured analysis.
-func (e *Engine) Run() (*Result, error) {
+func (e *Engine) Run() (*Result, error) { return e.run(nil, nil) }
+
+// run executes a full analysis (prev == nil) or one seeded from prev
+// (RunSeeded, with the seed mask), and fills the result.
+func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 	start := time.Now()
 	e.Calc.ResetStats()
 	res := &Result{Mode: e.opts.Mode}
-
-	st, passes, err := e.finalState()
+	var seedNets int64
+	base := prev // the replay the passes seed from; nil for a full run
+	if prev != nil {
+		res.ECO = &ECOStats{}
+		for _, s := range seed {
+			if s {
+				seedNets++
+			}
+		}
+		seed = e.structuralCone(seed, res.ECO)
+		if (e.opts.Mode == Iterative && e.opts.Esperance) || !e.seedableTopology() {
+			// Esperance's critical mask is a function of the global longest
+			// path, not of local dirty cones — a seeded run cannot reproduce
+			// which nets the full run would have skipped. Fall back.
+			res.ECO.FullFallback = true
+			e.m.ecoFallbacks.Inc()
+			base = nil
+		}
+	}
+	var eco *ECOStats // the seeded passes' tallies
+	if base != nil {
+		eco = res.ECO
+	}
+	st, passes, err := e.analyze(base, seed, eco)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +421,9 @@ func (e *Engine) Run() (*Result, error) {
 	res.PassStats = append([]PassStat(nil), e.passStats...)
 	e.finish(res, st)
 	res.Replay = e.takeReplay()
-
+	if prev != nil && res.Replay != nil {
+		res.Replay.rev = prev.rev
+	}
 	res.Runtime = time.Since(start)
 	e.fillWork(res)
 	if e.opts.Attribution {
@@ -410,8 +433,89 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		res.Attribution = attr
 	}
-	e.emitAnalysisEvent("analysis", res, nil)
+	if prev == nil {
+		e.emitAnalysisEvent("analysis", res, nil)
+		return res, nil
+	}
+	e.emitAnalysisEvent("eco", res, map[string]any{
+		"base_revision":   prev.rev,
+		"seed_nets":       seedNets,
+		"dirty_lines":     res.ECO.DirtyLines,
+		"reused_lines":    res.ECO.ReusedLines,
+		"cone_expansions": res.ECO.ConeExpansions,
+		"full_fallback":   res.ECO.FullFallback,
+	})
 	return res, nil
+}
+
+// analyze produces the final-pass netState of the configured analysis
+// and the number of BFS passes it took (Run, RunSeeded, Report and
+// PathTo all build on it): full, or seeded from prev when eco is
+// non-nil. It owns the run-level telemetry scope: the analysis span, the
+// per-pass stats and the delay-calculator counter deltas pushed into the
+// metrics registry. A run whose tier-0 brackets broke is discarded and
+// recomputed all-Newton.
+func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
+	t0 := e.beginAnalysisTelemetry()
+	defer e.endAnalysisTelemetry(t0)
+	e.passStats = nil
+	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
+	c0 := e.calcCounters()
+	name := "analysis"
+	if prev != nil {
+		name = "eco-analysis"
+	}
+	span := e.trace.Begin(name, 0).Arg("mode", e.opts.Mode.String())
+	if err := e.setupTier0(); err != nil {
+		return nil, 0, err
+	}
+	var ecoStart ECOStats
+	if eco != nil {
+		ecoStart = *eco
+	}
+	st, passes, err := e.runPasses(prev, seed, eco)
+	if err == nil && e.discardTainted(st) {
+		if eco != nil {
+			// Restore the ECO accounting the tainted run accumulated.
+			*eco = ecoStart
+		}
+		st, passes, err = e.runPasses(prev, seed, eco)
+	}
+	span.Arg("passes", passes)
+	if eco != nil {
+		span.Arg("dirty_lines", eco.DirtyLines).
+			Arg("reused_lines", eco.ReusedLines).
+			Arg("cone_expansions", eco.ConeExpansions)
+	}
+	span.End()
+	d := e.calcCounters().Sub(c0)
+	e.m.arcEvals.Add(d.Requests)
+	e.m.sims.Add(d.Simulations)
+	e.m.newtonIters.Add(d.NewtonIterations)
+	e.m.newtonFails.Add(d.NewtonFailures)
+	return st, passes, err
+}
+
+// beginAnalysisTelemetry opens the run-level latency scope: the first
+// analysis of a session also records its queue wait (the NewSession →
+// first-run gap, the daemon-workload admission metric).
+func (e *Engine) beginAnalysisTelemetry() time.Time {
+	t0 := time.Now()
+	if !e.queueWaitDone {
+		e.queueWaitDone = true
+		if !e.created.IsZero() {
+			e.m.queueWait.With(e.modeLabel()).Observe(t0.Sub(e.created).Seconds())
+		}
+	}
+	return t0
+}
+
+// endAnalysisTelemetry records the run's wall clock into the labeled
+// analysis-latency family and counts the run.
+func (e *Engine) endAnalysisTelemetry(t0 time.Time) {
+	mode, corner, rev := e.sessionLabels()
+	e.m.analysisDur.With(mode, corner, rev).Observe(time.Since(t0).Seconds())
+	e.m.analyses.With(mode, corner).Inc()
 }
 
 // fillWork copies the finished analysis's work counters into res.
@@ -494,38 +598,37 @@ func (e *Engine) getSeenBits() []bool {
 	return e.seenBits
 }
 
-// getEcoPass hands out a reset ecoPass from the session pool; the
-// dirty/changed arrays are cleared here so newEcoPass/newDeltaPass see
-// the same zero state a fresh allocation would give.
-func (e *Engine) getEcoPass() *ecoPass {
+// newFullPass hands out a reset dirty set from the session pool: with
+// nothing to carry (orig nil), a sweep over it recomputes every line.
+// The dirty/changed arrays are cleared here, so the set's other
+// constructors see the same zero state a fresh allocation would give.
+func (e *Engine) newFullPass() *dirtySet {
 	n := len(e.C.Nets)
-	if l := len(e.ecoPool); l > 0 {
-		ec := e.ecoPool[l-1]
-		e.ecoPool[l-1] = nil
-		e.ecoPool = e.ecoPool[:l-1]
-		for i := range ec.dirty {
-			ec.dirty[i].Store(false)
+	if l := len(e.dirtyPool); l > 0 {
+		ds := e.dirtyPool[l-1]
+		e.dirtyPool[l-1] = nil
+		e.dirtyPool = e.dirtyPool[:l-1]
+		for i := range ds.dirty {
+			ds.dirty[i].Store(false)
 		}
-		clear(ec.changed)
-		ec.orig = nil
-		ec.pass1 = false
-		ec.expansions.Store(0)
-		ec.dirtyN.Store(0)
-		ec.reusedN.Store(0)
-		return ec
+		clear(ds.changed)
+		ds.orig = nil
+		ds.pass1, ds.esperance = false, false
+		ds.expansions.Store(0)
+		return ds
 	}
-	return &ecoPass{
+	return &dirtySet{
 		changed: make([]bool, n),
 		dirty:   make([]atomic.Bool, n),
 	}
 }
 
-// putEcoPass returns an ecoPass to the pool once nothing reads its
+// putDirtySet returns a dirty set to the pool once nothing reads its
 // changed mask anymore (the next pass has consumed it).
-func (e *Engine) putEcoPass(ec *ecoPass) {
-	if ec != nil && len(ec.changed) == len(e.C.Nets) {
-		ec.orig = nil
-		e.ecoPool = append(e.ecoPool, ec)
+func (e *Engine) putDirtySet(ds *dirtySet) {
+	if ds != nil && len(ds.changed) == len(e.C.Nets) {
+		ds.orig = nil
+		e.dirtyPool = append(e.dirtyPool, ds)
 	}
 }
 

@@ -38,8 +38,9 @@ import (
 //
 // Memory model: each dependency counter is decremented with an atomic
 // RMW; the worker that observes zero has a happens-before edge from
-// every predecessor's final state write (and done callback), so no
-// additional locking is needed around the per-net states.
+// every predecessor's final state write (and everything else its do
+// call published), so no additional locking is needed around the
+// per-net states.
 
 // Phase labels of the sweep's trace spans.
 const (
@@ -144,11 +145,12 @@ func (e *Compiled) buildPhaseGraph(cells []netlist.CellID) *dfGraph {
 	return g
 }
 
-// runPhase executes one sweep phase. done, when non-nil, runs once per
-// cell after do succeeds, on the goroutine that evaluated the cell,
-// before any dependent cell starts (the seeded sweep grows its dirty
-// set there; see eco.go).
-func (e *Engine) runPhase(phase string, do func(cell *netlist.Cell) error, done func(cid netlist.CellID)) error {
+// runPhase executes one sweep phase and returns how many of its cells
+// do evaluated: do reports false for a cell it carried over without
+// evaluating. do runs on the goroutine that picked the cell, before any
+// dependent cell starts, so it may publish into state those cells read
+// (the sweep grows its dirty set there; see eco.go).
+func (e *Engine) runPhase(phase string, do func(cell *netlist.Cell) (bool, error)) (int64, error) {
 	t0 := time.Now()
 	defer func() {
 		e.m.phaseDur.With(e.modeLabel(), phase).Observe(time.Since(t0).Seconds())
@@ -157,43 +159,40 @@ func (e *Engine) runPhase(phase string, do func(cell *netlist.Cell) error, done 
 	if phase == phaseMain {
 		g = e.dfMain
 	}
-	return e.runDataflow(phase, g, e.opts.Workers, do, done)
+	return e.runDataflow(phase, g, e.opts.Workers, do)
 }
 
 // runDataflow drains one phase graph through a bounded worker pool.
 // Each worker keeps a small LIFO stack of ready cells and spills to a
 // shared queue when the stack fills or other workers are starved; a
-// failing cell raises a stop flag that parks the whole pool.
+// failing cell raises a stop flag that parks the whole pool. Each
+// worker tallies its evaluated cells locally; the total is summed once,
+// at the phase barrier.
 func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
-	do func(cell *netlist.Cell) error, done func(cid netlist.CellID)) error {
+	do func(cell *netlist.Cell) (bool, error)) (int64, error) {
 
 	n := len(g.cells)
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	span := e.trace.Begin("wavefront", 0).Arg("phase", phase).Arg("cells", n)
-	runCell := func(node int32) error {
-		cid := g.cells[node]
-		if err := do(e.C.Cell(cid)); err != nil {
-			return err
-		}
-		if done != nil {
-			done(cid)
-		}
-		return nil
-	}
 	if workers <= 1 || n < 2*workers {
 		// The graph's cells are stored in level order — a valid
 		// topological order — so the sequential path needs no counters.
 		e.m.seqCells.Add(int64(n))
-		for i := 0; i < n; i++ {
-			if err := runCell(int32(i)); err != nil {
+		var evaluated int64
+		for _, cid := range g.cells {
+			ran, err := do(e.C.Cell(cid))
+			if err != nil {
 				span.Arg("error", true).End()
-				return err
+				return 0, err
+			}
+			if ran {
+				evaluated++
 			}
 		}
 		span.End()
-		return nil
+		return evaluated, nil
 	}
 
 	deps := make([]int32, n)
@@ -203,6 +202,7 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 		shared    []int32
 		waiters   atomic.Int32
 		completed atomic.Int64
+		evaluated atomic.Int64
 		stop      atomic.Bool
 		wg        sync.WaitGroup
 	)
@@ -222,8 +222,9 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 		go func(w int) {
 			defer wg.Done()
 			wspan := e.trace.Begin("worker", w+1).Arg("phase", phase)
-			cells, steals := 0, int64(0)
+			cells, evals, steals := 0, int64(0), int64(0)
 			defer func() {
+				evaluated.Add(evals)
 				e.m.workerCells.Add(int64(cells))
 				e.m.schedSteals.Add(steals)
 				wspan.Arg("cells", cells).End()
@@ -265,10 +266,14 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 					mu.Unlock()
 					steals++
 				}
-				if err := runCell(node); err != nil {
+				ran, err := do(e.C.Cell(g.cells[node]))
+				if err != nil {
 					errs[w] = err
 					finish()
 					return
+				}
+				if ran {
+					evals++
 				}
 				cells++
 				// Release successors; keep the first ready one local
@@ -298,9 +303,9 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 	for _, err := range errs {
 		if err != nil {
 			span.Arg("error", true).End()
-			return err
+			return 0, err
 		}
 	}
 	span.End()
-	return nil
+	return evaluated.Load(), nil
 }

@@ -166,15 +166,15 @@ func TestDataflowAbortsOnError(t *testing.T) {
 	workers := 8
 	var calls atomic.Int64
 	var failed atomic.Bool
-	do := func(cell *netlist.Cell) error {
+	do := func(cell *netlist.Cell) (bool, error) {
 		calls.Add(1)
 		if failed.CompareAndSwap(false, true) {
-			return errors.New("injected failure")
+			return true, errors.New("injected failure")
 		}
 		time.Sleep(time.Millisecond)
-		return nil
+		return true, nil
 	}
-	if err := eng.runDataflow("test", g, workers, do, nil); err == nil {
+	if _, err := eng.runDataflow("test", g, workers, do); err == nil {
 		t.Fatal("expected the injected error to propagate")
 	}
 	if got := calls.Load(); got > int64(4*workers) {
@@ -183,10 +183,9 @@ func TestDataflowAbortsOnError(t *testing.T) {
 }
 
 // fullRefinement is the Iterative analysis without the delta frontier:
-// every refinement pass recomputes every line through the production
-// pass() with critical == nil (the sweep Esperance masks), under
-// runPasses' stop rule. It returns the final state, the pass count and
-// the arc evaluations spent.
+// every pass is the production sweep with every line dirty and nothing
+// carried, under runPasses' stop rule. It returns the final state, the
+// pass count and the arc evaluations spent.
 func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator) ([]netState, int, int64) {
 	t.Helper()
 	eng, err := NewEngine(c, calc, Options{Mode: Iterative})
@@ -194,14 +193,14 @@ func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator
 		t.Fatal(err)
 	}
 	eng.Calc.ResetStats()
-	st, err := eng.pass(OneStep, nil, nil, nil)
+	st, err := eng.sweep(OneStep, nil, eng.newFullPass())
 	if err != nil {
 		t.Fatal(err)
 	}
 	delay, _ := eng.longest(st)
 	passes := 1
 	for passes < maxPasses {
-		next, err := eng.pass(Iterative, snapshotQuiet(st), nil, st)
+		next, err := eng.sweep(Iterative, snapshotQuiet(st), eng.newFullPass())
 		if err != nil {
 			t.Fatal(err)
 		}

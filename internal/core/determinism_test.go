@@ -44,7 +44,7 @@ func TestQuietTimesBoundArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.pass(OneStep, nil, nil, nil)
+	st, err := eng.sweep(OneStep, nil, eng.newFullPass())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEveryReachableNetCalculated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.pass(BestCase, nil, nil, nil)
+	st, err := eng.sweep(BestCase, nil, eng.newFullPass())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,14 +53,14 @@ func (hr *HoldReport) WorstSlack() float64 {
 	return hr.Endpoints[0].Slack()
 }
 
-// ReportHold computes earliest arrivals (best-case delays, neighbors
-// quiet — the fast direction) and checks them against the flip-flop
-// hold time.
+// ReportHold computes earliest 50% arrivals (best-case delays,
+// neighbors quiet — the fast direction) and checks them against the
+// flip-flop hold time.
 func (e *Engine) ReportHold(holdTime float64) (*HoldReport, error) {
 	if holdTime < 0 {
 		return nil, fmt.Errorf("core: hold time must be non-negative, got %g", holdTime)
 	}
-	early, err := e.minPass()
+	early, _, _, err := e.minSweep(nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

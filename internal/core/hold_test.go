@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"xtalksta/internal/netlist"
+)
 
 func TestReportHoldBasics(t *testing.T) {
 	c, calc := buildExtracted(t, 140, 12, 7, 901)
@@ -61,5 +68,56 @@ func TestReportHoldValidation(t *testing.T) {
 	}
 	if _, err := eng.ReportHold(-1); err == nil {
 		t.Error("negative hold time must error")
+	}
+}
+
+// TestReportHoldArrivalsAre50Percent: HoldEndpoint.Arrival is the
+// earliest 50% arrival, the same measure as the setup report's. Each
+// endpoint must report, Float64bits-exactly, the smaller of its two
+// min-pass 50% arrivals plus the endpoint's wire delay — not the
+// transition start (arrival − slew/2) the Windows bounds use.
+func TestReportHoldArrivalsAre50Percent(t *testing.T) {
+	c, calc := buildExtracted(t, 140, 12, 7, 901)
+	eng, err := NewEngine(c, calc, Options{Mode: BestCase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.ReportHold(50e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, _, _, err := eng.minSweep(nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, ep := range eng.endpoints {
+		arr, dir := math.Inf(1), dirRise
+		for d := 0; d < 2; d++ {
+			if a := early[ep.net-1][d]; a < arr {
+				arr, dir = a, d
+			}
+		}
+		if math.IsInf(arr, 1) {
+			continue
+		}
+		kind := "PO"
+		if ep.cell != netlist.NoCell {
+			kind = "DFF/D"
+		}
+		want = append(want, fmt.Sprintf("%s %s %s %016x", c.Net(ep.net).Name, kind, dirOf(dir), math.Float64bits(arr+ep.extra)))
+	}
+	for _, he := range rep.Endpoints {
+		got = append(got, fmt.Sprintf("%s %s %s %016x", he.Net, he.Kind, he.Dir, math.Float64bits(he.Arrival)))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("%d hold endpoints, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("hold endpoint %q, want %q (earliest 50%% arrival)", got[i], want[i])
+		}
 	}
 }

@@ -157,9 +157,6 @@ type passHandle struct {
 // beginPass opens the telemetry scope of one BFS sweep (driver
 // goroutine only).
 func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
-	e.passRecalc.Store(0)
-	e.passSkips.Store(0)
-	e.passConverged = 0
 	ph := &passHandle{
 		pass:  pass,
 		mode:  mode,
@@ -173,9 +170,12 @@ func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
 	return ph
 }
 
-// endPass closes the scope, records the PassStat and returns the pass's
-// longest-path bound.
-func (e *Engine) endPass(ph *passHandle, st []netState) float64 {
+// endPass closes the scope of the sweep over ds, records the PassStat
+// and returns the pass's longest-path bound. The sweep's line tallies
+// are published here, once per pass: carried lines count as Esperance
+// skips in an Esperance pass and as converged skips in a delta pass; a
+// seeded pass (eco non-nil) folds both tallies into the ECO stats.
+func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOStats) float64 {
 	longest, _ := e.longest(st)
 	d := e.calcCounters().Sub(ph.c0)
 	stat := PassStat{
@@ -185,11 +185,26 @@ func (e *Engine) endPass(ph *passHandle, st []netState) float64 {
 		Simulations:       d.Simulations,
 		CacheHits:         d.CacheHits,
 		NewtonIterations:  d.NewtonIterations,
-		RecalculatedWires: e.passRecalc.Load(),
-		EsperanceSkips:    e.passSkips.Load(),
-		ConvergedSkips:    e.passConverged,
+		RecalculatedWires: ds.recomputed - ds.launches,
 		LongestPath:       longest,
 		Wall:              time.Since(ph.start),
+	}
+	e.m.recalcWires.Add(stat.RecalculatedWires)
+	switch {
+	case eco != nil:
+		x := ds.expansions.Load()
+		eco.DirtyLines += ds.recomputed
+		eco.ReusedLines += ds.carried
+		eco.ConeExpansions += x
+		e.m.ecoDirty.Add(ds.recomputed)
+		e.m.ecoReused.Add(ds.carried)
+		e.m.ecoExpansions.Add(x)
+	case ds.esperance:
+		stat.EsperanceSkips = ds.carried
+		e.m.esperanceSkips.Add(ds.carried)
+	case ds.orig != nil:
+		stat.ConvergedSkips = ds.carried
+		e.m.convergedSkips.Add(ds.carried)
 	}
 	if e.t0 != nil {
 		stat.Tier0Hits = e.t0.hits.Load() - ph.t0Hits

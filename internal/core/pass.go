@@ -10,8 +10,100 @@ import (
 	"xtalksta/internal/netlist"
 )
 
-// pass performs one full breadth-first timing sweep (§4/§5). The mode
-// fixes how coupling caps enter each arc's load:
+// runPasses implements the per-mode pass control of every run: a full
+// analysis (prev == nil) or one seeded from a previous revision's replay
+// (prev, with the dirty seed mask; its passes fold their line tallies
+// into eco, nil for a full run). Every pass is one sweep over a
+// recompute set (dirtySet):
+//
+//   - a full pass recomputes every line and carries nothing: the
+//     single-pass modes, Iterative pass 1, and pass 2, where the
+//     classifier switches from the one-step rule to stored quiescent
+//     times (and Windows pruning starts), so every line's evalArc
+//     inputs change shape;
+//   - a delta pass (Iterative from pass 3) recomputes only the frontier
+//     whose inputs can differ from the previous pass: the coupled
+//     victims of last-pass changes (they re-read quiescent times through
+//     quietPrev) plus, under Windows, the changed nets themselves (own
+//     sensitivity bound), grown in-pass by the fanout of anything that
+//     diverges;
+//   - an Esperance pass recomputes the critical nets and carries the
+//     rest from the previous pass, and nothing expands (its skip rule
+//     approximates; it is exact relative to itself only without delta
+//     carry-over);
+//   - a seeded pass recomputes the edit's dirty cone against the stored
+//     pass of the same index, with the same pass control, so the stop
+//     rule sees the same merged states and the same trajectory.
+//
+// Iterative stops when the longest path stops improving (§5.2).
+func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
+	mode := e.opts.Mode
+	if mode < BestCase || mode > Iterative {
+		return nil, 0, fmt.Errorf("core: unknown mode %d", int(mode))
+	}
+	firstMode := mode
+	e.earliestStart = nil
+	var earlyVictims []netlist.NetID
+	if mode == Iterative {
+		firstMode = OneStep
+		if e.opts.Windows {
+			var err error
+			if earlyVictims, err = e.windowBounds(prev, seed, eco); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	var ds *dirtySet
+	if prev != nil {
+		ds = e.newEcoPass(prev, 0, seed)
+	} else {
+		ds = e.newFullPass()
+	}
+	e.finalQuietPrev, e.finalPassMode = nil, firstMode
+	ph := e.beginPass(1, firstMode)
+	st, err := e.sweep(firstMode, nil, ds)
+	if err != nil {
+		return nil, 0, err
+	}
+	delay := e.endPass(ph, st, ds, eco)
+	passes := 1
+	for mode == Iterative && passes < maxPasses {
+		var next *dirtySet
+		switch {
+		case prev != nil:
+			next = e.newEcoPass(prev, passes, seed)
+			e.seedRefinementDirty(next, ds.changed, earlyVictims)
+		case e.opts.Esperance:
+			next = e.newEsperancePass(st, e.criticalNets(st, delay))
+		case passes == 1:
+			next = e.newDeltaPass(st, nil)
+		default:
+			next = e.newDeltaPass(st, ds.changed)
+		}
+		e.putDirtySet(ds)
+		ds = next
+		qp := snapshotQuiet(st)
+		e.finalQuietPrev, e.finalPassMode = qp, Iterative
+		ph := e.beginPass(passes+1, Iterative)
+		st2, err := e.sweep(Iterative, qp, ds)
+		if err != nil {
+			return nil, 0, err
+		}
+		passes++
+		newDelay := e.endPass(ph, st2, ds, eco)
+		e.putState(st)
+		st = st2
+		if newDelay >= delay-1e-12 {
+			break
+		}
+		delay = newDelay
+	}
+	e.putDirtySet(ds)
+	return st, passes, nil
+}
+
+// sweep performs one breadth-first timing pass (§4/§5) over ds's
+// recompute set. The mode fixes how coupling caps enter each arc's load:
 //
 //   - quietPrev == nil: first pass (or single-pass modes). In OneStep,
 //     neighbors not yet calculated in this pass couple (worst case).
@@ -19,57 +111,89 @@ import (
 //     a stored quiescent time, so no uncalculated-wire assumption is
 //     needed (§5.2).
 //
-// critical (optional) limits recalculation to flagged nets (Esperance);
-// skipped nets carry their state over from prev so downstream cells
-// still see valid (conservative) arrivals.
-func (e *Engine) pass(mode Mode, quietPrev [][2]float64, critical []bool, prev []netState) ([]netState, error) {
+// Lines outside the recompute set carry ds.orig's state. Unless ds is
+// an Esperance set, a recomputed line whose state diverges from
+// ds.orig is marked changed and grows the set through its fanout,
+// before any dependent cell starts (see dataflow.go). The line tallies
+// are taken once, at the pass barrier.
+func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netState, error) {
 	c := e.C
 	st := e.getState()
-	for i := range st {
-		if critical != nil && !critical[i] && prev != nil && prev[i].calculated {
-			st[i] = prev[i]
-			continue
+	carry := ds.orig != nil
+	track := carry && !ds.esperance
+	if carry {
+		copy(st, ds.orig)
+		for i := range st {
+			if ds.dirty[i].Load() {
+				st[i] = freshNetState()
+			}
 		}
-		st[i] = freshNetState()
+	} else {
+		for i := range st {
+			st[i] = freshNetState()
+		}
+	}
+	// diverged marks a recomputed line that no longer matches the
+	// carried state and grows the set from it.
+	diverged := func(net netlist.NetID) {
+		if track && !sameNetState(&st[net-1], &ds.orig[net-1]) {
+			ds.changed[net-1] = true
+			e.expand(ds, net)
+		}
 	}
 
 	// Seed primary inputs: both transitions can occur at t = 0 with the
-	// configured board-level slew.
+	// configured board-level slew. Reseeded unconditionally (cheap); a
+	// slew edit shows up as divergence and dirties the fan-out.
 	for _, pi := range c.PIs {
-		s := &st[pi-1]
 		slew := e.piSlewFor(pi)
+		s := netState{calculated: true}
 		for d := 0; d < 2; d++ {
 			s.arrival[d] = 0
 			s.slew[d] = slew
 			s.quiet[d] = slew / 2
 		}
-		s.calculated = true
+		st[pi-1] = s
+		diverged(pi)
 	}
 
 	// Phase 1: clock tree (cells whose output is a clock net), level
 	// by level. Clock nets behave like any other net for coupling
 	// purposes.
-	doCell := func(cell *netlist.Cell) error {
-		return e.processCell(mode, st, quietPrev, critical, cell)
+	doCell := func(cell *netlist.Cell) (bool, error) {
+		if carry && !ds.dirty[cell.Out-1].Load() {
+			return false, nil
+		}
+		if err := e.processCell(mode, st, quietPrev, cell); err != nil {
+			return true, err
+		}
+		diverged(cell.Out)
+		return true, nil
 	}
-	if err := e.runPhase(phaseClock, doCell, nil); err != nil {
+	clockN, err := e.runPhase(phaseClock, doCell)
+	if err != nil {
 		return nil, err
 	}
 
-	// Seed flip-flop outputs: launched by the rising clock edge at the
-	// flip-flop's clock-pin arrival plus clock-to-Q.
+	// Flip-flop outputs: launched by the rising clock edge at the
+	// flip-flop's clock-pin arrival plus clock-to-Q, or later when the
+	// output already holds a later arrival (an Esperance carry-over).
+	// A clean Q of a tracked set keeps the carried state: its launch
+	// reads only the clock arrival, which did not diverge — otherwise
+	// the clock-sink expansion would have dirtied it.
+	var launches, kept int64
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
 			continue
 		}
-		launch := ccc.DFFClkToQ()
-		if cell.Clock != netlist.NoNet {
-			cs := &st[cell.Clock-1]
-			if cs.calculated && !math.IsInf(cs.arrival[dirRise], -1) {
-				launch += cs.arrival[dirRise] + e.sink.ClockDelay[cell.ID]
-			}
+		out := cell.Out
+		if track && !ds.dirty[out-1].Load() {
+			kept++
+			continue
 		}
-		s := &st[cell.Out-1]
+		launches++
+		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return st[clk-1].arrival[dirRise] })
+		s := &st[out-1]
 		for d := 0; d < 2; d++ {
 			if launch > s.arrival[d] {
 				s.arrival[d] = launch
@@ -79,31 +203,41 @@ func (e *Engine) pass(mode Mode, quietPrev [][2]float64, critical []bool, prev [
 			}
 		}
 		s.calculated = true
+		diverged(out)
 	}
 
 	// Phase 2: combinational sweep.
-	if err := e.runPhase(phaseMain, doCell, nil); err != nil {
+	mainN, err := e.runPhase(phaseMain, doCell)
+	if err != nil {
 		return nil, err
 	}
+	cells := int64(len(e.dfClock.cells) + len(e.dfMain.cells))
+	ds.launches = launches
+	ds.recomputed = clockN + mainN + launches
+	ds.carried = cells - clockN - mainN + kept
 	return st, nil
+}
+
+// launchTime is the launch of flip-flop cell: clock-to-Q after the
+// rising clock edge reaches its clock pin. clockArr reads the clock
+// net's rising arrival; a missing or unreached (infinite) clock
+// launches at clock-to-Q.
+func (e *Engine) launchTime(cell *netlist.Cell, clockArr func(netlist.NetID) float64) float64 {
+	launch := ccc.DFFClkToQ()
+	if cell.Clock != netlist.NoNet {
+		if a := clockArr(cell.Clock); !math.IsInf(a, 0) {
+			launch += a + e.sink.ClockDelay[cell.ID]
+		}
+	}
+	return launch
 }
 
 // processCell evaluates all timing arcs of one cell and updates its
 // output net's state.
-func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, critical []bool, cell *netlist.Cell) error {
+func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, cell *netlist.Cell) error {
 	out := cell.Out
 	s := &st[out-1]
 	inf := &e.info[out-1]
-
-	if critical != nil && !critical[out-1] {
-		// Esperance skip: the net keeps the previous pass's state
-		// (seeded in pass), which is a valid upper bound.
-		e.passSkips.Add(1)
-		e.m.esperanceSkips.Inc()
-		return nil
-	}
-	e.passRecalc.Add(1)
-	e.m.recalcWires.Inc()
 
 	for dOut := 0; dOut < 2; dOut++ {
 		dIn := 1 - dOut // inverting primitives
@@ -179,6 +313,48 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 	return nil
 }
 
+// modeLoad is the load of the arc request a mode issues on a net before
+// any coupling classification: the grounded capacitance and the
+// actively coupling part. Best case grounds the coupling caps at face
+// value, Static doubled at twice their value, Worst case couples them
+// all; One-step and Iterative start from the best-case request.
+func modeLoad(mode Mode, inf *netInfo) (grounded, cc float64) {
+	switch mode {
+	case StaticDoubled:
+		return inf.baseCap + 2*inf.sumCc, 0
+	case WorstCase:
+		return inf.baseCap, inf.sumCc
+	}
+	return inf.baseCap + inf.sumCc, 0
+}
+
+// arcRequest is the delay-calculator request of one arc: input pin of
+// cell switching its output in direction dOut at input slew inSlew,
+// into grounded capacitance to ground plus cc of actively coupling
+// capacitance. With pi (the π-model extension) half the wire cap stays
+// at the driver and the rest of the grounded load moves behind the wire
+// resistance; otherwise the whole load is lumped at the driver (paper
+// §2).
+func (e *Engine) arcRequest(cell *netlist.Cell, pin, dOut int, inSlew, grounded, cc float64, pi bool) delaycalc.Request {
+	inf := &e.info[cell.Out-1]
+	r := delaycalc.Request{
+		Kind:     cell.Kind,
+		NIn:      len(cell.In),
+		Pin:      pin,
+		Dir:      dirOf(dOut),
+		InSlew:   inSlew,
+		CLoad:    grounded,
+		CCouple:  cc,
+		SizeMult: inf.sizeMult,
+	}
+	if pi && inf.rwire > 0 {
+		r.CLoad = inf.cwire / 2
+		r.CFar = grounded - inf.cwire/2
+		r.RWire = inf.rwire
+	}
+	return r
+}
+
 // evalArc computes one timing arc under the mode's coupling treatment.
 // t0a, when non-nil, carries the arc's tier-0 bracket (see tier0.go):
 // non-near-critical arcs may elide the best-case evaluation when the
@@ -189,197 +365,140 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 
 	out := cell.Out
 	inf := &e.info[out-1]
-	req := delaycalc.Request{
-		Kind:     cell.Kind,
-		NIn:      len(cell.In),
-		Pin:      pin,
-		Dir:      dirOf(dOut),
-		InSlew:   inSlew,
-		SizeMult: inf.sizeMult,
+	pi := e.opts.PiModel
+	if (mode != OneStep && mode != Iterative) || inf.sumCc == 0 {
+		grounded, cc := modeLoad(mode, inf)
+		return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, grounded, cc, pi))
 	}
-	// load splits a grounded load between the request's near and far
-	// fields. Lumped (paper): everything in CLoad. π-model extension:
-	// half the wire cap stays at the driver, the rest moves behind the
-	// wire resistance.
-	load := func(r *delaycalc.Request, grounded float64) {
-		if e.opts.PiModel && inf.rwire > 0 {
-			r.CLoad = inf.cwire / 2
-			r.CFar = grounded - inf.cwire/2
-			r.RWire = inf.rwire
-			return
+	// Tier-0 elision: the best-case evaluation below exists only to fix
+	// t_bcs for the coupling comparisons. If the t_bcs bracket
+	// [inArr+TTRlo, inArr+TTRhi] classifies every neighbor the same way
+	// on both ends, those decisions are proven without it and the final
+	// request is issued directly. Any neighbor whose quiescent time lands
+	// inside the bracket could flip — the flip guard — and forces the
+	// exact path. Windows mode is ruled out by setupTier0, so its pruning
+	// test never applies here.
+	if t0a != nil && !t0a.nearCrit {
+		// An exact t_bcs already in the cache is free: elide only
+		// without one.
+		if slot := &e.bcs[out-1][pin*2+dOut]; !slot.valid || slot.inSlew != inSlew {
+			c, proven := e.classify(st, quietPrev, out, dOut, inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi, nil)
+			switch {
+			case proven && c.cc > 0:
+				// Coupling metrics commit only here — the bail paths
+				// fall through to the exact classification, which
+				// counts them itself.
+				e.m.addCoupling(c.nActive, c.nGrounded, c.nPruned)
+				e.t0.hits.Add(1) // the elided best-case evaluation
+				e.m.tier0Hits.Inc()
+				return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi))
+			case proven:
+				// All neighbors grounded: the exact path's single
+				// best-case evaluation IS the result — nothing to
+				// elide, fall through.
+			default:
+				e.t0.flipGuards.Add(1)
+				e.m.tier0FlipGuards.Inc()
+			}
 		}
-		r.CLoad = grounded
 	}
+	// Step 1 (§5.1): best-case waveform with all neighbors quiet fixes
+	// t_bcs — the earliest the victim could reach Vth. The request
+	// depends only on (cell, pin, dir, inSlew), so refinement passes
+	// whose input slew is unchanged reuse the stored result.
+	bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, pi))
+	if err != nil {
+		return delaycalc.Result{}, err
+	}
+	if t0a != nil && (bcsRes.TimeToRestart < t0a.b.ttrLo || bcsRes.TimeToRestart > t0a.b.ttrHi) {
+		e.t0.taint.Store(true)
+	}
+	// Step 2: classify each adjacent wire. Decisions are tallied per arc
+	// and published once: the counters are shared by every worker.
+	tBCS := inArr + bcsRes.TimeToRestart
+	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, nil)
+	e.m.addCoupling(c.nActive, c.nGrounded, c.nPruned)
+	if c.cc == 0 {
+		// Every neighbor is quiet: the worst-case request would carry
+		// the full coupling capacitance grounded — electrically the
+		// best-case request already computed. Skip the second Eval.
+		e.m.ccZeroSkips.Inc()
+		return bcsRes, nil
+	}
+	// Step 3: worst-case waveform with the active subset coupling.
+	return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi))
+}
 
-	switch mode {
-	case BestCase:
-		load(&req, inf.baseCap+inf.sumCc)
-		return e.t0Eval(cell, pin, dOut, req)
-	case StaticDoubled:
-		load(&req, inf.baseCap+2*inf.sumCc)
-		return e.t0Eval(cell, pin, dOut, req)
-	case WorstCase:
-		load(&req, inf.baseCap)
-		req.CCouple = inf.sumCc
-		return e.t0Eval(cell, pin, dOut, req)
-	case OneStep, Iterative:
-		if inf.sumCc == 0 {
-			load(&req, inf.baseCap)
-			return e.t0Eval(cell, pin, dOut, req)
-		}
-		// Tier-0 elision: the best-case evaluation below exists only to
-		// fix t_bcs for the coupling comparisons. If the t_bcs bracket
-		// [inArr+TTRlo, inArr+TTRhi] classifies every neighbor the same
-		// way on both ends, those decisions are proven without it and
-		// the final request is issued directly. Any neighbor whose
-		// quiescent time lands inside the bracket could flip — the flip
-		// guard — and forces the exact path. Windows mode is ruled out
-		// by setupTier0, so its pruning test never applies here.
-		if t0a != nil && !t0a.nearCrit {
-			// An exact t_bcs already in the cache is free: elide only
-			// without one.
-			if slot := &e.bcs[out-1][pin*2+dOut]; !slot.valid || slot.inSlew != inSlew {
-				tbcsLo, tbcsHi := inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi
-				dAgg := 1 - dOut
-				proven := true
-				ccActive := 0.0
-				nCouple, nGround := 0, 0
-				ccNbr, ccC := e.cc.Nbr, e.cc.C
-				for k := inf.ccLo; k < inf.ccHi; k++ {
-					other := ccNbr[k]
-					var calculated bool
-					var quietAt float64
-					if quietPrev != nil {
-						calculated = true
-						quietAt = quietPrev[other-1][dAgg]
-					} else {
-						calculated = e.netCalculatedAt(other, e.netRank[out])
-						if calculated {
-							quietAt = st[other-1].quiet[dAgg]
-						}
-					}
-					// ShouldCouple(calculated, quietAt, t) over the whole
-					// bracket: couples for every t iff uncalculated or
-					// quiet after the latest t_bcs; grounded for every t
-					// iff quiet before the earliest.
-					switch {
-					case !calculated || quietAt > tbcsHi:
-						ccActive += ccC[k]
-						nCouple++
-					case quietAt <= tbcsLo:
-						nGround++
-					default:
-						proven = false
-					}
-					if !proven {
-						break
-					}
-				}
-				switch {
-				case proven && ccActive > 0:
-					// Coupling metrics commit only here — the bail paths
-					// fall through to the exact classification, which
-					// counts them itself.
-					e.m.addCoupling(nCouple, nGround, 0)
-					e.t0.hits.Add(1) // the elided best-case evaluation
-					e.m.tier0Hits.Inc()
-					load(&req, inf.baseCap+(inf.sumCc-ccActive))
-					req.CCouple = ccActive
-					return e.t0Eval(cell, pin, dOut, req)
-				case proven:
-					// All neighbors grounded: the exact path's single
-					// best-case evaluation IS the result — nothing to
-					// elide, fall through.
-				default:
-					e.t0.flipGuards.Add(1)
-					e.m.tier0FlipGuards.Inc()
-				}
-			}
-		}
-		// Step 1 (§5.1): best-case waveform with all neighbors quiet
-		// fixes t_bcs — the earliest the victim could reach Vth. The
-		// request depends only on (cell, pin, dir, inSlew), so refinement
-		// passes whose input slew is unchanged reuse the stored result.
-		bcs := req
-		load(&bcs, inf.baseCap+inf.sumCc)
-		bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, bcs)
-		if err != nil {
-			return delaycalc.Result{}, err
-		}
-		if t0a != nil && (bcsRes.TimeToRestart < t0a.b.ttrLo || bcsRes.TimeToRestart > t0a.b.ttrHi) {
-			e.t0.taint.Store(true)
-		}
-		tBCS := inArr + bcsRes.TimeToRestart
+// coupled is the outcome of one arc's coupling classification: the
+// actively coupling capacitance and the per-decision neighbor counts.
+type coupled struct {
+	cc                          float64
+	nActive, nGrounded, nPruned int
+}
 
-		// Step 2: classify each adjacent wire.
-		dAggressor := 1 - dOut // opposite transition couples
-		// Windows extension: the victim is only sensitive until its own
-		// previous-pass quiescent time.
-		victimQuiet := math.Inf(1)
-		if e.earliestStart != nil && quietPrev != nil {
-			if q := quietPrev[out-1][dOut]; !math.IsInf(q, -1) {
-				victimQuiet = q
+// classify applies the one-step rule (§5.1) to every neighbor coupled to
+// out, for a victim switching in direction dOut whose t_bcs lies in
+// [lo, hi]: a neighbor couples when it is not yet calculated or its
+// opposite-transition quiescent time lies after hi, and is grounded
+// when that time lies at or before lo. A neighbor quiet inside (lo, hi]
+// could go either way; classify then stops and reports the decisions
+// unproven, which never happens for an exact t_bcs (lo == hi). With
+// Windows, a refinement pass also prunes an aggressor that cannot
+// become active before the victim is done. active, when non-nil,
+// receives the coupling-CSR index of every actively coupling neighbor.
+func (e *Engine) classify(st []netState, quietPrev [][2]float64, out netlist.NetID, dOut int,
+	lo, hi float64, active func(k int32)) (c coupled, proven bool) {
+
+	inf := &e.info[out-1]
+	dAggressor := 1 - dOut // opposite transition couples
+	// Windows extension: the victim is only sensitive until its own
+	// previous-pass quiescent time.
+	victimQuiet := math.Inf(1)
+	windows := e.earliestStart != nil && quietPrev != nil
+	if windows {
+		if q := quietPrev[out-1][dOut]; !math.IsInf(q, -1) {
+			victimQuiet = q
+		}
+	}
+	ccNbr, ccC := e.cc.Nbr, e.cc.C
+	for k := inf.ccLo; k < inf.ccHi; k++ {
+		other := ccNbr[k]
+		var calculated bool
+		var quietAt float64
+		if quietPrev != nil {
+			// Every neighbor has a stored quiescent time; one that never
+			// switches in that direction (−Inf) cannot couple.
+			calculated = true
+			quietAt = quietPrev[other-1][dAggressor]
+		} else {
+			// Level-based rule (order-independent; see levels.go): a
+			// neighbor is calculated when its driver's level is strictly
+			// below this cell's, so its state is frozen.
+			calculated = e.netCalculatedAt(other, e.netRank[out])
+			if calculated {
+				quietAt = st[other-1].quiet[dAggressor]
 			}
 		}
-		// Decisions are tallied per arc and published once: the
-		// counters are shared by every worker.
-		ccActive := 0.0
-		nActive, nGrounded, nPruned := 0, 0, 0
-		ccNbr, ccC := e.cc.Nbr, e.cc.C
-		for k := inf.ccLo; k < inf.ccHi; k++ {
-			other := ccNbr[k]
-			var calculated bool
-			var quietAt float64
-			if quietPrev != nil {
-				calculated = true
-				quietAt = quietPrev[other-1][dAggressor]
-				if math.IsInf(quietAt, -1) {
-					// The neighbor never switches in that direction:
-					// it cannot couple.
-					calculated, quietAt = true, math.Inf(-1)
-				}
-			} else {
-				// Level-based rule (order-independent; see levels.go):
-				// a neighbor is calculated when its driver's level is
-				// strictly below this cell's, so its state is frozen.
-				calculated = e.netCalculatedAt(other, e.netRank[out])
-				if calculated {
-					quietAt = st[other-1].quiet[dAggressor]
-				}
-			}
-			couples := coupling.ShouldCouple(calculated, quietAt, tBCS)
-			pruned := false
-			if couples && e.earliestStart != nil && quietPrev != nil {
+		switch {
+		case coupling.ShouldCouple(calculated, quietAt, hi):
+			if windows && e.earliestStart[other-1][dAggressor] >= victimQuiet {
 				// Windows extension: an aggressor that cannot become
 				// active before the victim is done cannot couple.
-				if e.earliestStart[other-1][dAggressor] >= victimQuiet {
-					couples, pruned = false, true
-				}
+				c.nPruned++
+				continue
 			}
-			switch {
-			case couples:
-				ccActive += ccC[k]
-				nActive++
-			case pruned:
-				nPruned++
-			default:
-				nGrounded++
+			c.cc += ccC[k]
+			c.nActive++
+			if active != nil {
+				active(k)
 			}
+		case quietAt > lo:
+			return c, false
+		default:
+			c.nGrounded++
 		}
-		e.m.addCoupling(nActive, nGrounded, nPruned)
-		if ccActive == 0 {
-			// Every neighbor is quiet: the worst-case request would carry
-			// the full coupling capacitance grounded — electrically the
-			// best-case request already computed. Skip the second Eval.
-			e.m.ccZeroSkips.Inc()
-			return bcsRes, nil
-		}
-		// Step 3: worst-case waveform with the active subset coupling.
-		load(&req, inf.baseCap+(inf.sumCc-ccActive))
-		req.CCouple = ccActive
-		return e.t0Eval(cell, pin, dOut, req)
 	}
-	return delaycalc.Result{}, fmt.Errorf("core: evalArc: unknown mode %d", int(mode))
+	return c, true
 }
 
 // bcsEntry is one cached best-case arc result (see Engine.bcs).

@@ -13,7 +13,7 @@ func (e *Engine) PathTo(netName string) ([]PathStep, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown net %q", netName)
 	}
-	st, _, err := e.finalState()
+	st, _, err := e.analyze(nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

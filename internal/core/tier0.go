@@ -40,7 +40,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"xtalksta/internal/ccc"
 	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
 )
@@ -135,12 +134,11 @@ func (e *Engine) setupTier0() error {
 
 // t0Frontier sweeps the circuit once with analytic band-midpoint
 // estimates — no evaluator calls — to build the per-rank arrival
-// frontier the margin gate compares against. The sweep mirrors pass()
-// (PI seeding, clock phase, DFF launch, main phase) on the same
-// executor; each cell's completion callback publishes its
-// estimate into the per-rank maximum, which is order-independent (max
-// is commutative), so the frontier is deterministic under any worker
-// count.
+// frontier the margin gate compares against. It follows the timing
+// sweep's phase order (PI seeding, clock phase, DFF launch, main phase)
+// on the same executor; each cell publishes its estimate into the
+// per-rank maximum, which is order-independent (max is commutative), so
+// the frontier is deterministic under any worker count.
 func (e *Engine) t0Frontier() error {
 	c := e.C
 	n := len(c.Nets)
@@ -184,7 +182,7 @@ func (e *Engine) t0Frontier() error {
 		pub(e.netRank[pi], 0)
 	}
 
-	est := func(cell *netlist.Cell) error {
+	est := func(cell *netlist.Cell) (bool, error) {
 		out := cell.Out
 		for dOut := 0; dOut < 2; dOut++ {
 			dIn := 1 - dOut
@@ -218,30 +216,24 @@ func (e *Engine) t0Frontier() error {
 			}
 		}
 		calc[out-1] = true
-		return nil
-	}
-	done := func(cid netlist.CellID) {
-		out := c.Cell(cid).Out
 		pub(e.netRank[out], math.Max(arr[out-1][0], arr[out-1][1]))
+		return true, nil
 	}
-	if err := e.runPhase(phaseClock, est, done); err != nil {
+	if _, err := e.runPhase(phaseClock, est); err != nil {
 		return err
 	}
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
 			continue
 		}
-		launch := ccc.DFFClkToQ()
-		if cell.Clock != netlist.NoNet && calc[cell.Clock-1] && !math.IsInf(arr[cell.Clock-1][dirRise], -1) {
-			launch += arr[cell.Clock-1][dirRise] + e.sink.ClockDelay[cell.ID]
-		}
+		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return arr[clk-1][dirRise] })
 		out := cell.Out
 		arr[out-1] = [2]float64{launch, launch}
 		slw[out-1] = [2]float64{e.opts.DFFOutSlew, e.opts.DFFOutSlew}
 		calc[out-1] = true
 		pub(e.netRank[out], launch)
 	}
-	if err := e.runPhase(phaseMain, est, done); err != nil {
+	if _, err := e.runPhase(phaseMain, est); err != nil {
 		return err
 	}
 
@@ -282,55 +274,12 @@ func (t0 *tier0Run) nearCritical(rank int, hi float64) bool {
 // be bounded — tier-0 then stays off for the arc.
 func (e *Engine) t0ArcBounds(mode Mode, cell *netlist.Cell, pin, dOut int, inSlew float64) (arcBounds, bool) {
 	inf := &e.info[cell.Out-1]
-	base := delaycalc.Request{
-		Kind:     cell.Kind,
-		NIn:      len(cell.In),
-		Pin:      pin,
-		Dir:      dirOf(dOut),
-		InSlew:   inSlew,
-		SizeMult: inf.sizeMult,
-	}
-	load := func(r *delaycalc.Request, grounded float64) {
-		if e.opts.PiModel && inf.rwire > 0 {
-			r.CLoad = inf.cwire / 2
-			r.CFar = grounded - inf.cwire/2
-			r.RWire = inf.rwire
-			return
-		}
-		r.CLoad = grounded
-	}
-	var configs [2]delaycalc.Request
-	nc := 0
-	add := func(r delaycalc.Request) {
-		configs[nc] = r
-		nc++
-	}
-	switch mode {
-	case BestCase:
-		g := base
-		load(&g, inf.baseCap+inf.sumCc)
-		add(g)
-	case StaticDoubled:
-		g := base
-		load(&g, inf.baseCap+2*inf.sumCc)
-		add(g)
-	case WorstCase:
-		w := base
-		load(&w, inf.baseCap)
-		w.CCouple = inf.sumCc
-		add(w)
-	case OneStep, Iterative:
-		g := base
-		load(&g, inf.baseCap+inf.sumCc)
-		add(g)
-		if inf.sumCc > 0 {
-			w := base
-			load(&w, inf.baseCap)
-			w.CCouple = inf.sumCc
-			add(w)
-		}
-	default:
-		return arcBounds{}, false
+	grounded, cc := modeLoad(mode, inf)
+	configs := [2]delaycalc.Request{e.arcRequest(cell, pin, dOut, inSlew, grounded, cc, e.opts.PiModel)}
+	nc := 1
+	if (mode == OneStep || mode == Iterative) && inf.sumCc > 0 {
+		configs[1] = e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap, inf.sumCc, e.opts.PiModel)
+		nc = 2
 	}
 	var ab arcBounds
 	for i := 0; i < nc; i++ {

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
-	"xtalksta/internal/ccc"
-	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
 )
 
@@ -26,14 +25,53 @@ import (
 // path simulations in the test suite check the result stays an upper
 // bound in practice.
 
-// minPass computes earliest transition-start times per (net, dir): the
-// earliest moment the line's voltage can begin to move.
-func (e *Engine) minPass() ([][2]float64, error) {
-	early, slews, err := e.minPassRaw()
+// windowBounds runs the min pass ahead of an Iterative Windows run and
+// installs the earliest-activity bounds (Engine.earliestStart). A seeded
+// run (prev non-nil) replays prev's stored min pass and returns the
+// coupled victims of every bound that moved: they must re-run the
+// window pruning test in every refinement pass.
+func (e *Engine) windowBounds(prev *ReplayState, seed []bool, eco *ECOStats) ([]netlist.NetID, error) {
+	span := "min-pass"
+	if prev != nil {
+		if prev.early == nil {
+			return nil, fmt.Errorf("core: RunSeeded: replay lacks min-pass data (captured without Windows?)")
+		}
+		span = "eco-min-pass"
+	}
+	sp := e.trace.Begin(span, 0)
+	early, slews, changed, err := e.minSweep(prev, seed, eco)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return startTimes(early, slews), nil
+	if !e.opts.DisableReplay {
+		e.replayEarly, e.replaySlews = early, slews
+	}
+	e.earliestStart = startTimes(early, slews)
+	if prev == nil {
+		return nil, nil
+	}
+	// The dedup bitset is session scratch (ids are dense), cleared after
+	// use by walking the victims.
+	var victims []netlist.NetID
+	seen := e.getSeenBits()
+	for i, ch := range changed {
+		if !ch {
+			continue
+		}
+		lo, hi := e.cc.Span(netlist.NetID(i + 1))
+		for k := lo; k < hi; k++ {
+			other := e.cc.Nbr[k]
+			if !seen[other-1] {
+				seen[other-1] = true
+				victims = append(victims, other)
+			}
+		}
+	}
+	for _, v := range victims {
+		seen[v-1] = false
+	}
+	return victims, nil
 }
 
 // startTimes converts 50%-crossing arrivals to transition-start times
@@ -51,144 +89,45 @@ func startTimes(early, slews [][2]float64) [][2]float64 {
 	return out
 }
 
-// minPassRaw is minPass before the start-time conversion: raw earliest
-// 50% arrivals and their slews, the form stored for replay seeding.
-func (e *Engine) minPassRaw() ([][2]float64, [][2]float64, error) {
-	c := e.C
-	early := make([][2]float64, len(c.Nets))
-	slews := make([][2]float64, len(c.Nets))
-	done := make([]bool, len(c.Nets))
-	for i := range early {
-		early[i] = [2]float64{math.Inf(1), math.Inf(1)}
-	}
-	for _, pi := range c.PIs {
-		slew := e.piSlewFor(pi)
-		early[pi-1] = [2]float64{0, 0}
-		slews[pi-1] = [2]float64{slew, slew}
-		done[pi-1] = true
-	}
-
-	process := func(cell *netlist.Cell) error {
-		out := cell.Out
-		inf := &e.info[out-1]
-		for dOut := 0; dOut < 2; dOut++ {
-			dIn := 1 - dOut
-			bestArr := math.Inf(1)
-			bestSlew := 0.0
-			for pin, inNet := range cell.In {
-				if !done[inNet-1] || math.IsInf(early[inNet-1][dIn], 1) {
-					continue
-				}
-				inArr := early[inNet-1][dIn]
-				if !e.opts.PiModel {
-					inArr += e.sink.At(cell.ID, pin)
-				}
-				inSlew := slews[inNet-1][dIn]
-				if inSlew <= 0 {
-					inSlew = e.opts.PISlew
-				}
-				// Fastest plausible conditions: coupling caps grounded
-				// at face value (neighbors quiet).
-				res, err := e.Calc.Eval(delaycalc.Request{
-					Kind: cell.Kind, NIn: len(cell.In), Pin: pin, Dir: dirOf(dOut),
-					InSlew: inSlew, CLoad: inf.baseCap + inf.sumCc, SizeMult: inf.sizeMult,
-				})
-				if err != nil {
-					return err
-				}
-				if a := inArr + res.Delay; a < bestArr {
-					bestArr = a
-					bestSlew = res.OutSlew
-				}
-			}
-			if !math.IsInf(bestArr, 1) {
-				early[out-1][dOut] = bestArr
-				slews[out-1][dOut] = bestSlew
-			}
-		}
-		done[out-1] = true
-		return nil
-	}
-
-	// Clock tree first, then flip-flop launches, then the rest —
-	// mirroring the max pass.
-	for _, cid := range e.order {
-		cell := c.Cell(cid)
-		if !c.Net(cell.Out).IsClock {
-			continue
-		}
-		if err := process(cell); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, cell := range c.Cells {
-		if cell.Kind != netlist.DFF {
-			continue
-		}
-		launch := ccc.DFFClkToQ()
-		if cell.Clock != netlist.NoNet && done[cell.Clock-1] && !math.IsInf(early[cell.Clock-1][dirRise], 1) {
-			launch += early[cell.Clock-1][dirRise] + e.sink.ClockDelay[cell.ID]
-		}
-		for d := 0; d < 2; d++ {
-			if launch < early[cell.Out-1][d] {
-				early[cell.Out-1][d] = launch
-				slews[cell.Out-1][d] = e.opts.DFFOutSlew
-			}
-		}
-		done[cell.Out-1] = true
-	}
-	for _, cid := range e.order {
-		cell := c.Cell(cid)
-		if c.Net(cell.Out).IsClock {
-			continue
-		}
-		if err := process(cell); err != nil {
-			return nil, nil, err
-		}
-	}
-	return early, slews, nil
-}
-
-// minPassSeeded replays minPassRaw against a previous revision: clean
-// lines keep the stored raw arrivals, lines in the dirty set (edit
-// seeds plus their structural fan-out cones, grown as recomputed values
-// diverge) are re-evaluated. Returns the new raw arrays and the changed
-// mask — nets whose earliest-activity bound actually moved, whose
-// coupled victims must then re-run the window pruning test.
-func (e *Engine) minPassSeeded(prev *ReplayState, seed []bool, eco *ECOStats) ([][2]float64, [][2]float64, []bool, error) {
+// minSweep computes the earliest 50% arrivals per (net, dir) and their
+// slews, with best-case arc delays (+Inf where a line never switches
+// that way). A full pass (prev == nil) evaluates every line; a seeded
+// pass keeps prev's stored values on clean lines and re-evaluates the
+// dirty set — the edit seeds plus their structural fan-out cones, grown
+// as recomputed values diverge — counting them into eco.MinPassDirty.
+// changed flags the nets whose values moved.
+func (e *Engine) minSweep(prev *ReplayState, seed []bool, eco *ECOStats) (early, slews [][2]float64, changed []bool, err error) {
 	c := e.C
 	n := len(c.Nets)
-	early := make([][2]float64, n)
-	slews := make([][2]float64, n)
-	copy(early, prev.early)
-	copy(slews, prev.slews)
+	early = make([][2]float64, n)
+	slews = make([][2]float64, n)
 	dirty := make([]bool, n)
-	copy(dirty, seed)
-	changed := make([]bool, n)
-
-	expand := func(net netlist.NetID) {
-		nn := c.Net(net)
-		for _, pr := range nn.Fanout {
-			sink := c.Cell(pr.Cell)
-			if sink.Kind == netlist.DFF || sink.Out == netlist.NoNet {
-				continue
-			}
-			dirty[sink.Out-1] = true
+	changed = make([]bool, n)
+	if prev != nil {
+		copy(early, prev.early)
+		copy(slews, prev.slews)
+		copy(dirty, seed)
+	} else {
+		for i := range early {
+			early[i] = [2]float64{math.Inf(1), math.Inf(1)}
+			dirty[i] = true
 		}
-		for _, cid := range e.clockSinksOf(net) {
-			dirty[c.Cell(cid).Out-1] = true
+	}
+	var evaluated int64
+	mark := func(id netlist.NetID) { dirty[id-1] = true }
+	// update installs a re-evaluated line's values, growing the dirty
+	// set when they moved.
+	update := func(net netlist.NetID, ne, ns [2]float64) {
+		if early[net-1] != ne || slews[net-1] != ns {
+			early[net-1], slews[net-1] = ne, ns
+			changed[net-1] = true
+			e.forFanout(net, mark)
 		}
 	}
 	for _, pi := range c.PIs {
-		if !dirty[pi-1] {
-			continue
-		}
-		slew := e.piSlewFor(pi)
-		ne, ns := [2]float64{0, 0}, [2]float64{slew, slew}
-		if early[pi-1] != ne || slews[pi-1] != ns {
-			early[pi-1], slews[pi-1] = ne, ns
-			changed[pi-1] = true
-			expand(pi)
+		if dirty[pi-1] {
+			slew := e.piSlewFor(pi)
+			update(pi, [2]float64{0, 0}, [2]float64{slew, slew})
 		}
 	}
 
@@ -197,15 +136,11 @@ func (e *Engine) minPassSeeded(prev *ReplayState, seed []bool, eco *ECOStats) ([
 		if !dirty[out-1] {
 			return nil
 		}
-		eco.MinPassDirty++
+		evaluated++
 		inf := &e.info[out-1]
-		oldE, oldS := early[out-1], slews[out-1]
-		early[out-1] = [2]float64{math.Inf(1), math.Inf(1)}
-		slews[out-1] = [2]float64{}
+		ne, ns := [2]float64{math.Inf(1), math.Inf(1)}, [2]float64{}
 		for dOut := 0; dOut < 2; dOut++ {
 			dIn := 1 - dOut
-			bestArr := math.Inf(1)
-			bestSlew := 0.0
 			for pin, inNet := range cell.In {
 				if math.IsInf(early[inNet-1][dIn], 1) {
 					continue
@@ -218,71 +153,50 @@ func (e *Engine) minPassSeeded(prev *ReplayState, seed []bool, eco *ECOStats) ([
 				if inSlew <= 0 {
 					inSlew = e.opts.PISlew
 				}
-				res, err := e.Calc.Eval(delaycalc.Request{
-					Kind: cell.Kind, NIn: len(cell.In), Pin: pin, Dir: dirOf(dOut),
-					InSlew: inSlew, CLoad: inf.baseCap + inf.sumCc, SizeMult: inf.sizeMult,
-				})
+				// Fastest plausible conditions: coupling caps grounded
+				// at face value (neighbors quiet), the load lumped at
+				// the driver.
+				res, err := e.Calc.Eval(e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, false))
 				if err != nil {
 					return err
 				}
-				if a := inArr + res.Delay; a < bestArr {
-					bestArr = a
-					bestSlew = res.OutSlew
+				if a := inArr + res.Delay; a < ne[dOut] {
+					ne[dOut] = a
+					ns[dOut] = res.OutSlew
 				}
 			}
-			if !math.IsInf(bestArr, 1) {
-				early[out-1][dOut] = bestArr
-				slews[out-1][dOut] = bestSlew
-			}
 		}
-		if early[out-1] != oldE || slews[out-1] != oldS {
-			changed[out-1] = true
-			expand(out)
-		}
+		update(out, ne, ns)
 		return nil
 	}
 
+	// Clock tree first, then flip-flop launches, then the rest: the
+	// timing sweep's phase order.
 	for _, cid := range e.order {
-		cell := c.Cell(cid)
-		if !c.Net(cell.Out).IsClock {
-			continue
-		}
-		if err := process(cell); err != nil {
-			return nil, nil, nil, err
+		if cell := c.Cell(cid); c.Net(cell.Out).IsClock {
+			if err := process(cell); err != nil {
+				return nil, nil, nil, err
+			}
 		}
 	}
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF || !dirty[cell.Out-1] {
 			continue
 		}
-		eco.MinPassDirty++
-		out := cell.Out
-		oldE, oldS := early[out-1], slews[out-1]
-		early[out-1] = [2]float64{math.Inf(1), math.Inf(1)}
-		slews[out-1] = [2]float64{}
-		launch := ccc.DFFClkToQ()
-		if cell.Clock != netlist.NoNet && !math.IsInf(early[cell.Clock-1][dirRise], 1) {
-			launch += early[cell.Clock-1][dirRise] + e.sink.ClockDelay[cell.ID]
-		}
-		for d := 0; d < 2; d++ {
-			if launch < early[out-1][d] {
-				early[out-1][d] = launch
-				slews[out-1][d] = e.opts.DFFOutSlew
-			}
-		}
-		if early[out-1] != oldE || slews[out-1] != oldS {
-			changed[out-1] = true
-			expand(out)
-		}
+		evaluated++
+		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return early[clk-1][dirRise] })
+		ds := e.opts.DFFOutSlew
+		update(cell.Out, [2]float64{launch, launch}, [2]float64{ds, ds})
 	}
 	for _, cid := range e.order {
-		cell := c.Cell(cid)
-		if c.Net(cell.Out).IsClock {
-			continue
+		if cell := c.Cell(cid); !c.Net(cell.Out).IsClock {
+			if err := process(cell); err != nil {
+				return nil, nil, nil, err
+			}
 		}
-		if err := process(cell); err != nil {
-			return nil, nil, nil, err
-		}
+	}
+	if eco != nil {
+		eco.MinPassDirty += evaluated
 	}
 	return early, slews, changed, nil
 }

@@ -31,11 +31,12 @@ func TestMinPassEarliestBeforeLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := eng.minPass()
+	arrivals, slews, _, err := eng.minSweep(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.pass(OneStep, nil, nil, nil)
+	early := startTimes(arrivals, slews)
+	st, err := eng.sweep(OneStep, nil, eng.newFullPass())
 	if err != nil {
 		t.Fatal(err)
 	}

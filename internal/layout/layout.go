@@ -25,52 +25,42 @@ import (
 	"xtalksta/internal/obs"
 )
 
-// Options controls placement and routing geometry. All lengths are in
-// meters.
+// Options carries the layout's telemetry sinks.
 type Options struct {
 	// Metrics, when non-nil, receives layout counters (nets routed,
 	// coupling pairs extracted, total wirelength).
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives place/route/extract spans.
 	Trace *obs.Tracer
-	// RowHeight is the placement row pitch (default 12 µm).
-	RowHeight float64
-	// BaseCellWidth and WidthPerPin size cells (default 4 µm + 1 µm/pin).
-	BaseCellWidth, WidthPerPin float64
-	// TrackPitch is the routing track pitch on both layers (default
-	// 1.5 µm — minimum pitch, where the sidewall coupling constant of
-	// the process applies).
-	TrackPitch float64
-	// MaxTrackSearch bounds how far the legalizer may displace a
-	// segment from its preferred track (default 12 tracks = 18 µm).
-	// Larger displacements would distort wirelength badly; under
-	// congestion the router instead stacks on the preferred track,
-	// standing in for the extra layers a real router has.
-	MaxTrackSearch int
-	// MinCouplingOverlap drops coupling caps from overlaps shorter than
-	// this (default 2 µm), mirroring extraction thresholds in real
-	// flows.
-	MinCouplingOverlap float64
+	// maxTrackSearch overrides the legalizer's search bound (in-package
+	// tests only; 0 selects the maxTrackSearch constant).
+	maxTrackSearch int
 }
 
+// Placement and routing geometry. All lengths are in meters.
+const (
+	// rowHeight is the placement row pitch.
+	rowHeight = 12e-6
+	// baseCellWidth and widthPerPin size cells.
+	baseCellWidth = 4e-6
+	widthPerPin   = 1e-6
+	// trackPitch is the routing track pitch on both layers: minimum
+	// pitch, where the sidewall coupling constant of the process applies.
+	trackPitch = 1.5e-6
+	// maxTrackSearch bounds how far the legalizer may displace a segment
+	// from its preferred track (12 tracks = 18 µm). Larger displacements
+	// would distort wirelength badly; under congestion the router
+	// instead stacks on the preferred track, standing in for the extra
+	// layers a real router has.
+	maxTrackSearch = 12
+	// minCouplingOverlap drops coupling caps from overlaps shorter than
+	// this, mirroring extraction thresholds in real flows.
+	minCouplingOverlap = 2e-6
+)
+
 func (o Options) withDefaults() Options {
-	if o.RowHeight == 0 {
-		o.RowHeight = 12e-6
-	}
-	if o.BaseCellWidth == 0 {
-		o.BaseCellWidth = 4e-6
-	}
-	if o.WidthPerPin == 0 {
-		o.WidthPerPin = 1e-6
-	}
-	if o.TrackPitch == 0 {
-		o.TrackPitch = 1.5e-6
-	}
-	if o.MaxTrackSearch == 0 {
-		o.MaxTrackSearch = 12
-	}
-	if o.MinCouplingOverlap == 0 {
-		o.MinCouplingOverlap = 2e-6
+	if o.maxTrackSearch == 0 {
+		o.maxTrackSearch = maxTrackSearch
 	}
 	return o
 }
@@ -281,16 +271,16 @@ func (l *Layout) place() {
 	l.pinPos = make([]Point, l.pinOff[len(c.Cells)])
 
 	cellW := func(cell *netlist.Cell) float64 {
-		return l.Opts.BaseCellWidth + float64(len(cell.In))*l.Opts.WidthPerPin
+		return baseCellWidth + float64(len(cell.In))*widthPerPin
 	}
 	// Row width targets a square die: total width / sqrt(n rows).
 	totalW := 0.0
 	for _, cid := range order {
 		totalW += cellW(c.Cell(cid))
 	}
-	rowW := math.Sqrt(totalW * l.Opts.RowHeight)
-	if rowW < 4*l.Opts.BaseCellWidth {
-		rowW = 4 * l.Opts.BaseCellWidth
+	rowW := math.Sqrt(totalW * rowHeight)
+	if rowW < 4*baseCellWidth {
+		rowW = 4 * baseCellWidth
 	}
 
 	x, row := 0.0, 0
@@ -309,7 +299,7 @@ func (l *Layout) place() {
 		if dir < 0 {
 			px = rowW - x - w
 		}
-		py := float64(row) * l.Opts.RowHeight
+		py := float64(row) * rowHeight
 		l.CellPos[cid] = Point{px, py}
 		for pin := range cell.In {
 			frac := float64(pin+1) / float64(len(cell.In)+2)
@@ -322,7 +312,7 @@ func (l *Layout) place() {
 		}
 	}
 	l.DieW = maxX
-	l.DieH = float64(row+1) * l.Opts.RowHeight
+	l.DieH = float64(row+1) * rowHeight
 
 	// Primary I/O pins on the die boundary, spread deterministically.
 	for i, pi := range c.PIs {
@@ -398,7 +388,7 @@ func (l *Layout) route() error {
 	c := l.Circuit
 	hOcc := newTrackOcc()
 	vOcc := newTrackOcc()
-	pitch := l.Opts.TrackPitch
+	pitch := trackPitch
 
 	// Counting sweep: a routed net's tree has exactly 2·taps nodes
 	// (root, driver-branch node, taps-1 trunk nodes, taps-1 sink-branch
@@ -501,7 +491,7 @@ func (l *Layout) route() error {
 		if xhi-xlo < pitch {
 			xhi = xlo + pitch // degenerate trunk still occupies a stub
 		}
-		track, ok := hOcc.placeSeg(n.ID, wantTrack, xlo, xhi, l.Opts.MaxTrackSearch)
+		track, ok := hOcc.placeSeg(n.ID, wantTrack, xlo, xhi, l.Opts.maxTrackSearch)
 		if !ok {
 			// Congestion fallback: stack on the preferred track anyway.
 			// A real router would use additional layers; geometrically
@@ -521,7 +511,7 @@ func (l *Layout) route() error {
 				return 0 // pin sits on the trunk
 			}
 			wantV := int(math.Round(p.X / pitch))
-			vt, ok := vOcc.placeSeg(n.ID, wantV, lo, hi, l.Opts.MaxTrackSearch)
+			vt, ok := vOcc.placeSeg(n.ID, wantV, lo, hi, l.Opts.maxTrackSearch)
 			if !ok {
 				// Branch congestion: fall back to stacking on the
 				// preferred track anyway (real routers use more layers).
@@ -726,8 +716,8 @@ func (l *Layout) Extract(proc device.Process, pinCap func(netlist.PinRef) float6
 	}
 	// Coupling caps from adjacency on both layers.
 	overlaps := make(map[couplingKey]float64)
-	adjacentOverlaps(l.hsegs, l.Opts.MinCouplingOverlap, overlaps)
-	adjacentOverlaps(l.vsegs, l.Opts.MinCouplingOverlap, overlaps)
+	adjacentOverlaps(l.hsegs, minCouplingOverlap, overlaps)
+	adjacentOverlaps(l.vsegs, minCouplingOverlap, overlaps)
 	// Deterministic pair order for every accumulation below.
 	pairs := make([]couplingKey, 0, len(overlaps))
 	for k := range overlaps {

@@ -55,8 +55,8 @@ func TestNoCellOverlapsInRow(t *testing.T) {
 	rows := make(map[int][]span)
 	for cid, p := range l.CellPos {
 		cell := c.Cell(netlist.CellID(cid))
-		w := l.Opts.BaseCellWidth + float64(len(cell.In))*l.Opts.WidthPerPin
-		row := int(math.Round(p.Y / l.Opts.RowHeight))
+		w := baseCellWidth + float64(len(cell.In))*widthPerPin
+		row := int(math.Round(p.Y / rowHeight))
 		rows[row] = append(rows[row], span{p.X, p.X + w})
 	}
 	for row, spans := range rows {
@@ -200,7 +200,7 @@ func TestSameTrackOverlapsOnlyFromFallback(t *testing.T) {
 	if err := netlist.Lower(c); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Build(c, Options{MaxTrackSearch: 4096})
+	l, err := Build(c, Options{maxTrackSearch: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ func TestLabeledVecs(t *testing.T) {
 	// Nil-registry and nil-vec paths stay safe.
 	var nilReg *Registry
 	nilReg.CounterVec("x", "k").With("v").Inc()
-	nilReg.GaugeVec("y", "k").With("v").Set(2)
 	nilReg.HistogramVec("z", nil, "k").With("v").Observe(1)
 	var nilVec *CounterVec
 	nilVec.With("v").Inc()

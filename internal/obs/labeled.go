@@ -66,43 +66,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return c
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	keys []string
-	mu   sync.RWMutex
-	m    map[string]*Gauge
-	vals map[string][]string
-}
-
-// With returns the child gauge for the given label values, creating it
-// on first use. Nil-receiver safe.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return &Gauge{}
-	}
-	values = normalize(v.keys, values)
-	k := labelKey(values)
-	v.mu.RLock()
-	g := v.m[k]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g := v.m[k]; g != nil {
-		return g
-	}
-	if v.m == nil {
-		v.m = make(map[string]*Gauge)
-		v.vals = make(map[string][]string)
-	}
-	g = &Gauge{}
-	v.m[k] = g
-	v.vals[k] = append([]string(nil), values...)
-	return g
-}
-
 // HistogramVec is a family of histograms keyed by label values, all
 // sharing one bucket grid.
 type HistogramVec struct {
@@ -158,26 +121,6 @@ func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	if !ok {
 		v = &CounterVec{keys: append([]string(nil), keys...)}
 		r.cvecs[name] = v
-	}
-	return v
-}
-
-// GaugeVec returns the gauge family registered under name, creating it
-// with the given label keys on first use. On a nil registry it returns
-// an unregistered family.
-func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
-	if r == nil {
-		return &GaugeVec{keys: keys}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gvecs == nil {
-		r.gvecs = make(map[string]*GaugeVec)
-	}
-	v, ok := r.gvecs[name]
-	if !ok {
-		v = &GaugeVec{keys: append([]string(nil), keys...)}
-		r.gvecs[name] = v
 	}
 	return v
 }
@@ -258,16 +201,6 @@ func (r *Registry) Gather() []Family {
 		for k, c := range v.m {
 			f.Series = append(f.Series, Series{
 				Labels: append([]string(nil), v.vals[k]...), Value: float64(c.Value())})
-		}
-		v.mu.RUnlock()
-		fams = append(fams, f)
-	}
-	for name, v := range r.gvecs {
-		f := Family{Name: name, Kind: "gauge", Keys: append([]string(nil), v.keys...)}
-		v.mu.RLock()
-		for k, g := range v.m {
-			f.Series = append(f.Series, Series{
-				Labels: append([]string(nil), v.vals[k]...), Value: g.Value()})
 		}
 		v.mu.RUnlock()
 		fams = append(fams, f)

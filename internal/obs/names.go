@@ -141,7 +141,8 @@ const (
 )
 
 // MetricDef describes one canonical metric: its name, instrument kind,
-// and label keys (nil for unlabeled instruments). AllMetrics is the
+// and label keys (nil for unlabeled instruments; gauges are never
+// labeled — the registry has no labeled gauge family). AllMetrics is the
 // single source of truth the name-drift test checks registries against,
 // and RegisterAll uses it to pre-register the full vocabulary so a
 // /metrics scrape covers every family even before it records a sample.
@@ -217,11 +218,7 @@ func RegisterAll(r *Registry) {
 				r.Counter(def.Name)
 			}
 		case "gauge":
-			if len(def.Labels) > 0 {
-				r.GaugeVec(def.Name, def.Labels...)
-			} else {
-				r.Gauge(def.Name)
-			}
+			r.Gauge(def.Name)
 		case "histogram":
 			bounds := []float64(nil)
 			if durationMetric(def.Name) {

@@ -120,7 +120,6 @@ type Registry struct {
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 	cvecs  map[string]*CounterVec
-	gvecs  map[string]*GaugeVec
 	hvecs  map[string]*HistogramVec
 }
 
@@ -306,9 +305,6 @@ func (r *Registry) Names() []string {
 		out = append(out, name)
 	}
 	for name := range r.cvecs {
-		out = append(out, name)
-	}
-	for name := range r.gvecs {
 		out = append(out, name)
 	}
 	for name := range r.hvecs {

@@ -1,13 +1,16 @@
 package xtalksta_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"xtalksta"
@@ -60,7 +63,8 @@ var parityCircuits = []struct {
 }
 
 // computeParityBits runs the full matrix and returns
-// "preset/config" → IEEE-754 bits of the longest-path delay.
+// "preset/config" → IEEE-754 bits of the longest-path delay, plus
+// "preset/config/state" → stateDigest of the same result.
 func computeParityBits(t *testing.T) map[string]uint64 {
 	t.Helper()
 	out := make(map[string]uint64)
@@ -74,7 +78,7 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pc.preset, cfg.name, err)
 			}
-			delay := res.LongestPath
+			final := res
 			if cfg.eco {
 				pairs := d.CoupledPairs(3)
 				if len(pairs) == 0 {
@@ -84,23 +88,50 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 				if len(pairs) > 2 {
 					edits = append(edits, xtalksta.ScaleCoupling(pairs[2].A, pairs[2].B, 0.5))
 				}
-				seeded, err := d.Reanalyze(res, edits)
+				final, err = d.Reanalyze(res, edits)
 				if err != nil {
 					t.Fatalf("%s/%s reanalyze: %v", pc.preset, cfg.name, err)
 				}
-				delay = seeded.LongestPath
 			}
-			out[fmt.Sprintf("%s/%s", pc.preset, cfg.name)] = math.Float64bits(delay)
+			key := fmt.Sprintf("%s/%s", pc.preset, cfg.name)
+			out[key] = math.Float64bits(final.LongestPath)
+			out[key+"/state"] = stateDigest(t, key, final)
 		}
 	}
 	return out
 }
 
+// stateDigest is the FNV-1a 64-bit hash of the Float64bits of every
+// net's final arrival, slew and quiescent time (rise then fall, net
+// order). It pins the whole final state, not only the longest path: a
+// changed carry-over rule (Esperance skips, delta refinement, ECO
+// seeding) can move off-path arrivals while the longest path stays
+// bit-equal.
+func stateDigest(t *testing.T, key string, res *xtalksta.AnalysisResult) uint64 {
+	t.Helper()
+	if res.Replay == nil {
+		t.Fatalf("%s: result carries no replay state", key)
+	}
+	arr, slew, quiet := res.Replay.FinalArrivals(), res.Replay.FinalSlews(), res.Replay.FinalQuiets()
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := range arr {
+		for _, field := range [][2]float64{arr[i], slew[i], quiet[i]} {
+			for _, v := range field {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
 // TestRefactorParity locks the longest-path delay of every analysis
 // mode, sequential and parallel sweeps, tier-0 on/off, esperance/windows and
 // ECO-seeded re-analysis to the bit patterns recorded before the
-// SoA/CSR memory-layout refactor (testdata/parity_bits.json). Any
-// drift means the refactor changed numerics, not just layout.
+// SoA/CSR memory-layout refactor (testdata/parity_bits.json), and the
+// whole final net state of each to its digest. Any drift means a
+// refactor changed numerics, not just layout.
 func TestRefactorParity(t *testing.T) {
 	path := filepath.Join("testdata", "parity_bits.json")
 	got := computeParityBits(t)
@@ -136,6 +167,10 @@ func TestRefactorParity(t *testing.T) {
 		}
 		gotHex := fmt.Sprintf("%016x", bits)
 		if gotHex != wantHex {
+			if strings.HasSuffix(k, "/state") {
+				t.Errorf("%s: final-state digest %s, fixture %s", k, gotHex, wantHex)
+				continue
+			}
 			t.Errorf("%s: longest path bits %s, fixture %s (Float64 %v vs %v)",
 				k, gotHex, wantHex, math.Float64frombits(bits), mustParseBits(t, wantHex))
 		}
@@ -175,7 +210,8 @@ func TestTier0PresetParity(t *testing.T) {
 }
 
 // loadParityFixture reads testdata/parity_bits.json: "preset/config" →
-// hex IEEE-754 bits of the longest-path delay.
+// hex IEEE-754 bits of the longest-path delay, "preset/config/state" →
+// hex stateDigest.
 func loadParityFixture(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "parity_bits.json"))
