@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check eco-check bench bench-100k clean
 
 all: check
 
@@ -9,7 +9,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check eco-check bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -65,6 +65,15 @@ metrics-lint:
 # a signature change breaks the build gate, not the next benchmark run.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The CLI's ECO replay path (-eco) end to end: seven edit batches, one
+# per edit kind, re-analyzed incrementally and each bit-compared against
+# a from-scratch run (-eco-verify: longest path, pass count and every
+# net's final state). The first batch edits a primary input coupled to
+# clock nets, which moves flip-flop launches mid-pass. ~1 s per mode.
+eco-check:
+	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode onestep -eco testdata/eco_clock_victim.json -eco-verify >/dev/null
+	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode iterative -eco testdata/eco_clock_victim.json -eco-verify >/dev/null
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

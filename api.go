@@ -952,12 +952,12 @@ func (d *Design) applyEdits(edits []Edit, reg *obs.Registry, tr *obs.Tracer) ([]
 
 // Reanalyze applies the edit batch (may be empty if edits were already
 // applied via Edit) and re-runs the analysis that produced prev,
-// re-evaluating only the lines reachable from the edits — the
-// structural fan-out cones of the edited nodes plus every victim
-// coupled to a dirty aggressor under the same quiescent-time test the
-// full analysis uses. All other lines are seeded from prev's stored
-// state. The returned result is bit-identical to a from-scratch
-// Analyze of the edited design.
+// re-evaluating the edited nets and then only the lines whose inputs
+// diverge from prev's stored passes — the fanout of a line whose timing
+// moved, plus every victim coupled to such an aggressor under the same
+// quiescent-time test the full analysis uses. All other lines are
+// seeded from prev's stored state. The returned result is
+// bit-identical to a from-scratch Analyze of the edited design.
 //
 // prev must come from Analyze (or a previous Reanalyze) on this
 // design; results from AnalyzeLUT or AnalyzeCorners carry no replay
@@ -1008,7 +1008,6 @@ func (d *Design) Reanalyze(prev *AnalysisResult, edits []Edit) (*AnalysisResult,
 	if err != nil {
 		return nil, err
 	}
-	eng.SeedBCS(rs, seed)
 	res, err := eng.RunSeeded(rs, seed)
 	if err != nil {
 		return nil, err

@@ -377,7 +377,7 @@ func run() error {
 // Design.Reanalyze, printing the dirty/reused line counts, the delay
 // movement, and the wall time per revision. With -eco-verify every
 // incremental result is additionally bit-compared against a
-// from-scratch analysis of the edited design.
+// from-scratch analysis of the edited design (compareECO).
 func runECO(d *xtalksta.Design, aopts xtalksta.AnalysisOptions, path string, random int, seed int64, perBatch int, verify bool) error {
 	var batches [][]xtalksta.Edit
 	if path != "" {
@@ -442,16 +442,51 @@ func runECO(d *xtalksta.Design, aopts xtalksta.AnalysisOptions, path string, ran
 			if err != nil {
 				return err
 			}
-			if math.Float64bits(full.LongestPath) != math.Float64bits(next.LongestPath) {
-				return fmt.Errorf("batch %d: incremental longest path %.9g ns != from-scratch %.9g ns",
-					i+1, next.LongestPath*1e9, full.LongestPath*1e9)
+			if err := compareECO(d.Circuit, full, next); err != nil {
+				return fmt.Errorf("batch %d: %w", i+1, err)
 			}
-			fmt.Printf("  verified: bit-identical to from-scratch run\n")
+			fmt.Printf("  verified: longest path, passes and every net's final state bit-identical to a from-scratch run\n")
 		}
 		res = next
 	}
 	fmt.Printf("final: longest %.4f ns at revision %d (cache: %d entries)\n",
 		res.LongestPath*1e9, d.Revision(), d.Calc.CacheEntries())
+	return nil
+}
+
+// compareECO checks an incremental result against a from-scratch run of
+// the same revision, bit for bit: the longest path, the pass count and
+// every net's final arrival, slew and quiescent time. The error names
+// the first net and direction that differ.
+func compareECO(c *netlist.Circuit, full, inc *xtalksta.AnalysisResult) error {
+	if math.Float64bits(full.LongestPath) != math.Float64bits(inc.LongestPath) {
+		return fmt.Errorf("incremental longest path %.9g ns != from-scratch %.9g ns",
+			inc.LongestPath*1e9, full.LongestPath*1e9)
+	}
+	if full.Passes != inc.Passes {
+		return fmt.Errorf("incremental run took %d passes, from-scratch %d", inc.Passes, full.Passes)
+	}
+	if full.Replay == nil || inc.Replay == nil || full.Replay.Nets() != len(c.Nets) || inc.Replay.Nets() != len(c.Nets) {
+		return fmt.Errorf("no replay state of this design to compare")
+	}
+	fields := []struct {
+		name      string
+		want, got [][2]float64
+	}{
+		{"arrival", full.Replay.FinalArrivals(), inc.Replay.FinalArrivals()},
+		{"slew", full.Replay.FinalSlews(), inc.Replay.FinalSlews()},
+		{"quiet time", full.Replay.FinalQuiets(), inc.Replay.FinalQuiets()},
+	}
+	for i := range c.Nets {
+		for d, dir := range []string{"rise", "fall"} {
+			for _, f := range fields {
+				if math.Float64bits(f.want[i][d]) != math.Float64bits(f.got[i][d]) {
+					return fmt.Errorf("net %s %s %s: incremental %.9g ns != from-scratch %.9g ns",
+						c.Nets[i].Name, dir, f.name, f.got[i][d]*1e9, f.want[i][d]*1e9)
+				}
+			}
+		}
+	}
 	return nil
 }
 

@@ -84,3 +84,47 @@ func TestWriteTableJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareECO: -eco-verify must catch an incremental result whose
+// longest path and pass count match the from-scratch run but whose
+// per-net state does not, and name the first differing net and
+// direction.
+func TestCompareECO(t *testing.T) {
+	d, _, err := buildDesign("", "", "s35932", 0.02, 0, 0, 12, 1, xtalksta.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := xtalksta.AnalysisOptions{Mode: xtalksta.Iterative}
+	full, err := d.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compareECO(d.Circuit, full, full); err != nil {
+		t.Fatalf("a result differs from itself: %v", err)
+	}
+	// Double the slew of the circuit's first net, a primary input.
+	c := d.Circuit
+	if c.PIs[0] != 1 {
+		t.Fatalf("first primary input is net %d, want 1", c.PIs[0])
+	}
+	pi := c.Net(1).Name
+	if err := d.Edit(xtalksta.SetInputSlew(pi, 2*full.Replay.FinalSlews()[0][0])); err != nil {
+		t.Fatal(err)
+	}
+	edited, err := d.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same longest path and pass count, different per-net state.
+	stale := *edited
+	stale.LongestPath, stale.Passes = full.LongestPath, full.Passes
+	err = compareECO(c, full, &stale)
+	if want := "net " + pi + " rise slew:"; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("state difference reported as %v, want %q...", err, want)
+	}
+	stale = *full
+	stale.Passes++
+	if err := compareECO(c, full, &stale); err == nil || !strings.Contains(err.Error(), "passes") {
+		t.Errorf("pass-count difference reported as %v", err)
+	}
+}

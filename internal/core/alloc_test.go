@@ -28,13 +28,14 @@ func TestCompileAllocsBounded(t *testing.T) {
 }
 
 // TestAnalyzeAllocsBounded locks in the steady-state allocation count
-// of one full analysis on a warm session: netState slabs, seen bitsets
-// and ECO scratch come from session pools, and the characterization
-// cache absorbs the transient solves, so a repeat analysis allocates
-// about one allocation per net (result assembly, frontier growth),
-// not the tens-of-allocations-per-arc of the cold run. Tier-0 adds its
-// per-analysis memo, one slot slice per cell; the bracket memo lives in
-// those slots, so it adds no allocation per net.
+// of one full analysis on a warm session: each pass allocates one
+// netState slab (the replay keeps it), dirty sets come from a session
+// pool, and the characterization cache absorbs the transient solves,
+// so a repeat analysis allocates about one allocation per net (result
+// assembly, frontier growth), not the tens-of-allocations-per-arc of
+// the cold run. Tier-0 adds its per-analysis memo, one slot slice per
+// cell; the bracket memo lives in those slots, so it adds no
+// allocation per net.
 func TestAnalyzeAllocsBounded(t *testing.T) {
 	c, calc := buildExtracted(t, 800, 64, 8, 405)
 	nets := len(c.Nets)

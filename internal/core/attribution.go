@@ -135,36 +135,12 @@ func (e *Engine) buildAttribution(st []netState) (*Attribution, error) {
 func (e *Engine) attributePath(st []netState, epIdx, dir int) (*AttributedPath, error) {
 	ep := e.endpoints[epIdx]
 	p := &AttributedPath{
+		Endpoint:      e.endpointName(ep),
 		Dir:           dirOf(dir),
 		EndpointExtra: ep.extra,
 		Total:         st[ep.net-1].arrival[dir] + ep.extra,
 	}
-	p.Endpoint = Endpoint{Net: e.C.Net(ep.net).Name}
-	if ep.cell != netlist.NoCell {
-		p.Endpoint.Kind = "DFF/D"
-		p.Endpoint.Cell = e.C.Cell(ep.cell).Name
-	} else {
-		p.Endpoint.Kind = "PO"
-	}
-
-	// Predecessor walk, endpoint → launch (same bound as finish).
-	type hop struct {
-		net netlist.NetID
-		dir int
-	}
-	var chain []hop
-	net, d := ep.net, dir
-	for steps := 0; steps < len(e.C.Nets)+2; steps++ {
-		chain = append(chain, hop{net, d})
-		pr := st[net-1].pred[d]
-		if !pr.valid {
-			break
-		}
-		net, d = pr.fromNet, pr.fromDir
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	chain := e.predWalk(st, ep.net, dir)
 
 	// Launch step.
 	launch := st[chain[0].net-1].arrival[chain[0].dir]

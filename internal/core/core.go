@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -118,9 +119,10 @@ type Options struct {
 	// cannot bound arcs.
 	Tier0 bool
 	// DisableReplay turns off the per-pass state capture that feeds
-	// Result.Replay (the seed for RunSeeded). Analyses that never feed
-	// an incremental re-run — optimizer inner loops, corner sweeps —
-	// should disable it to avoid the per-pass state copies.
+	// Result.Replay (the seed for RunSeeded): the replay keeps every
+	// pass's net-state slice and a copy of the best-case arc cache alive
+	// with the Result. Analyses that never feed an incremental re-run —
+	// optimizer inner loops, corner sweeps — should disable it.
 	DisableReplay bool
 	// Corner labels the process corner the session analyzes under
 	// ("TT" when empty). Purely observational: it tags the labeled
@@ -321,21 +323,10 @@ type Engine struct {
 	// that the analysis in flight discarded a tainted tiered run.
 	t0         *tier0Run
 	tier0Rerun bool
-	// statePool recycles per-pass []netState allocations across passes
-	// and runs (driver goroutine only; the final pass state handed to
-	// finish/Report is never pooled, and ReplayState copies are
-	// independent).
-	statePool [][]netState
-	// Session scratch arenas (driver goroutine only), recycled across
-	// passes and runs so steady-state analysis allocates no per-pass
-	// O(nets) scratch: seenBits deduplicates coupled-victim walks
-	// (callers must clear the bits they set), coneBuf/coneQueue back
-	// structuralCone, dirtyPool recycles the sweeps' dirty sets.
-	seenBits  []bool
-	coneBuf   []bool
-	coneQueue []netlist.NetID
+	// dirtyPool recycles the sweeps' dirty sets across passes and runs
+	// (driver goroutine only).
 	dirtyPool []*dirtySet
-	// Replay capture (eco.go): per-pass state copies and the raw
+	// Replay capture (eco.go): the per-pass state slices and the raw
 	// min-pass outputs, reset per analysis, harvested by takeReplay.
 	replayPasses             [][]netState
 	replayEarly, replaySlews [][2]float64
@@ -399,10 +390,9 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 				seedNets++
 			}
 		}
-		seed = e.structuralCone(seed, res.ECO)
 		if (e.opts.Mode == Iterative && e.opts.Esperance) || !e.seedableTopology() {
 			// Esperance's critical mask is a function of the global longest
-			// path, not of local dirty cones — a seeded run cannot reproduce
+			// path, not of local divergence — a seeded run cannot reproduce
 			// which nets the full run would have skipped. Fall back.
 			res.ECO.FullFallback = true
 			e.m.ecoFallbacks.Inc()
@@ -469,15 +459,11 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 	if err := e.setupTier0(); err != nil {
 		return nil, 0, err
 	}
-	var ecoStart ECOStats
-	if eco != nil {
-		ecoStart = *eco
-	}
 	st, passes, err := e.runPasses(prev, seed, eco)
-	if err == nil && e.discardTainted(st) {
+	if err == nil && e.discardTainted() {
 		if eco != nil {
-			// Restore the ECO accounting the tainted run accumulated.
-			*eco = ecoStart
+			// Drop the ECO accounting the tainted run accumulated.
+			*eco = ECOStats{}
 		}
 		st, passes, err = e.runPasses(prev, seed, eco)
 	}
@@ -564,40 +550,6 @@ func (e *Engine) emitAnalysisEvent(name string, res *Result, extra map[string]an
 	e.opts.Events.Emit(name, fields)
 }
 
-// getState hands out a per-pass net-state slice, recycling slices
-// returned through putState. Callers must fully initialize every slot
-// (freshNetState or a carry-over assignment): pooled slices hold stale
-// state from an earlier pass. Driver goroutine only.
-func (e *Engine) getState() []netState {
-	if n := len(e.statePool); n > 0 {
-		st := e.statePool[n-1]
-		e.statePool[n-1] = nil
-		e.statePool = e.statePool[:n-1]
-		e.m.statePoolReuses.Inc()
-		return st
-	}
-	return make([]netState, len(e.C.Nets))
-}
-
-// putState returns a pass state to the pool once nothing reads it
-// anymore. Never pool slices owned by a ReplayState or the final pass
-// state a Result was built from.
-func (e *Engine) putState(st []netState) {
-	if st != nil && len(st) == len(e.C.Nets) {
-		e.statePool = append(e.statePool, st)
-	}
-}
-
-// getSeenBits returns the session's dense dedup bitset (by NetID−1).
-// Contract: the caller clears every bit it set before the next use —
-// clearing is O(bits set), not O(nets).
-func (e *Engine) getSeenBits() []bool {
-	if e.seenBits == nil {
-		e.seenBits = make([]bool, len(e.C.Nets))
-	}
-	return e.seenBits
-}
-
 // newFullPass hands out a reset dirty set from the session pool: with
 // nothing to carry (orig nil), a sweep over it recomputes every line.
 // The dirty/changed arrays are cleared here, so the set's other
@@ -667,51 +619,76 @@ func (e *Engine) finish(res *Result, st []netState) {
 		return
 	}
 	ep := e.endpoints[epIdx]
-	epNet := e.C.Net(ep.net)
-	res.Endpoint = Endpoint{Net: epNet.Name}
-	if ep.cell != netlist.NoCell {
-		res.Endpoint.Kind = "DFF/D"
-		res.Endpoint.Cell = e.C.Cell(ep.cell).Name
-	} else {
-		res.Endpoint.Kind = "PO"
-	}
+	res.Endpoint = e.endpointName(ep)
 	// Pick the worse direction at the endpoint.
 	s := &st[ep.net-1]
 	d := dirRise
 	if s.arrival[dirFall] > s.arrival[dirRise] {
 		d = dirFall
 	}
-	// Walk predecessors.
+	chain := e.predWalk(st, ep.net, d)
+	res.Path = e.pathSteps(st, chain)
+	// Wire delays consumed entering each cell, endpoint first (the lowest
+	// pin fed by the predecessor net, matching the fanout append order).
 	res.WireDelayOnLongestPath = ep.extra
-	net, dir := ep.net, d
-	for steps := 0; steps < len(e.C.Nets)+2; steps++ {
-		s := &st[net-1]
-		cellName := ""
-		if p := s.pred[dir]; p.valid {
-			cellName = e.C.Cell(p.cell).Name
-		}
-		res.Path = append(res.Path, PathStep{
-			Net: e.C.Net(net).Name, Dir: dirOf(dir), Arrival: s.arrival[dir], Cell: cellName,
-		})
-		p := s.pred[dir]
+	for i := len(chain) - 1; i >= 0; i-- {
+		p := st[chain[i].net-1].pred[chain[i].dir]
 		if !p.valid {
-			break
+			continue
 		}
-		// Wire delay consumed entering this cell (lowest pin fed by the
-		// predecessor net, matching the fanout append order).
-		pcell := e.C.Cell(p.cell)
-		for pin, in := range pcell.In {
+		for pin, in := range e.C.Cell(p.cell).In {
 			if in == p.fromNet {
 				res.WireDelayOnLongestPath += e.sink.At(p.cell, pin)
 				break
 			}
 		}
+	}
+}
+
+// endpointName names an endpoint: its net, and either "DFF/D" with the
+// capturing flip-flop or "PO".
+func (e *Engine) endpointName(ep endpointRef) Endpoint {
+	n := Endpoint{Net: e.C.Net(ep.net).Name, Kind: "PO"}
+	if ep.cell != netlist.NoCell {
+		n.Kind = "DFF/D"
+		n.Cell = e.C.Cell(ep.cell).Name
+	}
+	return n
+}
+
+// pathHop is one (net, direction) of a predecessor walk.
+type pathHop struct {
+	net netlist.NetID
+	dir int
+}
+
+// predWalk follows the worst-arc predecessors from (net, dir) back to
+// its launch point and returns the hops in launch → capture order.
+func (e *Engine) predWalk(st []netState, net netlist.NetID, dir int) []pathHop {
+	var chain []pathHop
+	for steps := 0; steps < len(e.C.Nets)+2; steps++ {
+		chain = append(chain, pathHop{net, dir})
+		p := st[net-1].pred[dir]
+		if !p.valid {
+			break
+		}
 		net, dir = p.fromNet, p.fromDir
 	}
-	// Reverse to launch→capture order.
-	for i, j := 0, len(res.Path)-1; i < j; i, j = i+1, j-1 {
-		res.Path[i], res.Path[j] = res.Path[j], res.Path[i]
+	slices.Reverse(chain)
+	return chain
+}
+
+// pathSteps renders a predecessor walk as the reported path.
+func (e *Engine) pathSteps(st []netState, chain []pathHop) []PathStep {
+	path := make([]PathStep, len(chain))
+	for i, h := range chain {
+		s := &st[h.net-1]
+		path[i] = PathStep{Net: e.C.Net(h.net).Name, Dir: dirOf(h.dir), Arrival: s.arrival[h.dir]}
+		if p := s.pred[h.dir]; p.valid {
+			path[i].Cell = e.C.Cell(p.cell).Name
+		}
 	}
+	return path
 }
 
 // criticalNets flags nets whose esperance reaches within the margin of

@@ -12,12 +12,13 @@ import (
 //
 // A full analysis stores its per-pass net states (ReplayState); a
 // seeded re-run then recomputes only the dirty set — the nets whose
-// electrical parameters an edit batch changed (the seeds), grown by
+// electrical parameters an edit batch changed (the seeds), grown only
+// by divergence: a recomputed net whose state differs from the stored
+// pass dirties the lines that read it,
 //
-//   - the structural fan-out cone: a recomputed net whose state
-//     diverged from the stored pass dirties the cells it feeds (and,
-//     through launch seeding, the flip-flops it clocks), and
-//   - coupled victims: in the first (one-step) pass a victim reads the
+//   - structurally: the cells it feeds and, through launch seeding, the
+//     flip-flops it clocks, in the same pass;
+//   - by coupling: in the first (one-step) pass a victim reads the
 //     current-pass quiescent times of lower-rank neighbors, so a
 //     diverged aggressor dirties every higher-rank victim; in
 //     refinement passes every neighbor's previous-pass quiescent time
@@ -36,7 +37,8 @@ type ReplayState struct {
 	mode Mode
 	opts Options
 	nets int
-	// passes holds a deep copy of the net states after each BFS sweep.
+	// passes holds the net-state slice each BFS sweep produced; nothing
+	// writes a pass's slice after its sweep ends.
 	passes [][]netState
 	// early/slews are the raw (pre-conversion) min-pass outputs when
 	// Options.Windows was active.
@@ -125,8 +127,9 @@ type ECOStats struct {
 	// DirtyLines counts driven lines re-evaluated across all passes;
 	// ReusedLines counts the lines seeded from the stored passes.
 	DirtyLines, ReusedLines int64
-	// ConeExpansions counts dirty-set growth beyond the initial seeds
-	// (fan-out cones, clocked flip-flops and coupling victims).
+	// ConeExpansions counts dirty-set growth beyond the initial seeds:
+	// the fanout, clocked flip-flops and coupling victims of lines
+	// whose state diverged.
 	ConeExpansions int64
 	// MinPassDirty counts lines re-evaluated by the seeded min-pass
 	// (Windows runs only).
@@ -137,23 +140,16 @@ type ECOStats struct {
 	FullFallback bool
 }
 
-// SeedBCS warms the cross-pass best-case arc cache from a previous
-// revision's replay. exclude masks nets whose electrical parameters
-// changed; their cached results would be stale. Safe on any engine: the
-// cache is keyed on the exact input slew, so a stale-slew entry is
-// never consulted, and excluded nets simply recompute.
-func (e *Engine) SeedBCS(prev *ReplayState, exclude []bool) {
-	if prev == nil || len(prev.bcs) != len(e.bcs) {
-		return
-	}
-	for i := range e.bcs {
-		if exclude != nil && i < len(exclude) && exclude[i] {
-			continue
+// seedBCS warms the cross-pass best-case arc cache from a previous
+// revision's replay, skipping the seeded nets: their electrical
+// parameters changed, so their cached results would be stale. The cache
+// is keyed on the exact input slew, so a stale-slew entry is never
+// consulted.
+func (e *Engine) seedBCS(prev *ReplayState, seed []bool) {
+	for i, row := range prev.bcs {
+		if !seed[i] && len(row) == len(e.bcs[i]) {
+			copy(e.bcs[i], row)
 		}
-		if e.bcs[i] == nil || len(prev.bcs[i]) != len(e.bcs[i]) {
-			continue
-		}
-		copy(e.bcs[i], prev.bcs[i])
 	}
 }
 
@@ -186,8 +182,9 @@ func (e *Engine) seedableTopology() bool {
 // revision's ReplayState. seed flags (by NetID−1) the nets whose
 // electrical parameters changed since that revision: edited coupling
 // pairs (both sides), resized cells' output and input nets, and edited
-// primary inputs. The result is bit-identical to Run on the edited
-// circuit; only the work differs (see Result.ECO).
+// primary inputs. The session's best-case arc cache is warmed from
+// prev's on every other net. The result is bit-identical to Run on the
+// edited circuit; only the work differs (see Result.ECO).
 func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: RunSeeded: nil replay state")
@@ -201,45 +198,8 @@ func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 	if len(seed) != len(e.C.Nets) {
 		return nil, fmt.Errorf("core: RunSeeded: seed mask has %d entries, want %d", len(seed), len(e.C.Nets))
 	}
+	e.seedBCS(prev, seed)
 	return e.run(prev, seed)
-}
-
-// structuralCone closes the seed mask over structural fan-out: every
-// line fed (transitively) by a seeded net is dirty up front, matching
-// the dirty-set definition (union of fan-out cones of the edited
-// nodes). Coupling victims are NOT part of the structural cone — they
-// join the dirty set during the passes, when the quiescent-time test
-// shows a dirty aggressor actually influences them (see DESIGN.md §9).
-// Over-seeding is always exact: a dirty line recomputes from the same
-// inputs the full run sees, so an unchanged line reproduces its stored
-// value. Returns a fresh mask; the caller's slice is not mutated.
-func (e *Engine) structuralCone(seed []bool, eco *ECOStats) []bool {
-	if e.coneBuf == nil {
-		e.coneBuf = make([]bool, len(seed))
-	}
-	cone := e.coneBuf
-	copy(cone, seed)
-	queue := e.coneQueue[:0]
-	for i, s := range seed {
-		if s {
-			queue = append(queue, netlist.NetID(i+1))
-		}
-	}
-	mark := func(id netlist.NetID) {
-		if !cone[id-1] {
-			cone[id-1] = true
-			eco.ConeExpansions++
-			queue = append(queue, id)
-		}
-	}
-	for len(queue) > 0 {
-		net := queue[0]
-		queue = queue[1:]
-		e.forFanout(net, mark)
-	}
-	e.m.ecoExpansions.Add(eco.ConeExpansions)
-	e.coneQueue = queue[:0]
-	return cone
 }
 
 // dirtySet is one sweep's recompute set. Lines outside it carry the
@@ -271,8 +231,8 @@ type dirtySet struct {
 	recomputed, carried, launches int64
 }
 
-// newEcoPass builds the recompute set of seeded pass passIdx: the seed
-// cone against the stored pass of the same index (every line once the
+// newEcoPass builds the recompute set of seeded pass passIdx: the edit
+// seeds against the stored pass of the same index (every line once the
 // seeded run outlives the stored trajectory, which remains exact).
 func (e *Engine) newEcoPass(prev *ReplayState, passIdx int, seed []bool) *dirtySet {
 	mode := e.opts.Mode
@@ -361,28 +321,30 @@ func (e *Engine) expand(ds *dirtySet, net netlist.NetID) {
 // the edit seeds: every coupled victim of a net that diverged in the
 // previous pass re-reads its quiescent time through quietPrev (any
 // rank), and with Windows active a diverged net also re-reads its own
-// previous-pass quiet (the victim sensitivity bound) while victims of
-// moved earliest-activity bounds re-run the pruning test.
-func (e *Engine) seedRefinementDirty(ds *dirtySet, prevChanged []bool, earlyVictims []netlist.NetID) {
+// previous-pass quiet (the victim sensitivity bound) while the coupled
+// victims of every net whose earliest-activity bound moved (earlyChanged,
+// the seeded min pass's changed mask) re-run the pruning test.
+func (e *Engine) seedRefinementDirty(ds *dirtySet, prevChanged, earlyChanged []bool) {
 	if ds.orig == nil {
 		return // already fully dirty
 	}
-	for i, ch := range prevChanged {
-		if !ch {
-			continue
-		}
-		id := netlist.NetID(i + 1)
+	markVictims := func(id netlist.NetID) {
 		lo, hi := e.cc.Span(id)
 		for k := lo; k < hi; k++ {
 			ds.mark(e.cc.Nbr[k])
 		}
-		if e.opts.Windows {
-			ds.mark(id)
+	}
+	for i, ch := range prevChanged {
+		if ch {
+			markVictims(netlist.NetID(i + 1))
+			if e.opts.Windows {
+				ds.mark(netlist.NetID(i + 1))
+			}
 		}
 	}
-	if e.opts.Windows {
-		for _, v := range earlyVictims {
-			ds.mark(v)
+	for i, ch := range earlyChanged {
+		if ch {
+			markVictims(netlist.NetID(i + 1))
 		}
 	}
 }

@@ -87,7 +87,6 @@ func runSeeded(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator, opt
 	for _, id := range seeds {
 		mask[id-1] = true
 	}
-	eng.SeedBCS(prev.Replay, mask)
 	res, err := eng.RunSeeded(prev.Replay, mask)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func runSeeded(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator, opt
 
 // TestSeededNoEditIdentity: seeding arbitrary nets WITHOUT changing the
 // design must reproduce the full run bit-for-bit in every mode — the
-// dirty cone is recomputed from identical inputs.
+// seeds recompute from identical inputs.
 func TestSeededNoEditIdentity(t *testing.T) {
 	c, calc := buildExtracted(t, 140, 12, 7, 41)
 	a, b := firstCoupledPair(t, c)

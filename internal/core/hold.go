@@ -77,16 +77,15 @@ func (e *Engine) ReportHold(holdTime float64) (*HoldReport, error) {
 		if math.IsInf(arr, 1) {
 			continue
 		}
+		n := e.endpointName(ep)
 		he := HoldEndpoint{
-			Net:     e.C.Net(ep.net).Name,
+			Net:     n.Net,
+			Kind:    n.Kind,
 			Dir:     dirOf(dir),
 			Arrival: arr + ep.extra,
 		}
 		if ep.cell != netlist.NoCell {
-			he.Kind = "DFF/D"
 			he.Hold = holdTime
-		} else {
-			he.Kind = "PO"
 		}
 		rep.Endpoints = append(rep.Endpoints, he)
 	}

@@ -58,7 +58,7 @@ type engineMetrics struct {
 	passes, recalcWires, esperanceSkips                     *obs.Counter
 	workerCells, seqCells                                   *obs.Counter
 	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks        *obs.Counter
-	schedSteals, convergedSkips, statePoolReuses            *obs.Counter
+	schedSteals, convergedSkips                             *obs.Counter
 	schedReadyDepth                                         *obs.Histogram
 	workers                                                 *obs.Gauge
 
@@ -99,7 +99,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		ecoFallbacks:         r.Counter(obs.MEcoFullFallbacks),
 		schedSteals:          r.Counter(obs.MSchedSteals),
 		convergedSkips:       r.Counter(obs.MPassConvergedSkips),
-		statePoolReuses:      r.Counter(obs.MPassStateReuses),
 		schedReadyDepth:      r.Histogram(obs.MSchedReadyDepth),
 		workers:              r.Gauge(obs.MWorkers),
 		analysisDur:          r.HistogramVec(obs.MAnalysisDuration, obs.DurationBounds, "mode", "corner", "revision"),
@@ -211,7 +210,7 @@ func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOSt
 	}
 	e.passStats = append(e.passStats, stat)
 	if !e.opts.DisableReplay {
-		e.replayPasses = append(e.replayPasses, append([]netState(nil), st...))
+		e.replayPasses = append(e.replayPasses, st)
 	}
 	e.m.passes.Inc()
 	e.m.passDur.With(e.modeLabel(), strconv.Itoa(ph.pass)).Observe(stat.Wall.Seconds())

@@ -31,9 +31,10 @@ import (
 //     rest from the previous pass, and nothing expands (its skip rule
 //     approximates; it is exact relative to itself only without delta
 //     carry-over);
-//   - a seeded pass recomputes the edit's dirty cone against the stored
-//     pass of the same index, with the same pass control, so the stop
-//     rule sees the same merged states and the same trajectory.
+//   - a seeded pass recomputes the edit seeds against the stored pass of
+//     the same index, grown in-pass like a delta pass, with the same pass
+//     control, so the stop rule sees the same merged states and the same
+//     trajectory.
 //
 // Iterative stops when the longest path stops improving (§5.2).
 func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
@@ -43,12 +44,12 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 	}
 	firstMode := mode
 	e.earliestStart = nil
-	var earlyVictims []netlist.NetID
+	var earlyChanged []bool
 	if mode == Iterative {
 		firstMode = OneStep
 		if e.opts.Windows {
 			var err error
-			if earlyVictims, err = e.windowBounds(prev, seed, eco); err != nil {
+			if earlyChanged, err = e.windowBounds(prev, seed, eco); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -72,7 +73,7 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 		switch {
 		case prev != nil:
 			next = e.newEcoPass(prev, passes, seed)
-			e.seedRefinementDirty(next, ds.changed, earlyVictims)
+			e.seedRefinementDirty(next, ds.changed, earlyChanged)
 		case e.opts.Esperance:
 			next = e.newEsperancePass(st, e.criticalNets(st, delay))
 		case passes == 1:
@@ -91,7 +92,6 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 		}
 		passes++
 		newDelay := e.endPass(ph, st2, ds, eco)
-		e.putState(st)
 		st = st2
 		if newDelay >= delay-1e-12 {
 			break
@@ -118,7 +118,7 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 // are taken once, at the pass barrier.
 func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netState, error) {
 	c := e.C
-	st := e.getState()
+	st := make([]netState, len(c.Nets))
 	carry := ds.orig != nil
 	track := carry && !ds.esperance
 	if carry {
@@ -180,7 +180,9 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	// output already holds a later arrival (an Esperance carry-over).
 	// A clean Q of a tracked set keeps the carried state: its launch
 	// reads only the clock arrival, which did not diverge — otherwise
-	// the clock-sink expansion would have dirtied it.
+	// the clock-sink expansion would have dirtied it. A dirty Q of a
+	// tracked set launches afresh: one dirtied mid-pass by its clock
+	// net still holds the carried launch, which may be later.
 	var launches, kept int64
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
@@ -194,6 +196,9 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 		launches++
 		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return st[clk-1].arrival[dirRise] })
 		s := &st[out-1]
+		if track {
+			*s = freshNetState()
+		}
 		for d := 0; d < 2; d++ {
 			if launch > s.arrival[d] {
 				s.arrival[d] = launch

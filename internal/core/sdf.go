@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
 )
 
@@ -34,24 +33,16 @@ func (e *Engine) ExportSDF(w io.Writer, design string) error {
 			cell.Kind, len(cell.In), cell.Name)
 		for pin := range cell.In {
 			for dOut := 0; dOut < 2; dOut++ {
-				req := delaycalc.Request{
-					Kind: cell.Kind, NIn: len(cell.In), Pin: pin, Dir: dirOf(dOut),
-					InSlew: e.opts.PISlew, SizeMult: inf.sizeMult,
+				var delay [2]float64 // best case, worst case
+				for i, mode := range [2]Mode{BestCase, WorstCase} {
+					grounded, cc := modeLoad(mode, inf)
+					res, err := e.Calc.Eval(e.arcRequest(cell, pin, dOut, e.opts.PISlew, grounded, cc, false))
+					if err != nil {
+						return fmt.Errorf("core: SDF export %s pin %d: %w", cell.Name, pin, err)
+					}
+					delay[i] = res.Delay
 				}
-				best := req
-				best.CLoad = inf.baseCap + inf.sumCc
-				bRes, err := e.Calc.Eval(best)
-				if err != nil {
-					return fmt.Errorf("core: SDF export %s pin %d: %w", cell.Name, pin, err)
-				}
-				worst := req
-				worst.CLoad = inf.baseCap
-				worst.CCouple = inf.sumCc
-				wRes, err := e.Calc.Eval(worst)
-				if err != nil {
-					return fmt.Errorf("core: SDF export %s pin %d: %w", cell.Name, pin, err)
-				}
-				lo, hi := bRes.Delay, wRes.Delay
+				lo, hi := delay[0], delay[1]
 				if hi < lo {
 					lo, hi = hi, lo
 				}

@@ -136,50 +136,21 @@ func (e *Engine) setupTier0() error {
 // estimates — no evaluator calls — to build the per-rank arrival
 // frontier the margin gate compares against. It follows the timing
 // sweep's phase order (PI seeding, clock phase, DFF launch, main phase)
-// on the same executor; each cell publishes its estimate into the
-// per-rank maximum, which is order-independent (max is commutative), so
-// the frontier is deterministic under any worker count.
+// on the same executor, then takes each rank's maximum estimate in one
+// sequential pass, so the frontier is deterministic under any worker
+// count.
 func (e *Engine) t0Frontier() error {
 	c := e.C
 	n := len(c.Nets)
 	arr := make([][2]float64, n)
 	slw := make([][2]float64, n)
-	calc := make([]bool, n)
 	for i := range arr {
 		arr[i] = [2]float64{math.Inf(-1), math.Inf(-1)}
 	}
-	maxRank := 0
-	for _, r := range e.netRank {
-		if r > maxRank {
-			maxRank = r
-		}
-	}
-	raw := make([]atomic.Uint64, maxRank+1)
-	negInf := math.Float64bits(math.Inf(-1))
-	for i := range raw {
-		raw[i].Store(negInf)
-	}
-	pub := func(rank int, v float64) {
-		if rank < 0 || rank >= len(raw) || math.IsInf(v, -1) {
-			return
-		}
-		for {
-			old := raw[rank].Load()
-			if v <= math.Float64frombits(old) {
-				return
-			}
-			if raw[rank].CompareAndSwap(old, math.Float64bits(v)) {
-				return
-			}
-		}
-	}
-
 	for _, pi := range c.PIs {
 		slew := e.piSlewFor(pi)
 		arr[pi-1] = [2]float64{0, 0}
 		slw[pi-1] = [2]float64{slew, slew}
-		calc[pi-1] = true
-		pub(e.netRank[pi], 0)
 	}
 
 	est := func(cell *netlist.Cell) (bool, error) {
@@ -189,7 +160,7 @@ func (e *Engine) t0Frontier() error {
 			best := math.Inf(-1)
 			bslew := 0.0
 			for pin, inNet := range cell.In {
-				if !calc[inNet-1] || math.IsInf(arr[inNet-1][dIn], -1) {
+				if math.IsInf(arr[inNet-1][dIn], -1) {
 					continue
 				}
 				inArr := arr[inNet-1][dIn]
@@ -215,8 +186,6 @@ func (e *Engine) t0Frontier() error {
 				slw[out-1][dOut] = bslew
 			}
 		}
-		calc[out-1] = true
-		pub(e.netRank[out], math.Max(arr[out-1][0], arr[out-1][1]))
 		return true, nil
 	}
 	if _, err := e.runPhase(phaseClock, est); err != nil {
@@ -227,23 +196,28 @@ func (e *Engine) t0Frontier() error {
 			continue
 		}
 		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return arr[clk-1][dirRise] })
-		out := cell.Out
-		arr[out-1] = [2]float64{launch, launch}
-		slw[out-1] = [2]float64{e.opts.DFFOutSlew, e.opts.DFFOutSlew}
-		calc[out-1] = true
-		pub(e.netRank[out], launch)
+		arr[cell.Out-1] = [2]float64{launch, launch}
+		slw[cell.Out-1] = [2]float64{e.opts.DFFOutSlew, e.opts.DFFOutSlew}
 	}
 	if _, err := e.runPhase(phaseMain, est); err != nil {
 		return err
 	}
 
+	maxRank := 0
+	for _, r := range e.netRank {
+		maxRank = max(maxRank, r)
+	}
 	frontier := make([]float64, maxRank+1)
-	running := math.Inf(-1)
 	for i := range frontier {
-		if v := math.Float64frombits(raw[i].Load()); v > running {
-			running = v
+		frontier[i] = math.Inf(-1)
+	}
+	for i := range arr {
+		if r := e.netRank[i+1]; r >= 0 {
+			frontier[r] = math.Max(frontier[r], math.Max(arr[i][0], arr[i][1]))
 		}
-		frontier[i] = running
+	}
+	for i := 1; i < len(frontier); i++ {
+		frontier[i] = math.Max(frontier[i], frontier[i-1])
 	}
 	e.t0.frontier = frontier
 	return nil
@@ -413,16 +387,15 @@ func (e *Engine) t0Audit(c *t0Cand, res delaycalc.Result) {
 }
 
 // discardTainted reports whether a tier-0 bracket violated its contract
-// during the run that produced st. If so the run's pruning can no
-// longer be trusted: its state is discarded, tier-0 is switched off and
-// the rerun is recorded (Result.Tier0Rerun, tier0_reruns_total), so the
+// during the run just finished. If so the run's pruning can no longer
+// be trusted: its state is discarded, tier-0 is switched off and the
+// rerun is recorded (Result.Tier0Rerun, tier0_reruns_total), so the
 // caller recomputes all-Newton — bit parity is preserved even when
 // calibration breaks, and the doubled cost is never silent.
-func (e *Engine) discardTainted(st []netState) bool {
+func (e *Engine) discardTainted() bool {
 	if e.t0 == nil || !e.t0.taint.Load() {
 		return false
 	}
-	e.putState(st)
 	e.passStats = nil
 	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
 	e.t0 = nil

@@ -245,9 +245,23 @@ func TestTier0RerunOnBracketViolation(t *testing.T) {
 	}
 	check("full", (*Engine).Run, 1)
 	check("seeded", func(e *Engine) (*Result, error) {
+		// The pair is not edited, so nothing diverges: seed its whole
+		// structural fan-out to make the seeded run evaluate (and audit)
+		// arcs.
 		a, b := firstCoupledPair(t, c)
 		mask := make([]bool, len(c.Nets))
+		queue := []netlist.NetID{a, b}
 		mask[a-1], mask[b-1] = true, true
+		for len(queue) > 0 {
+			net := queue[0]
+			queue = queue[1:]
+			e.forFanout(net, func(id netlist.NetID) {
+				if !mask[id-1] {
+					mask[id-1] = true
+					queue = append(queue, id)
+				}
+			})
+		}
 		return e.RunSeeded(ref.Replay, mask)
 	}, 2)
 	if n := strings.Count(events.String(), `"tier0_rerun":true`); n != 2 {

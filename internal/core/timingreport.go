@@ -120,17 +120,16 @@ func (e *Engine) Report(period float64) (*TimingReport, error) {
 		if math.IsInf(worst, -1) {
 			continue
 		}
+		n := e.endpointName(ep)
 		ea := EndpointArrival{
-			Net:     e.C.Net(ep.net).Name,
+			Net:     n.Net,
+			Kind:    n.Kind,
+			Cell:    n.Cell,
 			Arrival: worst + ep.extra,
 			Dir:     dirOf(dir),
 		}
 		if ep.cell != netlist.NoCell {
-			ea.Kind = "DFF/D"
-			ea.Cell = e.C.Cell(ep.cell).Name
 			ea.Setup = ccc.DFFSetup()
-		} else {
-			ea.Kind = "PO"
 		}
 		rep.Endpoints = append(rep.Endpoints, ea)
 	}

@@ -27,10 +27,10 @@ import (
 
 // windowBounds runs the min pass ahead of an Iterative Windows run and
 // installs the earliest-activity bounds (Engine.earliestStart). A seeded
-// run (prev non-nil) replays prev's stored min pass and returns the
-// coupled victims of every bound that moved: they must re-run the
-// window pruning test in every refinement pass.
-func (e *Engine) windowBounds(prev *ReplayState, seed []bool, eco *ECOStats) ([]netlist.NetID, error) {
+// run (prev non-nil) replays prev's stored min pass. The returned mask
+// flags the bounds that moved: in a seeded run their coupled victims
+// must re-run the window pruning test in every refinement pass.
+func (e *Engine) windowBounds(prev *ReplayState, seed []bool, eco *ECOStats) ([]bool, error) {
 	span := "min-pass"
 	if prev != nil {
 		if prev.early == nil {
@@ -48,30 +48,7 @@ func (e *Engine) windowBounds(prev *ReplayState, seed []bool, eco *ECOStats) ([]
 		e.replayEarly, e.replaySlews = early, slews
 	}
 	e.earliestStart = startTimes(early, slews)
-	if prev == nil {
-		return nil, nil
-	}
-	// The dedup bitset is session scratch (ids are dense), cleared after
-	// use by walking the victims.
-	var victims []netlist.NetID
-	seen := e.getSeenBits()
-	for i, ch := range changed {
-		if !ch {
-			continue
-		}
-		lo, hi := e.cc.Span(netlist.NetID(i + 1))
-		for k := lo; k < hi; k++ {
-			other := e.cc.Nbr[k]
-			if !seen[other-1] {
-				seen[other-1] = true
-				victims = append(victims, other)
-			}
-		}
-	}
-	for _, v := range victims {
-		seen[v-1] = false
-	}
-	return victims, nil
+	return changed, nil
 }
 
 // startTimes converts 50%-crossing arrivals to transition-start times
@@ -93,8 +70,8 @@ func startTimes(early, slews [][2]float64) [][2]float64 {
 // slews, with best-case arc delays (+Inf where a line never switches
 // that way). A full pass (prev == nil) evaluates every line; a seeded
 // pass keeps prev's stored values on clean lines and re-evaluates the
-// dirty set — the edit seeds plus their structural fan-out cones, grown
-// as recomputed values diverge — counting them into eco.MinPassDirty.
+// dirty set — the edit seeds, grown through the fanout of every
+// recomputed value that moved — counting them into eco.MinPassDirty.
 // changed flags the nets whose values moved.
 func (e *Engine) minSweep(prev *ReplayState, seed []bool, eco *ECOStats) (early, slews [][2]float64, changed []bool, err error) {
 	c := e.C

@@ -63,15 +63,14 @@ const (
 	MSchedSteals     = "sched_steals_total"
 	// Delta-convergent Iterative refinement: lines carried over because
 	// their inputs and neighbor quiescent times were bit-identical to
-	// the previous pass. Pooled per-pass state reuses ride along.
+	// the previous pass.
 	MPassConvergedSkips = "pass_converged_skips_total"
-	MPassStateReuses    = "pass_state_pool_reuses_total"
 
 	// Incremental (ECO) re-analysis. DirtyLines counts driven lines
 	// actually re-evaluated by a seeded run, ReusedLines the lines
 	// carried over from the previous revision's stored passes, and
 	// ConeExpansions the dirty-set growth beyond the initial edit seeds
-	// (fan-out cones plus quiescent-time coupling victims).
+	// (the fanout and coupled victims of lines whose state diverged).
 	MEcoEdits          = "eco_edits_total"
 	MEcoDirtyLines     = "eco_dirty_lines"
 	MEcoReusedLines    = "eco_reused_lines"
@@ -176,7 +175,7 @@ func AllMetrics() []MetricDef {
 		c(MPasses), c(MRecalcWires), c(MEsperanceSkips),
 		c(MWorkerCells), c(MSequentialCells),
 		g(MWorkers), h(MSchedReadyDepth), c(MSchedSteals),
-		c(MPassConvergedSkips), c(MPassStateReuses),
+		c(MPassConvergedSkips),
 		c(MEcoEdits), c(MEcoDirtyLines), c(MEcoReusedLines),
 		c(MEcoConeExpansions), c(MEcoFullFallbacks),
 		c(MSnapshotBuilds), c(MSnapshotReuses), g(MConcurrentSessionsPeak),
