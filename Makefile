@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check eco-check bench bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check perfbench-smoke eco-check bench bench-100k clean
 
 all: check
 
@@ -9,7 +9,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check eco-check bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check perfbench-smoke eco-check bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -65,6 +65,20 @@ metrics-lint:
 # a signature change breaks the build gate, not the next benchmark run.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The benchmark's three workloads, 3 s each, at their real sizes: each
+# must end with "correct":true and "failed":0 on its last line. The eco
+# workload's finish check compares the last of a chain of seeded
+# Reanalyze runs with a from-scratch Analyze at the paper's scale (the
+# longest path, its endpoint and the critical path's arrivals), the
+# only check of seeded runs at that size. ~1 minute.
+perfbench-smoke:
+	@for w in table warm eco; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 3 | tail -n 1); \
+		echo "perfbench $$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; *) echo "perfbench $$w: not correct" >&2; exit 1;; esac; \
+		echo "$$last" | grep -Eq '"failed":0[,}]' || { echo "perfbench $$w: failed ops" >&2; exit 1; }; \
+	done
 
 # The CLI's ECO replay path (-eco) end to end: seven edit batches, one
 # per edit kind, re-analyzed incrementally and each bit-compared against

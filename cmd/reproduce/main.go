@@ -27,7 +27,7 @@ func main() {
 	var (
 		scale  = flag.Float64("scale", 1, "circuit size scale in (0,1]; 1 (the default) = the paper's cell counts (17.9k/23.9k/20.8k cells)")
 		golden = flag.Bool("golden", true, "run the golden path validation per table")
-		tier0  = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results)")
+		tier0  = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under Esperance, Windows and ECO re-analysis)")
 
 		serveObs  = flag.String("serve-obs", "", "serve the live introspection plane (/metrics, /debug/pprof/*, /debug/obs/*) on this address while the evaluation runs")
 		eventsOut = flag.String("events", "", "append structured JSONL analysis/pass events to this file")

@@ -78,7 +78,7 @@ func run() error {
 		ecoEdits  = flag.Int("eco-edits", 4, "edits per random batch for -eco-random")
 		ecoVerify = flag.Bool("eco-verify", false, "cross-check every incremental result against a from-scratch run")
 
-		tier0 = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
+		tier0 = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows and ECO re-analysis)")
 
 		workers     = flag.Int("workers", 0, "worker goroutines per BFS sweep (0/1 = sequential)")
 		metricsPath = flag.String("metrics", "", "write the metrics registry as JSON to this file")

@@ -232,7 +232,7 @@ func (cd *Compiled) buildNetInfo() error {
 				}
 			}
 			inf.baseCap += pinCap
-			if d := n.Par.SinkWireDelay[pr]; d > inf.maxSinkElmore {
+			if d := cd.sink.At(pr.Cell, pr.Pin); d > inf.maxSinkElmore {
 				inf.maxSinkElmore = d
 			}
 		}
@@ -248,8 +248,7 @@ func (cd *Compiled) buildNetInfo() error {
 		if cell.Kind == netlist.DFF && cell.Clock != netlist.NoNet {
 			inf := &cd.info[cell.Clock-1]
 			inf.baseCap += ccc.DFFClockCap(cd.Proc, cd.Siz)
-			pr := netlist.PinRef{Cell: cell.ID, Pin: layoutClockPin}
-			if d := c.Net(cell.Clock).Par.SinkWireDelay[pr]; d > inf.maxSinkElmore {
+			if d := cd.sink.ClockDelay[cell.ID]; d > inf.maxSinkElmore {
 				inf.maxSinkElmore = d
 			}
 		}
@@ -263,10 +262,8 @@ func (cd *Compiled) buildEndpoints() {
 		if cell.Kind != netlist.DFF {
 			continue
 		}
-		d := cell.In[0]
-		pr := netlist.PinRef{Cell: cell.ID, Pin: 0}
 		cd.endpoints = append(cd.endpoints, endpointRef{
-			net: d, cell: cell.ID, extra: c.Net(d).Par.SinkWireDelay[pr],
+			net: cell.In[0], cell: cell.ID, extra: cd.sink.At(cell.ID, 0),
 		})
 	}
 	for _, po := range c.POs {

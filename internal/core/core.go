@@ -115,8 +115,9 @@ type Options struct {
 	// run — every pruning rule is proof-carrying, evaluated arcs are
 	// audited against their brackets, and a violated bracket discards
 	// the run and recomputes all-Newton (Result.Tier0Rerun). Ignored
-	// (stays off) under Esperance and Windows, and with evaluators that
-	// cannot bound arcs.
+	// (stays off) under Esperance, Windows and seeded re-analysis
+	// (RunSeeded; a full fallback still uses it), and with evaluators
+	// that cannot bound arcs.
 	Tier0 bool
 	// DisableReplay turns off the per-pass state capture that feeds
 	// Result.Replay (the seed for RunSeeded): the replay keeps every
@@ -270,7 +271,7 @@ type Result struct {
 	// were near-critical or unboundable; Tier0FlipGuards the coupling
 	// comparisons whose t_bcs bracket straddled a neighbor's quiescent
 	// time and forced the exact best-case evaluation. All zero with
-	// Options.Tier0 off.
+	// Options.Tier0 off and on seeded runs.
 	Tier0Hits, Tier0Fallbacks, Tier0FlipGuards int64
 	// Tier0Rerun reports that a tier-0 bracket was violated, so the
 	// tiered run was discarded and the analysis recomputed all-Newton
@@ -369,9 +370,6 @@ func (e *Engine) piSlewFor(net netlist.NetID) float64 {
 	return e.opts.PISlew
 }
 
-// layoutClockPin aliases the PinRef protocol constant for clock pins.
-const layoutClockPin = netlist.ClockPinIndex
-
 // Run executes the configured analysis.
 func (e *Engine) Run() (*Result, error) { return e.run(nil, nil) }
 
@@ -456,16 +454,14 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 		name = "eco-analysis"
 	}
 	span := e.trace.Begin(name, 0).Arg("mode", e.opts.Mode.String())
-	if err := e.setupTier0(); err != nil {
+	if err := e.setupTier0(prev != nil); err != nil {
 		return nil, 0, err
 	}
 	st, passes, err := e.runPasses(prev, seed, eco)
 	if err == nil && e.discardTainted() {
-		if eco != nil {
-			// Drop the ECO accounting the tainted run accumulated.
-			*eco = ECOStats{}
-		}
-		st, passes, err = e.runPasses(prev, seed, eco)
+		// Only a full run uses tier-0, so there is no ECO accounting to
+		// drop.
+		st, passes, err = e.runPasses(nil, nil, nil)
 	}
 	span.Arg("passes", passes)
 	if eco != nil {

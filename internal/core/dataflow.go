@@ -67,6 +67,11 @@ func (e *Compiled) buildDataflow(clockOrder, mainOrder []netlist.CellID) {
 	e.dfMain = e.buildPhaseGraph(mainOrder)
 }
 
+// buildPhaseGraph builds one phase's graph in a single linear pass:
+// each node's predecessors are collected once into a flat list, then
+// the successor CSR is filled from it. A node lists its predecessors in
+// discovery order (fanin drivers in pin order, then coupled neighbors'
+// drivers in CSR order), each once; a successor list is in node order.
 func (e *Compiled) buildPhaseGraph(cells []netlist.CellID) *dfGraph {
 	g := &dfGraph{cells: cells}
 	n := len(g.cells)
@@ -75,37 +80,34 @@ func (e *Compiled) buildPhaseGraph(cells []netlist.CellID) *dfGraph {
 	if n == 0 {
 		return g
 	}
-	// nodeOf maps a cell to its node index; -1 for cells outside this
-	// phase (their writes are frozen before the phase starts).
-	nodeOf := make([]int32, len(e.C.Cells))
-	for i := range nodeOf {
-		nodeOf[i] = -1
+	// drvNode maps a net to the node of the cell driving it (a cell
+	// drives exactly its Out net); -1 for primary inputs and for nets
+	// driven outside this phase (their writes are frozen before the
+	// phase starts).
+	drvNode := make([]int32, len(e.C.Nets)+1)
+	for i := range drvNode {
+		drvNode[i] = -1
 	}
 	for i, cid := range g.cells {
-		nodeOf[cid] = int32(i)
+		drvNode[e.C.Cell(cid).Out] = int32(i)
 	}
-	// preds collects the deduplicated in-phase dependency nodes of one
-	// cell: fanin drivers (edge a) and drivers of coupled neighbors the
-	// rank rule counts as calculated (edge b).
-	var preds []int32
-	collect := func(cell *netlist.Cell) []int32 {
-		preds = preds[:0]
+	// Node i's deduplicated in-phase dependencies are
+	// preds[predOff[i]:predOff[i+1]]: fanin drivers (edge a) and drivers
+	// of coupled neighbors the rank rule counts as calculated (edge b).
+	// seen[p] == i+1 marks p as already listed for node i.
+	predOff := make([]int32, n+1)
+	preds := make([]int32, 0, n)
+	seen := make([]int32, n)
+	for i, cid := range g.cells {
+		stamp := int32(i) + 1
 		add := func(net netlist.NetID) {
-			d := e.C.Net(net).Driver
-			if d == netlist.NoCell {
-				return
+			if p := drvNode[net]; p >= 0 && seen[p] != stamp {
+				seen[p] = stamp
+				preds = append(preds, p)
+				g.succOff[p+1]++
 			}
-			p := nodeOf[d]
-			if p < 0 {
-				return
-			}
-			for _, q := range preds {
-				if q == p {
-					return
-				}
-			}
-			preds = append(preds, p)
 		}
+		cell := e.C.Cell(cid)
 		for _, in := range cell.In {
 			add(in)
 		}
@@ -116,28 +118,20 @@ func (e *Compiled) buildPhaseGraph(cells []netlist.CellID) *dfGraph {
 				add(other)
 			}
 		}
-		return preds
-	}
-	// CSR in two sweeps: count successor degrees, then fill.
-	for i, cid := range g.cells {
-		ps := collect(e.C.Cell(cid))
-		g.indeg[i] = int32(len(ps))
-		for _, p := range ps {
-			g.succOff[p+1]++
-		}
+		predOff[i+1] = int32(len(preds))
+		g.indeg[i] = predOff[i+1] - predOff[i]
 	}
 	for i := 0; i < n; i++ {
 		g.succOff[i+1] += g.succOff[i]
 	}
-	g.succ = make([]int32, g.succOff[n])
+	g.succ = make([]int32, len(preds))
 	fill := make([]int32, n)
-	for i, cid := range g.cells {
-		for _, p := range collect(e.C.Cell(cid)) {
-			g.succ[g.succOff[p]+fill[p]] = int32(i)
+	copy(fill, g.succOff[:n])
+	for i := 0; i < n; i++ {
+		for _, p := range preds[predOff[i]:predOff[i+1]] {
+			g.succ[fill[p]] = int32(i)
 			fill[p]++
 		}
-	}
-	for i := 0; i < n; i++ {
 		if g.indeg[i] == 0 {
 			g.roots = append(g.roots, int32(i))
 		}

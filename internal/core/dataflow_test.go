@@ -71,6 +71,146 @@ func TestDataflowGraphInvariants(t *testing.T) {
 	}
 }
 
+// TestDataflowGraphComplete: every node's predecessors are exactly the
+// in-phase drivers of its fanin nets plus the in-phase drivers of its
+// coupled neighbors of strictly lower (reachable) rank, each listed
+// once — a graph that drops or invents an edge fails here even when it
+// stays a consistent DAG. The circuit's most coupled clock net is then
+// edited (a coupling added, one removed, the net decoupled) and each
+// recompiled graph is checked again.
+func TestDataflowGraphComplete(t *testing.T) {
+	c, calc := buildExtracted(t, 160, 12, 8, 820)
+	var hub netlist.NetID
+	for _, n := range c.Nets {
+		if n.IsClock && n.Driver != netlist.NoCell && (hub == netlist.NoNet || len(n.Par.Couplings) > len(c.Net(hub).Par.Couplings)) {
+			hub = n.ID
+		}
+	}
+	if hub == netlist.NoNet || len(c.Net(hub).Par.Couplings) < 8 {
+		t.Fatalf("no clock net with a high coupling degree (best %v)", hub)
+	}
+	t.Logf("clock net %s has %d couplings", c.Net(hub).Name, len(c.Net(hub).Par.Couplings))
+	// check verifies both graphs and returns, per phase, how many
+	// dependencies came from coupling (so the rule is not vacuous).
+	check := func(stage string) (clockCC, mainCC int) {
+		t.Helper()
+		cd, err := Compile(c, calc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range []struct {
+			name string
+			g    *dfGraph
+			cc   *int
+		}{{"clock", cd.dfClock, &clockCC}, {"main", cd.dfMain, &mainCC}} {
+			g := ph.g
+			nodeOf := map[netlist.CellID]int32{}
+			for i, cid := range g.cells {
+				nodeOf[cid] = int32(i)
+			}
+			got := make([][]int32, len(g.cells))
+			for u := range g.cells {
+				for _, v := range g.succ[g.succOff[u]:g.succOff[u+1]] {
+					got[v] = append(got[v], int32(u))
+				}
+			}
+			var roots []int32
+			for v, cid := range g.cells {
+				cell := c.Cell(cid)
+				want := map[int32]bool{}
+				dep := func(net netlist.NetID) bool {
+					p, ok := nodeOf[c.Net(net).Driver]
+					if ok {
+						want[p] = true
+					}
+					return ok
+				}
+				for _, in := range cell.In {
+					dep(in)
+				}
+				outRank := cd.netRank[cell.Out]
+				for _, cp := range c.Net(cell.Out).Par.Couplings {
+					if r := cd.netRank[cp.Other]; r >= 0 && r < outRank && dep(cp.Other) {
+						*ph.cc++
+					}
+				}
+				listed := map[int32]bool{}
+				for _, p := range got[v] {
+					if listed[p] {
+						t.Fatalf("%s %s: node %d (%s) lists predecessor %d twice", stage, ph.name, v, cell.Name, p)
+					}
+					listed[p] = true
+					if !want[p] {
+						t.Fatalf("%s %s: node %d (%s) has extra predecessor %d (%s)", stage, ph.name, v, cell.Name, p, c.Cell(g.cells[p]).Name)
+					}
+				}
+				if len(listed) != len(want) || int(g.indeg[v]) != len(want) {
+					t.Fatalf("%s %s: node %d (%s) has %d predecessors (indeg %d), want %d",
+						stage, ph.name, v, cell.Name, len(listed), g.indeg[v], len(want))
+				}
+				if len(want) == 0 {
+					roots = append(roots, int32(v))
+				}
+			}
+			if fmt.Sprint(roots) != fmt.Sprint(g.roots) {
+				t.Fatalf("%s %s: roots %v, want %v", stage, ph.name, g.roots, roots)
+			}
+		}
+		if mainCC == 0 {
+			t.Fatalf("%s: no main-phase coupling dependencies; the check is vacuous", stage)
+		}
+		return clockCC, mainCC
+	}
+	check("extracted")
+
+	// Add: couple the hub to the other clock nets it does not touch yet.
+	coupled := map[netlist.NetID]bool{hub: true}
+	for _, cp := range c.Net(hub).Par.Couplings {
+		coupled[cp.Other] = true
+	}
+	added := 0
+	for _, n := range c.Nets {
+		if n.IsClock && !coupled[n.ID] {
+			c.Net(hub).Par.Couplings = append(c.Net(hub).Par.Couplings, netlist.Coupling{Other: n.ID, C: 2e-15})
+			n.Par.Couplings = append(n.Par.Couplings, netlist.Coupling{Other: hub, C: 2e-15})
+			added++
+		}
+	}
+	if added == 0 {
+		t.Fatal("no clock net left to couple to the hub")
+	}
+	if clockCC, _ := check("add"); clockCC == 0 {
+		t.Fatal("add: no clock-phase coupling dependencies; the check is vacuous")
+	}
+	t.Logf("after add the hub has %d couplings", len(c.Net(hub).Par.Couplings))
+
+	// unpair removes the coupling between a and b on both sides.
+	unpair := func(a, b netlist.NetID) {
+		for _, pair := range [][2]netlist.NetID{{a, b}, {b, a}} {
+			par := &c.Net(pair[0]).Par
+			kept := par.Couplings[:0]
+			for _, cp := range par.Couplings {
+				if cp.Other != pair[1] {
+					kept = append(kept, cp)
+				}
+			}
+			par.Couplings = kept
+		}
+	}
+	// Remove: drop the hub's first coupling.
+	unpair(hub, c.Net(hub).Par.Couplings[0].Other)
+	check("remove")
+
+	// Decouple: the hub loses every coupling.
+	for _, cp := range append([]netlist.Coupling(nil), c.Net(hub).Par.Couplings...) {
+		unpair(hub, cp.Other)
+	}
+	if n := len(c.Net(hub).Par.Couplings); n != 0 {
+		t.Fatalf("hub still has %d couplings after decoupling", n)
+	}
+	check("decouple")
+}
+
 // parallelWorkers lists the worker counts compared against the
 // sequential (Workers: 1) baseline, which walks each phase in level
 // order.

@@ -34,7 +34,10 @@ package core
 //
 // Tier-0 is disabled under Esperance (its skip rule already
 // approximates) and Windows (the pruning test reads state the elision
-// proofs do not model), and when the evaluator cannot bound arcs.
+// proofs do not model), on seeded re-analysis (the base run has just
+// characterized nearly every request, so tier-0 would skip little but
+// cache hits, yet pay a whole-design frontier sweep and a bracket per
+// dirty candidate), and when the evaluator cannot bound arcs.
 
 import (
 	"math"
@@ -110,11 +113,12 @@ type t0Cand struct {
 }
 
 // setupTier0 (re)builds the tier-0 dispatcher state for one analysis,
-// or clears it when the options or the evaluator rule tier-0 out.
-func (e *Engine) setupTier0() error {
+// or clears it when the options, a seeded run or the evaluator rule
+// tier-0 out.
+func (e *Engine) setupTier0(seeded bool) error {
 	e.t0 = nil
 	e.tier0Rerun = false
-	if !e.opts.Tier0 || e.opts.Esperance || e.opts.Windows {
+	if !e.opts.Tier0 || e.opts.Esperance || e.opts.Windows || seeded {
 		return nil
 	}
 	be, ok := e.Calc.(delaycalc.BoundsEvaluator)
