@@ -85,9 +85,14 @@ perfbench-smoke:
 # a from-scratch run (-eco-verify: longest path, pass count and every
 # net's final state). The first batch edits a primary input coupled to
 # clock nets, which moves flip-flop launches mid-pass. ~1 s per mode.
+# The s38417 leg replays five random batches on a circuit whose last
+# Iterative pass is looser than the one before it, so the comparison
+# also covers the best-pass rule (the reported state is an earlier
+# pass's). ~1.5 s.
 eco-check:
 	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode onestep -eco testdata/eco_clock_victim.json -eco-verify >/dev/null
 	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode iterative -eco testdata/eco_clock_victim.json -eco-verify >/dev/null
+	$(GO) run ./cmd/xtalksta -preset s38417 -scale 0.05 -mode iterative -eco-random 5 -eco-verify >/dev/null
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

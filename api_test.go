@@ -1,6 +1,7 @@
 package xtalksta
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -237,5 +238,60 @@ func TestBuildOptionsDefaults(t *testing.T) {
 	}
 	if o.POCap != 30e-15 {
 		t.Errorf("default POCap = %v", o.POCap)
+	}
+}
+
+// TestIterativeReportsBestPass: every Iterative pass reads the previous
+// pass's quiescent times, which are upper bounds, so every pass is a
+// sound bound. The reported longest path must be the lowest pass, bit
+// for bit — the last pass, which ends the refinement by not improving,
+// may be looser — and so never above the One-step run, whose sweep is
+// Iterative's first pass. The attribution must rebuild that same pass
+// exactly.
+func TestIterativeReportsBestPass(t *testing.T) {
+	for _, pc := range []struct {
+		preset Preset
+		scale  float64
+	}{
+		{S35932, 0.05}, {S38417, 0.05}, {S38584, 0.05}, {S35932, 0.25},
+	} {
+		ctx := fmt.Sprintf("%s@%g", pc.preset, pc.scale)
+		d, err := GeneratePreset(pc.preset, pc.scale, Defaults())
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		one, err := d.Analyze(AnalysisOptions{Mode: OneStep, Tier0: true})
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		iter, err := d.Analyze(AnalysisOptions{Mode: Iterative, Tier0: true, Attribution: true})
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		lowest := math.Inf(1)
+		var passes []float64
+		for _, ps := range iter.PassStats {
+			lowest = math.Min(lowest, ps.LongestPath)
+			passes = append(passes, ps.LongestPath*1e9)
+		}
+		if math.Float64bits(iter.LongestPath) != math.Float64bits(lowest) {
+			t.Errorf("%s: Iterative reports %.5f ns, its lowest pass %.5f ns (passes %.5f)",
+				ctx, iter.LongestPath*1e9, lowest*1e9, passes)
+		}
+		if iter.LongestPath > one.LongestPath {
+			t.Errorf("%s: Iterative %.5f ns above One step %.5f ns", ctx, iter.LongestPath*1e9, one.LongestPath*1e9)
+		}
+		a := iter.Attribution
+		if a == nil || len(a.Paths) == 0 {
+			t.Fatalf("%s: no attributed paths", ctx)
+		}
+		if math.Float64bits(a.Paths[0].Total) != math.Float64bits(iter.LongestPath) {
+			t.Errorf("%s: attributed worst path %.17g != longest path %.17g", ctx, a.Paths[0].Total, iter.LongestPath)
+		}
+		for i, p := range a.Paths {
+			if !p.Exact {
+				t.Errorf("%s: attributed path %d (%s) is not exact", ctx, i, p.Endpoint.Net)
+			}
+		}
 	}
 }

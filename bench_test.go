@@ -274,29 +274,6 @@ func BenchmarkAblationVthChoice(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEsperance: the Benkoski-style filtering must cut the
-// iterative analysis's arc evaluations without loosening the bound.
-func BenchmarkAblationEsperance(b *testing.B) {
-	d := benchDesign(b, xtalksta.S35932, benchScale())
-	for _, esp := range []bool{false, true} {
-		name := "full"
-		if esp {
-			name = "esperance"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := d.Analyze(xtalksta.AnalysisOptions{Mode: xtalksta.Iterative, Esperance: esp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.LongestPath*1e9, "ns_delay")
-				b.ReportMetric(float64(res.ArcEvaluations), "arc_evals")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDelayCache: the characterization cache versus exact
 // per-arc simulation, on a small circuit so the exact variant stays
 // tractable.
@@ -321,25 +298,6 @@ func BenchmarkAblationDelayCache(b *testing.B) {
 				b.ReportMetric(res.LongestPath*1e9, "ns_delay")
 			}
 		})
-	}
-}
-
-// BenchmarkExtensionWindows: the activity-window extension must tighten
-// (or match) the plain iterative bound while staying above best case.
-func BenchmarkExtensionWindows(b *testing.B) {
-	d := benchDesign(b, xtalksta.S38584, benchScale())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plain, err := d.Analyze(xtalksta.AnalysisOptions{Mode: xtalksta.Iterative})
-		if err != nil {
-			b.Fatal(err)
-		}
-		win, err := d.Analyze(xtalksta.AnalysisOptions{Mode: xtalksta.Iterative, Windows: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(plain.LongestPath*1e9, "ns_iter")
-		b.ReportMetric(win.LongestPath*1e9, "ns_iter_windows")
 	}
 }
 

@@ -63,7 +63,6 @@ func run() error {
 		depth     = flag.Int("depth", 12, "logic depth for -cells")
 		seed      = flag.Int64("seed", 1, "generator seed for -cells")
 		mode      = flag.String("mode", "", "single analysis: best, doubled, worst, onestep, iterative")
-		esperance = flag.Bool("esperance", false, "enable the Esperance speedup (iterative mode)")
 		golden    = flag.Bool("golden", false, "validate the longest path with the golden simulator")
 		markdown  = flag.Bool("markdown", false, "emit the table as markdown")
 		clock     = flag.Float64("clock", 0, "clock period in ns: print a per-endpoint slack report")
@@ -78,7 +77,7 @@ func run() error {
 		ecoEdits  = flag.Int("eco-edits", 4, "edits per random batch for -eco-random")
 		ecoVerify = flag.Bool("eco-verify", false, "cross-check every incremental result against a from-scratch run")
 
-		tier0 = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows and ECO re-analysis)")
+		tier0 = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored on ECO re-analysis)")
 
 		workers     = flag.Int("workers", 0, "worker goroutines per BFS sweep (0/1 = sequential)")
 		metricsPath = flag.String("metrics", "", "write the metrics registry as JSON to this file")
@@ -205,7 +204,6 @@ func run() error {
 	}
 
 	aopts := xtalksta.AnalysisOptions{
-		Esperance:       *esperance,
 		Workers:         *workers,
 		Tier0:           *tier0,
 		Metrics:         reg,

@@ -11,19 +11,13 @@ import (
 
 // Timing attribution: the per-arc breakdown of the top-K endpoint
 // paths. Each arc of a reported path is re-evaluated through the same
-// calculator scope under the final pass's exact classification context
-// (the captured quiescent-time snapshot and pass mode), which the
+// calculator scope under the reported pass's exact classification
+// context (the captured quiescent-time snapshot and pass mode), which the
 // deterministic, cache-warm calculator answers bit-identically to the
 // analysis proper. Re-accumulating launch → (…+wire)+gate → +endpoint
 // then replays processCell's floating-point operation order, so the
 // summed contributions reproduce the reported arrival Float64bits-
 // exactly; every step and path carries an Exact flag verifying it.
-//
-// The one treatment that breaks per-arc replay is Esperance: a skipped
-// net carries a previous pass's state, computed against a different
-// quiescent snapshot. Such steps fall back to the residual
-// (stored − re-accumulated input) as the gate contribution and are
-// flagged Exact=false when even that does not reconstruct bitwise.
 
 // AttributionAggressor is one coupling neighbor that survived
 // quiescent-time filtering on an arc (it coupled actively).
@@ -86,7 +80,7 @@ type Attribution struct {
 	Paths []AttributedPath
 }
 
-// buildAttribution ranks the endpoints of the final pass state and
+// buildAttribution ranks the endpoints of the reported pass state and
 // attributes the top-K paths. Driver goroutine, after the analysis
 // counters are snapshotted: the replays below hit the warm cache and
 // must not count as analysis work.
@@ -228,10 +222,10 @@ func (e *Engine) attributeStep(st []netState, pr arcPred, dOut int, outArr float
 		// residual-only step.
 		first = &AttributionStep{Cell: cell.Name, Arrival: outArr}
 	}
-	// No replay reproduced the stored arrival (Esperance carry-over, or
-	// an ambiguous pin whose sibling won the max): fall back to the
-	// residual so the re-accumulation still tracks the stored value,
-	// and verify even that bitwise.
+	// No replay reproduced the stored arrival (an ambiguous pin whose
+	// sibling won the max): fall back to the residual so the
+	// re-accumulation still tracks the stored value, and verify even
+	// that bitwise.
 	inArr := is.arrival[fromDir] + first.Wire
 	first.Gate = outArr - inArr
 	first.CouplingSlowdown = first.Gate - first.QuietGate

@@ -286,7 +286,7 @@ func (cd *Compiled) buildEndpoints() {
 // concurrently over one Compiled, each with its own calculator scope so
 // the per-run counters (Result.ArcEvaluations, PassStats deltas) stay
 // correct under concurrency. opts must satisfy cd.Matches; the
-// session-only options (Workers, Windows, Tier0, ...) are free.
+// session-only options (Workers, Tier0, ...) are free.
 func NewSession(cd *Compiled, calc delaycalc.Evaluator, opts Options) (*Engine, error) {
 	if opts.AttributionTopK < 0 {
 		return nil, fmt.Errorf("core: NewSession: AttributionTopK %d is negative", opts.AttributionTopK)

@@ -14,8 +14,7 @@
 //	                t_bcs (or are not yet calculated) couple actively.
 //	Iterative     — §5.2: the one-step analysis repeated with stored
 //	                quiescent times until the longest-path delay stops
-//	                improving; optionally with the Esperance speedup
-//	                (only wires on long paths are recalculated).
+//	                improving; the lowest pass is reported.
 //
 // All five guarantee an upper bound on the longest path delay; they
 // differ in how tight that bound is and what it costs.
@@ -71,16 +70,6 @@ func Modes() []Mode {
 // Options tunes an analysis run.
 type Options struct {
 	Mode Mode
-	// Esperance enables the Benkoski-style speedup in Iterative mode:
-	// refinement passes only recalculate wires whose esperance (arrival
-	// + remaining path) reaches within esperanceMargin of the longest
-	// path.
-	Esperance bool
-	// Windows (extension beyond the paper) adds the earliest-activity
-	// bound to the Iterative refinement: an aggressor couples only when
-	// its activity window overlaps the victim's sensitive window. See
-	// windows.go.
-	Windows bool
 	// PiModel (extension beyond the paper) replaces the lumped-load +
 	// Elmore wire treatment by a π-model per net: half the wire cap at
 	// the driver, the wire resistance to a far node carrying the other
@@ -115,9 +104,8 @@ type Options struct {
 	// run — every pruning rule is proof-carrying, evaluated arcs are
 	// audited against their brackets, and a violated bracket discards
 	// the run and recomputes all-Newton (Result.Tier0Rerun). Ignored
-	// (stays off) under Esperance, Windows and seeded re-analysis
-	// (RunSeeded; a full fallback still uses it), and with evaluators
-	// that cannot bound arcs.
+	// (stays off) on seeded re-analysis (RunSeeded; a full fallback
+	// still uses it) and with evaluators that cannot bound arcs.
 	Tier0 bool
 	// DisableReplay turns off the per-pass state capture that feeds
 	// Result.Replay (the seed for RunSeeded): the replay keeps every
@@ -144,7 +132,7 @@ type Options struct {
 	// analysis, refinement pass and ECO batch (see obs.EventLog).
 	Events *obs.EventLog
 	// Metrics, when set, receives engine-wide counters (arc
-	// evaluations, Newton iterations, coupling decisions, esperance
+	// evaluations, Newton iterations, coupling decisions, converged
 	// skips, worker utilization, ...) under the obs.M* names.
 	// Counters accumulate across runs sharing a registry.
 	Metrics *obs.Registry
@@ -156,8 +144,6 @@ type Options struct {
 
 // Fixed analysis parameters.
 const (
-	// esperanceMargin is the relative margin of the Esperance filter.
-	esperanceMargin = 0.05
 	// maxPasses bounds the iterative refinement.
 	maxPasses = 10
 	// tier0Margin is the relative margin of the tier-0 criticality gate:
@@ -253,11 +239,13 @@ type Result struct {
 	LongestPath float64
 	Endpoint    Endpoint
 	Path        []PathStep
-	// Passes counts full BFS sweeps (1 for the single-pass modes).
+	// Passes counts the BFS sweeps that ran (1 for the single-pass
+	// modes).
 	Passes int
-	// PassStats is the per-pass work/tightness breakdown, in pass
-	// order. For Iterative the LongestPath column is non-increasing up
-	// to delay-calculator quantization noise.
+	// PassStats is the per-pass work/tightness breakdown of every pass
+	// that ran, in pass order. For Iterative the reported LongestPath is
+	// the lowest of its LongestPath column; the last pass, which ends the
+	// refinement by not improving, may be looser.
 	PassStats []PassStat
 	// Runtime is the wall-clock analysis time.
 	Runtime time.Duration
@@ -311,9 +299,6 @@ type Engine struct {
 	m         *engineMetrics
 	trace     *obs.Tracer
 	passStats []PassStat
-	// earliestStart holds per-(net, dir) earliest transition-start
-	// bounds when Options.Windows is active (nil otherwise).
-	earliestStart [][2]float64
 	// bcs caches best-case arc results across passes, indexed by
 	// [out net − 1][pin*2 + dOut]. Exactly one worker owns a cell within
 	// a pass and passes are barrier-separated, so the slots need no
@@ -327,16 +312,17 @@ type Engine struct {
 	// dirtyPool recycles the sweeps' dirty sets across passes and runs
 	// (driver goroutine only).
 	dirtyPool []*dirtySet
-	// Replay capture (eco.go): the per-pass state slices and the raw
-	// min-pass outputs, reset per analysis, harvested by takeReplay.
-	replayPasses             [][]netState
-	replayEarly, replaySlews [][2]float64
-	// Final-pass evalArc context, captured by runPasses for the
-	// attribution rebuild: the quiescent-time snapshot the last executed
-	// sweep classified against (nil for first/single passes) and that
-	// sweep's mode (OneStep for the Iterative seed pass).
+	// Replay capture (eco.go): the per-pass state slices, reset per
+	// analysis, harvested by takeReplay.
+	replayPasses [][]netState
+	// Reported-pass context, captured by runPasses: the quiescent-time
+	// snapshot the reported sweep classified against (nil for first and
+	// single passes) and that sweep's mode (OneStep for the Iterative
+	// seed pass), for the attribution rebuild, and the sweep's 0-based
+	// index, for the replay.
 	finalQuietPrev [][2]float64
 	finalPassMode  Mode
+	finalPass      int
 	// created/queueWaitDone time the session's queue wait: the gap
 	// between NewSession and the first analysis start, observed once.
 	created       time.Time
@@ -388,10 +374,7 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 				seedNets++
 			}
 		}
-		if (e.opts.Mode == Iterative && e.opts.Esperance) || !e.seedableTopology() {
-			// Esperance's critical mask is a function of the global longest
-			// path, not of local divergence — a seeded run cannot reproduce
-			// which nets the full run would have skipped. Fall back.
+		if !e.seedableTopology() {
 			res.ECO.FullFallback = true
 			e.m.ecoFallbacks.Inc()
 			base = nil
@@ -436,9 +419,9 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 	return res, nil
 }
 
-// analyze produces the final-pass netState of the configured analysis
-// and the number of BFS passes it took (Run, RunSeeded, Report and
-// PathTo all build on it): full, or seeded from prev when eco is
+// analyze produces the reported pass's netState of the configured
+// analysis and the number of BFS passes it took (Run, RunSeeded, Report
+// and PathTo all build on it): full, or seeded from prev when eco is
 // non-nil. It owns the run-level telemetry scope: the analysis span, the
 // per-pass stats and the delay-calculator counter deltas pushed into the
 // metrics registry. A run whose tier-0 brackets broke is discarded and
@@ -447,7 +430,7 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 	t0 := e.beginAnalysisTelemetry()
 	defer e.endAnalysisTelemetry(t0)
 	e.passStats = nil
-	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
+	e.replayPasses = nil
 	c0 := e.calcCounters()
 	name := "analysis"
 	if prev != nil {
@@ -561,7 +544,7 @@ func (e *Engine) newFullPass() *dirtySet {
 		}
 		clear(ds.changed)
 		ds.orig = nil
-		ds.pass1, ds.esperance = false, false
+		ds.pass1 = false
 		ds.expansions.Store(0)
 		return ds
 	}
@@ -607,7 +590,7 @@ func (e *Engine) longest(st []netState) (float64, int) {
 	return worst, worstIdx
 }
 
-// finish populates the result from the final pass state.
+// finish populates the result from the reported pass state.
 func (e *Engine) finish(res *Result, st []netState) {
 	delay, epIdx := e.longest(st)
 	res.LongestPath = delay
@@ -685,57 +668,4 @@ func (e *Engine) pathSteps(st []netState, chain []pathHop) []PathStep {
 		}
 	}
 	return path
-}
-
-// criticalNets flags nets whose esperance reaches within the margin of
-// the longest delay (the Benkoski-style filtering, §5.2).
-func (e *Engine) criticalNets(st []netState, longest float64) []bool {
-	// esperance(net, dir) = arrival + remaining downstream delay; a net
-	// is critical when max over dirs is close to the longest path.
-	n := len(e.C.Nets)
-	remaining := make([][2]float64, n)
-	for i := range remaining {
-		remaining[i] = [2]float64{math.Inf(-1), math.Inf(-1)}
-	}
-	for _, ep := range e.endpoints {
-		for d := 0; d < 2; d++ {
-			if ep.extra > remaining[ep.net-1][d] {
-				remaining[ep.net-1][d] = ep.extra
-			}
-		}
-	}
-	// Reverse topological sweep.
-	for i := len(e.order) - 1; i >= 0; i-- {
-		cell := e.C.Cell(e.order[i])
-		out := cell.Out
-		for _, in := range cell.In {
-			for dIn := 0; dIn < 2; dIn++ {
-				dOut := 1 - dIn // inverting library
-				if math.IsInf(remaining[out-1][dOut], -1) {
-					continue
-				}
-				arcDelay := st[out-1].arrival[dOut] - st[in-1].arrival[dIn]
-				if arcDelay < 0 || math.IsNaN(arcDelay) {
-					arcDelay = 0
-				}
-				cand := remaining[out-1][dOut] + arcDelay
-				if cand > remaining[in-1][dIn] {
-					remaining[in-1][dIn] = cand
-				}
-			}
-		}
-	}
-	crit := make([]bool, n)
-	thresh := longest * (1 - esperanceMargin)
-	for i := range crit {
-		for d := 0; d < 2; d++ {
-			if math.IsInf(st[i].arrival[d], -1) || math.IsInf(remaining[i][d], -1) {
-				continue
-			}
-			if st[i].arrival[d]+remaining[i][d] >= thresh {
-				crit[i] = true
-			}
-		}
-	}
-	return crit
 }

@@ -31,18 +31,17 @@ import (
 // net left clean would have recomputed to its stored value anyway.
 
 // ReplayState is the stored trajectory of one analysis: the per-pass
-// net states, the raw min-pass bounds (Windows runs), and the best-case
-// arc cache. It is immutable once attached to a Result.
+// net states and the best-case arc cache. It is immutable once attached
+// to a Result.
 type ReplayState struct {
 	mode Mode
 	opts Options
 	nets int
 	// passes holds the net-state slice each BFS sweep produced; nothing
-	// writes a pass's slice after its sweep ends.
+	// writes a pass's slice after its sweep ends. final indexes the
+	// reported pass (the lowest Iterative pass, see runPasses).
 	passes [][]netState
-	// early/slews are the raw (pre-conversion) min-pass outputs when
-	// Options.Windows was active.
-	early, slews [][2]float64
+	final  int
 	// bcs is a copy of the cross-pass best-case arc cache at the end of
 	// the run, reusable across revisions for electrically unchanged nets.
 	bcs [][]bcsEntry
@@ -69,18 +68,18 @@ func (rs *ReplayState) Nets() int { return rs.nets }
 // Passes returns the number of stored BFS sweeps.
 func (rs *ReplayState) Passes() int { return len(rs.passes) }
 
-// FinalArrivals returns a copy of the final-pass 50% arrival times per
-// (net, dir) — the exactness witnesses the property tests compare.
+// FinalArrivals returns a copy of the reported pass's 50% arrival times
+// per (net, dir) — the exactness witnesses the property tests compare.
 func (rs *ReplayState) FinalArrivals() [][2]float64 {
 	return rs.finalField(func(s *netState) [2]float64 { return s.arrival })
 }
 
-// FinalSlews returns a copy of the final-pass slews per (net, dir).
+// FinalSlews returns a copy of the reported pass's slews per (net, dir).
 func (rs *ReplayState) FinalSlews() [][2]float64 {
 	return rs.finalField(func(s *netState) [2]float64 { return s.slew })
 }
 
-// FinalQuiets returns a copy of the final-pass quiescent times per
+// FinalQuiets returns a copy of the reported pass's quiescent times per
 // (net, dir).
 func (rs *ReplayState) FinalQuiets() [][2]float64 {
 	return rs.finalField(func(s *netState) [2]float64 { return s.quiet })
@@ -90,10 +89,10 @@ func (rs *ReplayState) finalField(get func(*netState) [2]float64) [][2]float64 {
 	if len(rs.passes) == 0 {
 		return nil
 	}
-	last := rs.passes[len(rs.passes)-1]
-	out := make([][2]float64, len(last))
-	for i := range last {
-		out[i] = get(&last[i])
+	final := rs.passes[rs.final]
+	out := make([][2]float64, len(final))
+	for i := range final {
+		out[i] = get(&final[i])
 	}
 	return out
 }
@@ -109,8 +108,7 @@ func (e *Engine) takeReplay() *ReplayState {
 		opts:   e.opts,
 		nets:   len(e.C.Nets),
 		passes: e.replayPasses,
-		early:  e.replayEarly,
-		slews:  e.replaySlews,
+		final:  e.finalPass,
 	}
 	rs.bcs = make([][]bcsEntry, len(e.bcs))
 	for i, row := range e.bcs {
@@ -118,7 +116,7 @@ func (e *Engine) takeReplay() *ReplayState {
 			rs.bcs[i] = append([]bcsEntry(nil), row...)
 		}
 	}
-	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
+	e.replayPasses = nil
 	return rs
 }
 
@@ -131,11 +129,8 @@ type ECOStats struct {
 	// the fanout, clocked flip-flops and coupling victims of lines
 	// whose state diverged.
 	ConeExpansions int64
-	// MinPassDirty counts lines re-evaluated by the seeded min-pass
-	// (Windows runs only).
-	MinPassDirty int64
-	// FullFallback reports that the run could not be seeded (Esperance
-	// mode, or a topology where seeding is unsound) and ran from
+	// FullFallback reports that the run could not be seeded (a topology
+	// where seeding is unsound, see seedableTopology) and ran from
 	// scratch instead.
 	FullFallback bool
 }
@@ -205,14 +200,14 @@ func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 // dirtySet is one sweep's recompute set. Lines outside it carry the
 // state of orig (nil: the sweep recomputes every line and carries
 // nothing). changed marks the recomputed lines whose state diverged
-// from orig; unless the set is an Esperance set, a divergence grows the
-// set through expand. dirty is grown concurrently (each cell's sweep
-// callback expands from its own diverged output, possibly on a worker
-// goroutine), so its bits are atomic; every expansion provably targets
-// a cell that has not started yet — fanout sinks and pass-1 coupling
-// victims have strictly higher rank, so the executor's dependency edges
-// order the mark before the read. changed is written by at most one
-// goroutine per index (the cell owner) and only read after that write.
+// from orig; a divergence grows the set through expand. dirty is grown
+// concurrently (each cell's sweep callback expands from its own
+// diverged output, possibly on a worker goroutine), so its bits are
+// atomic; every expansion provably targets a cell that has not started
+// yet — fanout sinks and pass-1 coupling victims have strictly higher
+// rank, so the executor's dependency edges order the mark before the
+// read. changed is written by at most one goroutine per index (the cell
+// owner) and only read after that write.
 type dirtySet struct {
 	orig    []netState
 	dirty   []atomic.Bool
@@ -220,11 +215,7 @@ type dirtySet struct {
 	// pass1 enables the one-step victim rule: a diverged net's
 	// higher-rank coupled victims read its current-pass quiescent time
 	// and must re-classify.
-	pass1 bool
-	// esperance fixes the set to the critical nets: nothing expands and
-	// every flip-flop output takes the later of its carried state and
-	// its launch.
-	esperance  bool
+	pass1      bool
 	expansions atomic.Int64
 	// Line tallies of the finished sweep, taken at the pass barrier:
 	// lines recomputed (flip-flop launches included) and carried.
@@ -265,30 +256,19 @@ func (ds *dirtySet) markAll() {
 // Iterative pass: the engine's own previous pass plays the role of the
 // stored trajectory, and the dirty frontier is exactly the set of lines
 // whose reads could differ from that pass — the coupled victims of
-// last-pass changes (quietPrev readers; plus self re-reads under
-// Windows), grown in-pass by the fanout of anything that diverges.
-// prevChanged == nil marks a pass that must recompute fully (pass 2:
-// the classifier switches from the one-step rule to stored quiescent
-// times, and Windows pruning activates, so every line's evalArc inputs
-// change shape); it still records which lines changed.
+// last-pass changes (quietPrev readers), grown in-pass by the fanout of
+// anything that diverges. prevChanged == nil marks a pass that must
+// recompute fully (pass 2: the classifier switches from the one-step
+// rule to stored quiescent times, so every line's evalArc inputs change
+// shape); it still records which lines changed.
 func (e *Engine) newDeltaPass(prevSt []netState, prevChanged []bool) *dirtySet {
 	ds := e.newFullPass()
 	ds.carry(prevSt, nil)
 	if prevChanged == nil {
 		ds.markAll()
 	} else {
-		e.seedRefinementDirty(ds, prevChanged, nil)
+		e.seedRefinementDirty(ds, prevChanged)
 	}
-	return ds
-}
-
-// newEsperancePass builds an Esperance refinement set: the critical nets
-// recompute, every other line carries the previous pass's state (a valid
-// upper bound), and nothing expands (§5.2).
-func (e *Engine) newEsperancePass(prevSt []netState, critical []bool) *dirtySet {
-	ds := e.newFullPass()
-	ds.carry(prevSt, critical)
-	ds.esperance = true
 	return ds
 }
 
@@ -320,31 +300,17 @@ func (e *Engine) expand(ds *dirtySet, net netlist.NetID) {
 // seedRefinementDirty initializes a refinement pass's dirty set beyond
 // the edit seeds: every coupled victim of a net that diverged in the
 // previous pass re-reads its quiescent time through quietPrev (any
-// rank), and with Windows active a diverged net also re-reads its own
-// previous-pass quiet (the victim sensitivity bound) while the coupled
-// victims of every net whose earliest-activity bound moved (earlyChanged,
-// the seeded min pass's changed mask) re-run the pruning test.
-func (e *Engine) seedRefinementDirty(ds *dirtySet, prevChanged, earlyChanged []bool) {
+// rank).
+func (e *Engine) seedRefinementDirty(ds *dirtySet, prevChanged []bool) {
 	if ds.orig == nil {
 		return // already fully dirty
 	}
-	markVictims := func(id netlist.NetID) {
-		lo, hi := e.cc.Span(id)
-		for k := lo; k < hi; k++ {
-			ds.mark(e.cc.Nbr[k])
-		}
-	}
 	for i, ch := range prevChanged {
 		if ch {
-			markVictims(netlist.NetID(i + 1))
-			if e.opts.Windows {
-				ds.mark(netlist.NetID(i + 1))
+			lo, hi := e.cc.Span(netlist.NetID(i + 1))
+			for k := lo; k < hi; k++ {
+				ds.mark(e.cc.Nbr[k])
 			}
-		}
-	}
-	for i, ch := range earlyChanged {
-		if ch {
-			markVictims(netlist.NetID(i + 1))
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Hold analysis (extension): the min-delay counterpart of the setup
-// report. The earliest-arrival pass (windows.go) bounds how soon each
+// report. The earliest-arrival pass (minSweep) bounds how soon each
 // endpoint can change after the launching clock edge; an endpoint
 // violates hold when that earliest arrival is shorter than the
 // flip-flop hold requirement (same-edge check, zero skew — the clock
@@ -60,7 +60,7 @@ func (e *Engine) ReportHold(holdTime float64) (*HoldReport, error) {
 	if holdTime < 0 {
 		return nil, fmt.Errorf("core: hold time must be non-negative, got %g", holdTime)
 	}
-	early, _, _, err := e.minSweep(nil, nil, nil)
+	early, _, err := e.minSweep()
 	if err != nil {
 		return nil, err
 	}
@@ -97,4 +97,81 @@ func (e *Engine) ReportHold(holdTime float64) (*HoldReport, error) {
 		return rep.Endpoints[i].Net < rep.Endpoints[j].Net
 	})
 	return rep, nil
+}
+
+// minSweep computes the earliest 50% arrivals per (net, dir) and their
+// slews over every line, with best-case arc delays (+Inf where a line
+// never switches that way).
+func (e *Engine) minSweep() (early, slews [][2]float64, err error) {
+	c := e.C
+	early = make([][2]float64, len(c.Nets))
+	slews = make([][2]float64, len(c.Nets))
+	for i := range early {
+		early[i] = [2]float64{math.Inf(1), math.Inf(1)}
+	}
+	for _, pi := range c.PIs {
+		slew := e.piSlewFor(pi)
+		early[pi-1], slews[pi-1] = [2]float64{0, 0}, [2]float64{slew, slew}
+	}
+
+	process := func(cell *netlist.Cell) error {
+		out := cell.Out
+		inf := &e.info[out-1]
+		ne, ns := [2]float64{math.Inf(1), math.Inf(1)}, [2]float64{}
+		for dOut := 0; dOut < 2; dOut++ {
+			dIn := 1 - dOut
+			for pin, inNet := range cell.In {
+				if math.IsInf(early[inNet-1][dIn], 1) {
+					continue
+				}
+				inArr := early[inNet-1][dIn]
+				if !e.opts.PiModel {
+					inArr += e.sink.At(cell.ID, pin)
+				}
+				inSlew := slews[inNet-1][dIn]
+				if inSlew <= 0 {
+					inSlew = e.opts.PISlew
+				}
+				// Fastest plausible conditions: coupling caps grounded
+				// at face value (neighbors quiet), the load lumped at
+				// the driver.
+				res, err := e.Calc.Eval(e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, false))
+				if err != nil {
+					return err
+				}
+				if a := inArr + res.Delay; a < ne[dOut] {
+					ne[dOut] = a
+					ns[dOut] = res.OutSlew
+				}
+			}
+		}
+		early[out-1], slews[out-1] = ne, ns
+		return nil
+	}
+
+	// Clock tree first, then flip-flop launches, then the rest: the
+	// timing sweep's phase order.
+	for _, cid := range e.order {
+		if cell := c.Cell(cid); c.Net(cell.Out).IsClock {
+			if err := process(cell); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for _, cell := range c.Cells {
+		if cell.Kind != netlist.DFF {
+			continue
+		}
+		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return early[clk-1][dirRise] })
+		ds := e.opts.DFFOutSlew
+		early[cell.Out-1], slews[cell.Out-1] = [2]float64{launch, launch}, [2]float64{ds, ds}
+	}
+	for _, cid := range e.order {
+		if cell := c.Cell(cid); !c.Net(cell.Out).IsClock {
+			if err := process(cell); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return early, slews, nil
 }

@@ -75,7 +75,7 @@ func TestReportHoldValidation(t *testing.T) {
 // earliest 50% arrival, the same measure as the setup report's. Each
 // endpoint must report, Float64bits-exactly, the smaller of its two
 // min-pass 50% arrivals plus the endpoint's wire delay — not the
-// transition start (arrival − slew/2) the Windows bounds use.
+// transition start (arrival − slew/2).
 func TestReportHoldArrivalsAre50Percent(t *testing.T) {
 	c, calc := buildExtracted(t, 140, 12, 7, 901)
 	eng, err := NewEngine(c, calc, Options{Mode: BestCase})
@@ -86,7 +86,7 @@ func TestReportHoldArrivalsAre50Percent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, _, _, err := eng.minSweep(nil, nil, nil)
+	early, _, err := eng.minSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +119,39 @@ func TestReportHoldArrivalsAre50Percent(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("hold endpoint %q, want %q (earliest 50%% arrival)", got[i], want[i])
 		}
+	}
+}
+
+func TestMinPassEarliestBeforeLatest(t *testing.T) {
+	c, calc := buildExtracted(t, 150, 12, 8, 302)
+	eng, err := NewEngine(c, calc, Options{Mode: Iterative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, slews, err := eng.minSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.sweep(OneStep, nil, eng.newFullPass())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i := range arrivals {
+		for d := 0; d < 2; d++ {
+			if math.IsInf(arrivals[i][d], 1) || math.IsInf(st[i].arrival[d], -1) {
+				continue
+			}
+			checked++
+			// Earliest transition start must precede the latest 50%
+			// arrival (a start precedes its own 50% point, and min ≤ max).
+			if start := arrivals[i][d] - slews[i][d]/2; start > st[i].arrival[d]+1e-15 {
+				t.Errorf("net %s %s: earliest start %v after latest arrival %v",
+					c.Net(netlist.NetID(i+1)).Name, dirOf(d), start, st[i].arrival[d])
+			}
+		}
+	}
+	if checked < 50 {
+		t.Errorf("too few comparable points: %d", checked)
 	}
 }

@@ -27,15 +27,13 @@ type PassStat struct {
 	// this pass (zero with Options.Tier0 off).
 	Tier0Hits int64
 	// RecalculatedWires counts nets whose arcs were actually
-	// re-evaluated (Esperance skips excluded).
+	// re-evaluated.
 	RecalculatedWires int64
-	// EsperanceSkips counts nets carried over from the previous pass.
-	EsperanceSkips int64
 	// ConvergedSkips counts lines the delta-convergent Iterative
 	// refinement carried over because their inputs and neighbor
 	// quiescent times were bit-identical to the previous pass. Zero for
-	// pass 1, for full-recompute passes (including pass 2, which always
-	// recomputes everything) and for Esperance runs.
+	// pass 1 and for full-recompute passes (including pass 2, which
+	// always recomputes everything).
 	ConvergedSkips int64
 	// LongestPath is the worst endpoint arrival after this pass.
 	LongestPath float64
@@ -52,10 +50,10 @@ type PassStat struct {
 // coupled neighbour or per candidate pin.
 type engineMetrics struct {
 	arcEvals, sims, newtonIters, newtonFails                *obs.Counter
-	couplingActive, couplingGrounded, couplingWindowPruned  *obs.Counter
+	couplingActive, couplingGrounded                        *obs.Counter
 	ccZeroSkips, tbcsHits                                   *obs.Counter
 	tier0Hits, tier0Fallbacks, tier0FlipGuards, tier0Reruns *obs.Counter
-	passes, recalcWires, esperanceSkips                     *obs.Counter
+	passes, recalcWires                                     *obs.Counter
 	workerCells, seqCells                                   *obs.Counter
 	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks        *obs.Counter
 	schedSteals, convergedSkips                             *obs.Counter
@@ -75,52 +73,47 @@ type engineMetrics struct {
 
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	return &engineMetrics{
-		arcEvals:             r.Counter(obs.MArcEvaluations),
-		sims:                 r.Counter(obs.MSimulations),
-		newtonIters:          r.Counter(obs.MNewtonIters),
-		newtonFails:          r.Counter(obs.MNewtonFailures),
-		couplingActive:       r.Counter(obs.MCouplingActive),
-		couplingGrounded:     r.Counter(obs.MCouplingGrounded),
-		couplingWindowPruned: r.Counter(obs.MCouplingWindowPruned),
-		ccZeroSkips:          r.Counter(obs.MCouplingZeroSkips),
-		tbcsHits:             r.Counter(obs.MTBCSReuseHits),
-		tier0Hits:            r.Counter(obs.MTier0Hits),
-		tier0Fallbacks:       r.Counter(obs.MTier0Fallbacks),
-		tier0FlipGuards:      r.Counter(obs.MTier0FlipGuards),
-		tier0Reruns:          r.Counter(obs.MTier0Reruns),
-		passes:               r.Counter(obs.MPasses),
-		recalcWires:          r.Counter(obs.MRecalcWires),
-		esperanceSkips:       r.Counter(obs.MEsperanceSkips),
-		workerCells:          r.Counter(obs.MWorkerCells),
-		seqCells:             r.Counter(obs.MSequentialCells),
-		ecoDirty:             r.Counter(obs.MEcoDirtyLines),
-		ecoReused:            r.Counter(obs.MEcoReusedLines),
-		ecoExpansions:        r.Counter(obs.MEcoConeExpansions),
-		ecoFallbacks:         r.Counter(obs.MEcoFullFallbacks),
-		schedSteals:          r.Counter(obs.MSchedSteals),
-		convergedSkips:       r.Counter(obs.MPassConvergedSkips),
-		schedReadyDepth:      r.Histogram(obs.MSchedReadyDepth),
-		workers:              r.Gauge(obs.MWorkers),
-		analysisDur:          r.HistogramVec(obs.MAnalysisDuration, obs.DurationBounds, "mode", "corner", "revision"),
-		passDur:              r.HistogramVec(obs.MPassDuration, obs.DurationBounds, "mode", "pass"),
-		phaseDur:             r.HistogramVec(obs.MPhaseDuration, obs.DurationBounds, "mode", "phase"),
-		queueWait:            r.HistogramVec(obs.MQueueWait, obs.DurationBounds, "mode"),
-		analyses:             r.CounterVec(obs.MAnalyses, "mode", "corner"),
-		attributionBuilds:    r.Counter(obs.MAttributionBuilds),
+		arcEvals:          r.Counter(obs.MArcEvaluations),
+		sims:              r.Counter(obs.MSimulations),
+		newtonIters:       r.Counter(obs.MNewtonIters),
+		newtonFails:       r.Counter(obs.MNewtonFailures),
+		couplingActive:    r.Counter(obs.MCouplingActive),
+		couplingGrounded:  r.Counter(obs.MCouplingGrounded),
+		ccZeroSkips:       r.Counter(obs.MCouplingZeroSkips),
+		tbcsHits:          r.Counter(obs.MTBCSReuseHits),
+		tier0Hits:         r.Counter(obs.MTier0Hits),
+		tier0Fallbacks:    r.Counter(obs.MTier0Fallbacks),
+		tier0FlipGuards:   r.Counter(obs.MTier0FlipGuards),
+		tier0Reruns:       r.Counter(obs.MTier0Reruns),
+		passes:            r.Counter(obs.MPasses),
+		recalcWires:       r.Counter(obs.MRecalcWires),
+		workerCells:       r.Counter(obs.MWorkerCells),
+		seqCells:          r.Counter(obs.MSequentialCells),
+		ecoDirty:          r.Counter(obs.MEcoDirtyLines),
+		ecoReused:         r.Counter(obs.MEcoReusedLines),
+		ecoExpansions:     r.Counter(obs.MEcoConeExpansions),
+		ecoFallbacks:      r.Counter(obs.MEcoFullFallbacks),
+		schedSteals:       r.Counter(obs.MSchedSteals),
+		convergedSkips:    r.Counter(obs.MPassConvergedSkips),
+		schedReadyDepth:   r.Histogram(obs.MSchedReadyDepth),
+		workers:           r.Gauge(obs.MWorkers),
+		analysisDur:       r.HistogramVec(obs.MAnalysisDuration, obs.DurationBounds, "mode", "corner", "revision"),
+		passDur:           r.HistogramVec(obs.MPassDuration, obs.DurationBounds, "mode", "pass"),
+		phaseDur:          r.HistogramVec(obs.MPhaseDuration, obs.DurationBounds, "mode", "phase"),
+		queueWait:         r.HistogramVec(obs.MQueueWait, obs.DurationBounds, "mode"),
+		analyses:          r.CounterVec(obs.MAnalyses, "mode", "corner"),
+		attributionBuilds: r.Counter(obs.MAttributionBuilds),
 	}
 }
 
 // addCoupling publishes one arc's tallied coupling decisions, skipping
 // the shared atomic adds a zero total does not need.
-func (m *engineMetrics) addCoupling(active, grounded, pruned int) {
+func (m *engineMetrics) addCoupling(active, grounded int) {
 	if active > 0 {
 		m.couplingActive.Add(int64(active))
 	}
 	if grounded > 0 {
 		m.couplingGrounded.Add(int64(grounded))
-	}
-	if pruned > 0 {
-		m.couplingWindowPruned.Add(int64(pruned))
 	}
 }
 
@@ -171,9 +164,9 @@ func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
 
 // endPass closes the scope of the sweep over ds, records the PassStat
 // and returns the pass's longest-path bound. The sweep's line tallies
-// are published here, once per pass: carried lines count as Esperance
-// skips in an Esperance pass and as converged skips in a delta pass; a
-// seeded pass (eco non-nil) folds both tallies into the ECO stats.
+// are published here, once per pass: carried lines count as converged
+// skips in a delta pass; a seeded pass (eco non-nil) folds both tallies
+// into the ECO stats.
 func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOStats) float64 {
 	longest, _ := e.longest(st)
 	d := e.calcCounters().Sub(ph.c0)
@@ -198,9 +191,6 @@ func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOSt
 		e.m.ecoDirty.Add(ds.recomputed)
 		e.m.ecoReused.Add(ds.carried)
 		e.m.ecoExpansions.Add(x)
-	case ds.esperance:
-		stat.EsperanceSkips = ds.carried
-		e.m.esperanceSkips.Add(ds.carried)
 	case ds.orig != nil:
 		stat.ConvergedSkips = ds.carried
 		e.m.convergedSkips.Add(ds.carried)
@@ -228,7 +218,6 @@ func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOSt
 			"arc_evaluations": d.Requests,
 			"simulations":     d.Simulations,
 			"recalc_wires":    stat.RecalculatedWires,
-			"esperance_skips": stat.EsperanceSkips,
 			"converged_skips": stat.ConvergedSkips,
 			"wall_ms":         float64(stat.Wall) / 1e6,
 		})

@@ -14,7 +14,8 @@ import (
 
 // TestPassStatsRecorded: Result.PassStats must cover every pass, lead
 // with the one-step seed pass, count real work, and show a
-// non-increasing longest-path bound across iterative refinements.
+// non-increasing longest-path bound across iterative refinements on
+// this circuit; Result.LongestPath is the lowest pass.
 func TestPassStatsRecorded(t *testing.T) {
 	c, calc := buildExtracted(t, 150, 12, 8, 711)
 	res := runMode(t, c, calc, Options{Mode: Iterative})
@@ -40,17 +41,21 @@ func TestPassStatsRecorded(t *testing.T) {
 		if i == 0 {
 			continue
 		}
-		// Refinement can only tighten the bound; allow a sliver for
-		// cache-quantization noise on the final (converged) pass.
+		// On this circuit refinement tightens the bound; allow a sliver on
+		// the final pass, which ends the refinement by not improving (in
+		// general it may be looser: the lowest pass is reported).
 		prev := res.PassStats[i-1].LongestPath
 		if ps.LongestPath > prev*(1+1e-3) {
 			t.Errorf("pass %d longest path %v exceeds pass %d's %v",
 				ps.Pass, ps.LongestPath, i, prev)
 		}
 	}
-	last := res.PassStats[len(res.PassStats)-1].LongestPath
-	if last != res.LongestPath {
-		t.Errorf("final pass longest %v != Result.LongestPath %v", last, res.LongestPath)
+	lowest := math.Inf(1)
+	for _, ps := range res.PassStats {
+		lowest = math.Min(lowest, ps.LongestPath)
+	}
+	if lowest != res.LongestPath {
+		t.Errorf("lowest pass longest %v != Result.LongestPath %v", lowest, res.LongestPath)
 	}
 }
 
@@ -135,11 +140,11 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 // OneStep with tier-0 off every evaluated arc driving a coupled net
 // classifies each neighbour once, as active or grounded, so the two
 // totals sum to the number of (evaluated arc, coupled neighbour) pairs
-// for any worker count. An Iterative Windows run adds window-pruned
-// decisions; its three totals must not depend on the worker count.
+// for any worker count. An Iterative run's totals must not depend on
+// the worker count either.
 func TestCouplingCountersExact(t *testing.T) {
 	c, calc := buildExtracted(t, 200, 16, 8, 715)
-	type totals struct{ active, grounded, pruned int64 }
+	type totals struct{ active, grounded int64 }
 	run := func(opts Options) (*Engine, *Result, totals) {
 		t.Helper()
 		reg := obs.NewRegistry()
@@ -156,7 +161,6 @@ func TestCouplingCountersExact(t *testing.T) {
 		return eng, res, totals{
 			d.Counters[obs.MCouplingActive],
 			d.Counters[obs.MCouplingGrounded],
-			d.Counters[obs.MCouplingWindowPruned],
 		}
 	}
 
@@ -184,9 +188,9 @@ func TestCouplingCountersExact(t *testing.T) {
 		if pairs == 0 {
 			t.Fatal("no coupled arcs evaluated; the check is vacuous")
 		}
-		if got.active+got.grounded != pairs || got.pruned != 0 {
-			t.Errorf("OneStep workers=%d: active %d + grounded %d = %d, pruned %d; want %d evaluated (arc, neighbour) pairs, 0 pruned",
-				w, got.active, got.grounded, got.active+got.grounded, got.pruned, pairs)
+		if got.active+got.grounded != pairs {
+			t.Errorf("OneStep workers=%d: active %d + grounded %d = %d; want %d evaluated (arc, neighbour) pairs",
+				w, got.active, got.grounded, got.active+got.grounded, pairs)
 		}
 		oneStep = append(oneStep, got)
 	}
@@ -194,13 +198,10 @@ func TestCouplingCountersExact(t *testing.T) {
 		t.Errorf("OneStep coupling totals differ by worker count: 1 worker %+v, 4 workers %+v", oneStep[0], oneStep[1])
 	}
 
-	_, _, seq := run(Options{Mode: Iterative, Windows: true, Workers: 1})
-	_, _, par := run(Options{Mode: Iterative, Windows: true, Workers: 4})
+	_, _, seq := run(Options{Mode: Iterative, Workers: 1})
+	_, _, par := run(Options{Mode: Iterative, Workers: 4})
 	if seq != par {
-		t.Errorf("Iterative Windows coupling totals differ by worker count: 1 worker %+v, 4 workers %+v", seq, par)
-	}
-	if seq.pruned <= 0 {
-		t.Errorf("Iterative Windows pruned no coupling: %+v", seq)
+		t.Errorf("Iterative coupling totals differ by worker count: 1 worker %+v, 4 workers %+v", seq, par)
 	}
 }
 

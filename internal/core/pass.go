@@ -19,40 +19,29 @@ import (
 //   - a full pass recomputes every line and carries nothing: the
 //     single-pass modes, Iterative pass 1, and pass 2, where the
 //     classifier switches from the one-step rule to stored quiescent
-//     times (and Windows pruning starts), so every line's evalArc
-//     inputs change shape;
+//     times, so every line's evalArc inputs change shape;
 //   - a delta pass (Iterative from pass 3) recomputes only the frontier
 //     whose inputs can differ from the previous pass: the coupled
 //     victims of last-pass changes (they re-read quiescent times through
-//     quietPrev) plus, under Windows, the changed nets themselves (own
-//     sensitivity bound), grown in-pass by the fanout of anything that
-//     diverges;
-//   - an Esperance pass recomputes the critical nets and carries the
-//     rest from the previous pass, and nothing expands (its skip rule
-//     approximates; it is exact relative to itself only without delta
-//     carry-over);
+//     quietPrev), grown in-pass by the fanout of anything that diverges;
 //   - a seeded pass recomputes the edit seeds against the stored pass of
 //     the same index, grown in-pass like a delta pass, with the same pass
 //     control, so the stop rule sees the same merged states and the same
 //     trajectory.
 //
-// Iterative stops when the longest path stops improving (§5.2).
+// Iterative stops when the longest path stops improving (§5.2) and
+// returns its best pass: each pass reads the previous pass's quiescent
+// times, which are upper bounds, so every pass is a sound bound and the
+// lowest one is reported (the later pass on a tie). The attribution
+// context and the replay's final index follow the reported pass.
 func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
 	mode := e.opts.Mode
 	if mode < BestCase || mode > Iterative {
 		return nil, 0, fmt.Errorf("core: unknown mode %d", int(mode))
 	}
 	firstMode := mode
-	e.earliestStart = nil
-	var earlyChanged []bool
 	if mode == Iterative {
 		firstMode = OneStep
-		if e.opts.Windows {
-			var err error
-			if earlyChanged, err = e.windowBounds(prev, seed, eco); err != nil {
-				return nil, 0, err
-			}
-		}
 	}
 	var ds *dirtySet
 	if prev != nil {
@@ -60,22 +49,21 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 	} else {
 		ds = e.newFullPass()
 	}
-	e.finalQuietPrev, e.finalPassMode = nil, firstMode
+	e.finalQuietPrev, e.finalPassMode, e.finalPass = nil, firstMode, 0
 	ph := e.beginPass(1, firstMode)
 	st, err := e.sweep(firstMode, nil, ds)
 	if err != nil {
 		return nil, 0, err
 	}
 	delay := e.endPass(ph, st, ds, eco)
+	best := st
 	passes := 1
 	for mode == Iterative && passes < maxPasses {
 		var next *dirtySet
 		switch {
 		case prev != nil:
 			next = e.newEcoPass(prev, passes, seed)
-			e.seedRefinementDirty(next, ds.changed, earlyChanged)
-		case e.opts.Esperance:
-			next = e.newEsperancePass(st, e.criticalNets(st, delay))
+			e.seedRefinementDirty(next, ds.changed)
 		case passes == 1:
 			next = e.newDeltaPass(st, nil)
 		default:
@@ -84,22 +72,26 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 		e.putDirtySet(ds)
 		ds = next
 		qp := snapshotQuiet(st)
-		e.finalQuietPrev, e.finalPassMode = qp, Iterative
 		ph := e.beginPass(passes+1, Iterative)
-		st2, err := e.sweep(Iterative, qp, ds)
+		st, err = e.sweep(Iterative, qp, ds)
 		if err != nil {
 			return nil, 0, err
 		}
 		passes++
-		newDelay := e.endPass(ph, st2, ds, eco)
-		st = st2
+		newDelay := e.endPass(ph, st, ds, eco)
+		// delay is the lowest bound so far: the loop only continues on a
+		// strict decrease.
+		if newDelay <= delay {
+			best = st
+			e.finalQuietPrev, e.finalPassMode, e.finalPass = qp, Iterative, passes-1
+		}
 		if newDelay >= delay-1e-12 {
 			break
 		}
 		delay = newDelay
 	}
 	e.putDirtySet(ds)
-	return st, passes, nil
+	return best, passes, nil
 }
 
 // sweep performs one breadth-first timing pass (§4/§5) over ds's
@@ -111,16 +103,14 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 //     a stored quiescent time, so no uncalculated-wire assumption is
 //     needed (§5.2).
 //
-// Lines outside the recompute set carry ds.orig's state. Unless ds is
-// an Esperance set, a recomputed line whose state diverges from
-// ds.orig is marked changed and grows the set through its fanout,
-// before any dependent cell starts (see dataflow.go). The line tallies
-// are taken once, at the pass barrier.
+// Lines outside the recompute set carry ds.orig's state. A recomputed
+// line whose state diverges from ds.orig is marked changed and grows the
+// set through its fanout, before any dependent cell starts (see
+// dataflow.go). The line tallies are taken once, at the pass barrier.
 func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netState, error) {
 	c := e.C
 	st := make([]netState, len(c.Nets))
 	carry := ds.orig != nil
-	track := carry && !ds.esperance
 	if carry {
 		copy(st, ds.orig)
 		for i := range st {
@@ -136,7 +126,7 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	// diverged marks a recomputed line that no longer matches the
 	// carried state and grows the set from it.
 	diverged := func(net netlist.NetID) {
-		if track && !sameNetState(&st[net-1], &ds.orig[net-1]) {
+		if carry && !sameNetState(&st[net-1], &ds.orig[net-1]) {
 			ds.changed[net-1] = true
 			e.expand(ds, net)
 		}
@@ -176,38 +166,29 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	}
 
 	// Flip-flop outputs: launched by the rising clock edge at the
-	// flip-flop's clock-pin arrival plus clock-to-Q, or later when the
-	// output already holds a later arrival (an Esperance carry-over).
-	// A clean Q of a tracked set keeps the carried state: its launch
-	// reads only the clock arrival, which did not diverge — otherwise
-	// the clock-sink expansion would have dirtied it. A dirty Q of a
-	// tracked set launches afresh: one dirtied mid-pass by its clock
-	// net still holds the carried launch, which may be later.
+	// flip-flop's clock-pin arrival plus clock-to-Q. A clean Q of a
+	// carrying set keeps the carried state: its launch reads only the
+	// clock arrival, which did not diverge — otherwise the clock-sink
+	// expansion would have dirtied it.
 	var launches, kept int64
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
 			continue
 		}
 		out := cell.Out
-		if track && !ds.dirty[out-1].Load() {
+		if carry && !ds.dirty[out-1].Load() {
 			kept++
 			continue
 		}
 		launches++
 		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return st[clk-1].arrival[dirRise] })
-		s := &st[out-1]
-		if track {
-			*s = freshNetState()
-		}
+		s := netState{calculated: true} // a launch point: no predecessor
 		for d := 0; d < 2; d++ {
-			if launch > s.arrival[d] {
-				s.arrival[d] = launch
-				s.slew[d] = e.opts.DFFOutSlew
-				s.quiet[d] = launch + e.opts.DFFOutSlew/2
-				s.pred[d] = arcPred{} // launch point
-			}
+			s.arrival[d] = launch
+			s.slew[d] = e.opts.DFFOutSlew
+			s.quiet[d] = launch + e.opts.DFFOutSlew/2
 		}
-		s.calculated = true
+		st[out-1] = s
 		diverged(out)
 	}
 
@@ -381,8 +362,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 	// on both ends, those decisions are proven without it and the final
 	// request is issued directly. Any neighbor whose quiescent time lands
 	// inside the bracket could flip — the flip guard — and forces the
-	// exact path. Windows mode is ruled out by setupTier0, so its pruning
-	// test never applies here.
+	// exact path.
 	if t0a != nil && !t0a.nearCrit {
 		// An exact t_bcs already in the cache is free: elide only
 		// without one.
@@ -393,7 +373,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 				// Coupling metrics commit only here — the bail paths
 				// fall through to the exact classification, which
 				// counts them itself.
-				e.m.addCoupling(c.nActive, c.nGrounded, c.nPruned)
+				e.m.addCoupling(c.nActive, c.nGrounded)
 				e.t0.hits.Add(1) // the elided best-case evaluation
 				e.m.tier0Hits.Inc()
 				return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi))
@@ -422,7 +402,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 	// and published once: the counters are shared by every worker.
 	tBCS := inArr + bcsRes.TimeToRestart
 	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, nil)
-	e.m.addCoupling(c.nActive, c.nGrounded, c.nPruned)
+	e.m.addCoupling(c.nActive, c.nGrounded)
 	if c.cc == 0 {
 		// Every neighbor is quiet: the worst-case request would carry
 		// the full coupling capacitance grounded — electrically the
@@ -437,8 +417,8 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 // coupled is the outcome of one arc's coupling classification: the
 // actively coupling capacitance and the per-decision neighbor counts.
 type coupled struct {
-	cc                          float64
-	nActive, nGrounded, nPruned int
+	cc                 float64
+	nActive, nGrounded int
 }
 
 // classify applies the one-step rule (§5.1) to every neighbor coupled to
@@ -447,24 +427,14 @@ type coupled struct {
 // opposite-transition quiescent time lies after hi, and is grounded
 // when that time lies at or before lo. A neighbor quiet inside (lo, hi]
 // could go either way; classify then stops and reports the decisions
-// unproven, which never happens for an exact t_bcs (lo == hi). With
-// Windows, a refinement pass also prunes an aggressor that cannot
-// become active before the victim is done. active, when non-nil,
-// receives the coupling-CSR index of every actively coupling neighbor.
+// unproven, which never happens for an exact t_bcs (lo == hi). active,
+// when non-nil, receives the coupling-CSR index of every actively
+// coupling neighbor.
 func (e *Engine) classify(st []netState, quietPrev [][2]float64, out netlist.NetID, dOut int,
 	lo, hi float64, active func(k int32)) (c coupled, proven bool) {
 
 	inf := &e.info[out-1]
 	dAggressor := 1 - dOut // opposite transition couples
-	// Windows extension: the victim is only sensitive until its own
-	// previous-pass quiescent time.
-	victimQuiet := math.Inf(1)
-	windows := e.earliestStart != nil && quietPrev != nil
-	if windows {
-		if q := quietPrev[out-1][dOut]; !math.IsInf(q, -1) {
-			victimQuiet = q
-		}
-	}
 	ccNbr, ccC := e.cc.Nbr, e.cc.C
 	for k := inf.ccLo; k < inf.ccHi; k++ {
 		other := ccNbr[k]
@@ -486,12 +456,6 @@ func (e *Engine) classify(st []netState, quietPrev [][2]float64, out netlist.Net
 		}
 		switch {
 		case coupling.ShouldCouple(calculated, quietAt, hi):
-			if windows && e.earliestStart[other-1][dAggressor] >= victimQuiet {
-				// Windows extension: an aggressor that cannot become
-				// active before the victim is done cannot couple.
-				c.nPruned++
-				continue
-			}
 			c.cc += ccC[k]
 			c.nActive++
 			if active != nil {

@@ -32,12 +32,10 @@ package core
 // every evaluated arc is audited against its bracket and a violation
 // taints the run, which is then discarded and re-run all-Newton.
 //
-// Tier-0 is disabled under Esperance (its skip rule already
-// approximates) and Windows (the pruning test reads state the elision
-// proofs do not model), on seeded re-analysis (the base run has just
+// Tier-0 is disabled on seeded re-analysis (the base run has just
 // characterized nearly every request, so tier-0 would skip little but
 // cache hits, yet pay a whole-design frontier sweep and a bracket per
-// dirty candidate), and when the evaluator cannot bound arcs.
+// dirty candidate) and when the evaluator cannot bound arcs.
 
 import (
 	"math"
@@ -118,7 +116,7 @@ type t0Cand struct {
 func (e *Engine) setupTier0(seeded bool) error {
 	e.t0 = nil
 	e.tier0Rerun = false
-	if !e.opts.Tier0 || e.opts.Esperance || e.opts.Windows || seeded {
+	if !e.opts.Tier0 || seeded {
 		return nil
 	}
 	be, ok := e.Calc.(delaycalc.BoundsEvaluator)
@@ -401,7 +399,7 @@ func (e *Engine) discardTainted() bool {
 		return false
 	}
 	e.passStats = nil
-	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
+	e.replayPasses = nil
 	e.t0 = nil
 	e.tier0Rerun = true
 	e.m.tier0Reruns.Inc()

@@ -104,26 +104,6 @@ func TestTier0MarginSweepParity(t *testing.T) {
 	}
 }
 
-// TestTier0DisabledUnderApproximateModes: Esperance and Windows rule
-// tier-0 out (their skip/pruning rules read state the bracket proofs do
-// not model) — the dispatcher must stay inert rather than combine.
-func TestTier0DisabledUnderApproximateModes(t *testing.T) {
-	c, calc := buildExtracted(t, 180, 12, 8, 304)
-	for _, opts := range []Options{
-		{Mode: Iterative, Tier0: true, Esperance: true},
-		{Mode: Iterative, Tier0: true, Windows: true},
-	} {
-		res := runMode(t, c, calc, opts)
-		if res.Tier0Hits != 0 || res.Tier0Fallbacks != 0 || res.Tier0FlipGuards != 0 {
-			t.Errorf("esperance=%v windows=%v: tier-0 ran (%d/%d/%d) despite being gated off",
-				opts.Esperance, opts.Windows, res.Tier0Hits, res.Tier0Fallbacks, res.Tier0FlipGuards)
-		}
-		if math.IsInf(res.LongestPath, -1) || res.LongestPath <= 0 {
-			t.Errorf("esperance=%v windows=%v: no longest path", opts.Esperance, opts.Windows)
-		}
-	}
-}
-
 // TestTier0ParallelParity: the tier-0 decisions (dominance, elision,
 // memo, frontier) are all order-independent, so a parallel sweep with
 // tier-0 on matches the sequential all-Newton run bit-for-bit.

@@ -97,7 +97,7 @@ func (e *Engine) Report(period float64) (*TimingReport, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("core: clock period must be positive, got %g", period)
 	}
-	// Run the analysis for its final pass state: the same passes Run
+	// Run the analysis for its reported pass state: the same passes Run
 	// executes, without assembling a Result.
 	st, _, err := e.analyze(nil, nil, nil)
 	if err != nil {

@@ -25,9 +25,8 @@ const (
 	MSimWindowExtensions = "xtalksta_sim_window_extensions"
 
 	// Coupling decisions taken by the one-step/iterative classifier.
-	MCouplingActive       = "coupling_active_total"
-	MCouplingGrounded     = "coupling_grounded_total"
-	MCouplingWindowPruned = "coupling_window_pruned_total"
+	MCouplingActive   = "coupling_active_total"
+	MCouplingGrounded = "coupling_grounded_total"
 	// Arc evaluations skipped because the worst-case request collapsed
 	// to the already-computed best-case one (no active coupling), and
 	// best-case results reused across Iterative refinement passes.
@@ -55,7 +54,6 @@ const (
 	// stack.
 	MPasses          = "passes_total"
 	MRecalcWires     = "recalculated_wires_total"
-	MEsperanceSkips  = "esperance_skips_total"
 	MWorkerCells     = "worker_cells_total"
 	MSequentialCells = "sequential_cells_total"
 	MWorkers         = "workers"                 // gauge
@@ -169,10 +167,10 @@ func AllMetrics() []MetricDef {
 		c(MArcEvaluations), c(MSimulations), c(MNewtonIters), c(MNewtonFailures),
 		c(MDelayCacheHits), c(MDelayCacheMisses), c(MDelayCacheContention),
 		c(MSimSteps), c(MSimStepRejections), c(MSimEarlyStops), c(MSimWindowExtensions),
-		c(MCouplingActive), c(MCouplingGrounded), c(MCouplingWindowPruned),
+		c(MCouplingActive), c(MCouplingGrounded),
 		c(MCouplingZeroSkips), c(MTBCSReuseHits),
 		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards), c(MTier0Reruns),
-		c(MPasses), c(MRecalcWires), c(MEsperanceSkips),
+		c(MPasses), c(MRecalcWires),
 		c(MWorkerCells), c(MSequentialCells),
 		g(MWorkers), h(MSchedReadyDepth), c(MSchedSteals),
 		c(MPassConvergedSkips),

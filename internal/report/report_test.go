@@ -76,6 +76,17 @@ func TestCheckShapeViolations(t *testing.T) {
 	}
 }
 
+// TestCheckShapeIterativeAboveOneStep: iterative ≤ one-step holds
+// exactly, so even a 0.1% excess — well inside tol — is a violation.
+func TestCheckShapeIterativeAboveOneStep(t *testing.T) {
+	tab := sampleTable()
+	tab.Rows[4].DelayNs = tab.Rows[3].DelayNs * 1.001
+	v := tab.CheckShape(0.02)
+	if len(v) != 1 || !strings.Contains(v[0], "iterative") {
+		t.Errorf("iterative 0.1%% above one-step: violations %v, want one iterative violation", v)
+	}
+}
+
 func TestCheckShapeMissingRowsTolerated(t *testing.T) {
 	tab := &Table{Rows: []Row{{Method: "Best case", DelayNs: 1}}}
 	if v := tab.CheckShape(0.02); len(v) != 0 {

@@ -215,7 +215,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "  POST /v1/designs                 {id, preset|cells, scale, ...}")
 		fmt.Fprintln(w, "  GET  /v1/designs")
 		fmt.Fprintln(w, "  GET  /v1/designs/{id}?pairs=N")
-		fmt.Fprintln(w, "  POST /v1/designs/{id}/analyze    {mode, corner, esperance, timeout_ms}")
+		fmt.Fprintln(w, "  POST /v1/designs/{id}/analyze    {mode, corner, timeout_ms}")
 		fmt.Fprintln(w, "  POST /v1/designs/{id}/edit       {edits: [...], reanalyze_mode}")
 		fmt.Fprintln(w, "  GET  /v1/designs/{id}/paths?mode=&topk=&format=json")
 		fmt.Fprintln(w, "  /metrics /debug/pprof/* /debug/obs/{snapshot,sessions,critpath}")
@@ -468,7 +468,6 @@ func (s *Server) handleGetDesign(w http.ResponseWriter, r *http.Request) {
 type analyzeReq struct {
 	Mode      string `json:"mode"`
 	Corner    string `json:"corner"`
-	Esperance bool   `json:"esperance"`
 	TimeoutMs int    `json:"timeout_ms"`
 }
 
@@ -563,7 +562,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	var req analyzeReq
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// An unknown field is an error, not silently ignored: a client
+		// asking for an option the engine lacks must not be served a
+		// different analysis.
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -582,13 +586,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	rev := e.d.Revision()
-	key := fmt.Sprintf("analyze|%s|r%d|%s|%s|esp%t", e.id, rev, mode, corner, req.Esperance)
+	key := fmt.Sprintf("analyze|%s|r%d|%s|%s", e.id, rev, mode, corner)
 	status, body, fromCache, err := s.cachedOrFlight(ctx, e, rev, key, "application/json", func() (int, []byte, error) {
 		if err := s.adm.Acquire(ctx); err != nil {
 			return shedStatus(err), mustJSON(errorResp{Error: err.Error()}), nil
 		}
 		defer s.adm.Release()
-		res, rrev, err := s.runAnalysis(e, mode, corner, req.Esperance)
+		res, rrev, err := s.runAnalysis(e, mode, corner)
 		if err != nil {
 			return http.StatusInternalServerError, mustJSON(errorResp{Error: err.Error()}), nil
 		}
@@ -616,12 +620,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // typical corner through Design.Analyze (its result seeds future
 // incremental reanalyses), other corners through the memoized
 // single-corner path.
-func (s *Server) runAnalysis(e *designEntry, mode xtalksta.Mode, corner xtalksta.Corner, esperance bool) (*xtalksta.AnalysisResult, uint64, error) {
+func (s *Server) runAnalysis(e *designEntry, mode xtalksta.Mode, corner xtalksta.Corner) (*xtalksta.AnalysisResult, uint64, error) {
 	opts := xtalksta.AnalysisOptions{
-		Mode:      mode,
-		Esperance: esperance,
-		Workers:   s.workers,
-		Metrics:   s.reg,
+		Mode:    mode,
+		Workers: s.workers,
+		Metrics: s.reg,
 	}
 	if corner != "" {
 		res, err := e.d.AnalyzeCorner(corner, opts)
@@ -726,7 +729,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		// No seed yet: apply the batch, then run the mode from scratch
 		// (establishing the seed for the next edit).
 		if err = e.d.Edit(req.Edits...); err == nil {
-			res, _, err = s.runAnalysis(e, mode, "", false)
+			res, _, err = s.runAnalysis(e, mode, "")
 		}
 	}
 	if err != nil {

@@ -153,6 +153,20 @@ func TestEndpointsBasic(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsUnknownField: an analyze body naming a field the
+// request does not have (here an option the engine no longer offers)
+// must be refused with an error naming it, not served as a plain
+// analysis that ignores it.
+func TestAnalyzeRejectsUnknownField(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	const field = "esperance"
+	code, body, _ := do(t, s.Handler(), "POST", "/v1/designs/d1/analyze",
+		map[string]any{"mode": "iterative", field: true})
+	if code != 400 || !strings.Contains(string(body), field) {
+		t.Fatalf("unknown field: code %d body %s, want 400 naming %q", code, body, field)
+	}
+}
+
 func TestLoadDesignOverHTTP(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()

@@ -46,7 +46,7 @@ func driftDesign(t *testing.T, reg *MetricsRegistry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Analyze(AnalysisOptions{Mode: WorstCase, Metrics: reg, Esperance: true}); err != nil {
+	if _, err := d.Analyze(AnalysisOptions{Mode: WorstCase, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))

@@ -42,10 +42,6 @@ func parityMatrix() []parityConfig {
 			Mode: xtalksta.Iterative, Workers: 4}},
 		parityConfig{name: "Iterative/tier0", opts: xtalksta.AnalysisOptions{
 			Mode: xtalksta.Iterative, Tier0: true}},
-		parityConfig{name: "Iterative/esperance", opts: xtalksta.AnalysisOptions{
-			Mode: xtalksta.Iterative, Esperance: true}},
-		parityConfig{name: "Iterative/windows", opts: xtalksta.AnalysisOptions{
-			Mode: xtalksta.Iterative, Windows: true}},
 		parityConfig{name: "Iterative/eco-seeded", opts: xtalksta.AnalysisOptions{
 			Mode: xtalksta.Iterative}, eco: true},
 		parityConfig{name: "Iterative/tier0-eco", opts: xtalksta.AnalysisOptions{
@@ -104,9 +100,8 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 // stateDigest is the FNV-1a 64-bit hash of the Float64bits of every
 // net's final arrival, slew and quiescent time (rise then fall, net
 // order). It pins the whole final state, not only the longest path: a
-// changed carry-over rule (Esperance skips, delta refinement, ECO
-// seeding) can move off-path arrivals while the longest path stays
-// bit-equal.
+// changed carry-over rule (delta refinement, ECO seeding) can move
+// off-path arrivals while the longest path stays bit-equal.
 func stateDigest(t *testing.T, key string, res *xtalksta.AnalysisResult) uint64 {
 	t.Helper()
 	if res.Replay == nil {
@@ -127,10 +122,10 @@ func stateDigest(t *testing.T, key string, res *xtalksta.AnalysisResult) uint64 
 }
 
 // TestRefactorParity locks the longest-path delay of every analysis
-// mode, sequential and parallel sweeps, tier-0 on/off, esperance/windows and
-// ECO-seeded re-analysis to the bit patterns recorded before the
-// SoA/CSR memory-layout refactor (testdata/parity_bits.json), and the
-// whole final net state of each to its digest. Any drift means a
+// mode, sequential and parallel sweeps, tier-0 on/off and ECO-seeded
+// re-analysis to the bit patterns recorded before the SoA/CSR
+// memory-layout refactor (testdata/parity_bits.json), and the whole
+// final net state of each to its digest. Any drift means a
 // refactor changed numerics, not just layout.
 func TestRefactorParity(t *testing.T) {
 	path := filepath.Join("testdata", "parity_bits.json")
