@@ -37,7 +37,8 @@ test:
 # sweep 2, 8 and NumCPU workers — plus every root test that drives one
 # Design from several goroutines: mixed Analyze/Reanalyze/Edit
 # sessions, concurrent corner sessions (all bit-compared against serial
-# references — DESIGN.md §11) and the introspection server scraped
+# references — DESIGN.md §11), a LUT session beside an exact one (each
+# counting only its own work) and the introspection server scraped
 # while analyses and edits run. -count=1: no result comes from the test
 # cache.
 race:

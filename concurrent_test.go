@@ -305,3 +305,72 @@ func TestConcurrentMixedAnalyzeEditSessions(t *testing.T) {
 		t.Errorf("snapshot reuses = %d, want >= 1", reuses)
 	}
 }
+
+// TestConcurrentLUTSessionCounts: an AnalyzeLUT session counts its own
+// work, each arc once, and leaves the design calculator's lifetime
+// counters alone. Best case issues one request per arc whoever serves
+// it (the LUT most arcs, the calculator the ones the LUT rejects), so
+// the LUT run must report the exact run's arc evaluations; the
+// calculator's counters never go down across it; and a two-worker LUT
+// session run beside an exact analysis of the same design reports what
+// it reports alone.
+func TestConcurrentLUTSessionCounts(t *testing.T) {
+	d, err := Generate(circuitgen.Params{Seed: 10, Cells: 150, DFFs: 12, Depth: 7, ClockFanout: 4}, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lut, err := d.Precharacterize(LUTConfig{
+		Slews:  []float64{80e-12, 250e-12, 700e-12, 2e-9},
+		Loads:  []float64{8e-15, 30e-15, 90e-15, 300e-15},
+		Ratios: []float64{0, 0.35, 0.7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := d.Analyze(AnalysisOptions{Mode: BestCase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Calc.Counters()
+	fast, err := d.AnalyzeLUT(lut, AnalysisOptions{Mode: BestCase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := d.Calc.Counters()
+	if fast.ArcEvaluations != exact.ArcEvaluations {
+		t.Errorf("best case through the LUT made %d arc evaluations, the exact calculator %d",
+			fast.ArcEvaluations, exact.ArcEvaluations)
+	}
+	if after.Requests < before.Requests || after.Simulations < before.Simulations ||
+		after.CacheHits < before.CacheHits || after.NewtonIterations < before.NewtonIterations {
+		t.Errorf("calculator lifetime counters went down across AnalyzeLUT: %+v -> %+v", before, after)
+	}
+
+	opts := AnalysisOptions{Mode: OneStep, Workers: 2}
+	alone, err := d.AnalyzeLUT(lut, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg               sync.WaitGroup
+		together         *AnalysisResult
+		lutErr, exactErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		together, lutErr = d.AnalyzeLUT(lut, opts)
+	}()
+	go func() {
+		defer wg.Done()
+		_, exactErr = d.Analyze(AnalysisOptions{Mode: Iterative, Workers: 2})
+	}()
+	wg.Wait()
+	if lutErr != nil || exactErr != nil {
+		t.Fatalf("concurrent sessions: LUT %v, exact %v", lutErr, exactErr)
+	}
+	if together.ArcEvaluations != alone.ArcEvaluations {
+		t.Errorf("LUT session beside an exact analysis reported %d arc evaluations, alone %d",
+			together.ArcEvaluations, alone.ArcEvaluations)
+	}
+}

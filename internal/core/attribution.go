@@ -10,8 +10,8 @@ import (
 )
 
 // Timing attribution: the per-arc breakdown of the top-K endpoint
-// paths. Each arc of a reported path is re-evaluated through the same
-// calculator scope under the reported pass's exact classification
+// paths. Each arc of a reported path is re-evaluated through the
+// session's calculator under the reported pass's exact classification
 // context (the captured quiescent-time snapshot and pass mode), which the
 // deterministic, cache-warm calculator answers bit-identically to the
 // analysis proper. Re-accumulating launch → (…+wire)+gate → +endpoint
@@ -81,9 +81,9 @@ type Attribution struct {
 }
 
 // buildAttribution ranks the endpoints of the reported pass state and
-// attributes the top-K paths. Driver goroutine, after the analysis
-// counters are snapshotted: the replays below hit the warm cache and
-// must not count as analysis work.
+// attributes the top-K paths. Driver goroutine, after the analysis: the
+// replays below hit the warm cache outside any pass, so they never
+// count as analysis work.
 func (e *Engine) buildAttribution(st []netState) (*Attribution, error) {
 	e.m.attributionBuilds.Inc()
 	type cand struct {

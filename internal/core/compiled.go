@@ -280,14 +280,14 @@ func (cd *Compiled) buildEndpoints() {
 	}
 }
 
-// NewSession binds per-run mutable state (delay-calculator scope,
-// best-case arc cache, pass frontiers, replay capture, telemetry) to a
-// shared snapshot. Sessions are independent: any number may run
-// concurrently over one Compiled, each with its own calculator scope so
-// the per-run counters (Result.ArcEvaluations, PassStats deltas) stay
+// NewSession binds per-run mutable state (best-case arc cache, pass
+// frontiers, work tallies, replay capture, telemetry) to a shared
+// snapshot. Sessions are independent: any number may run concurrently
+// over one Compiled, each tallying the Info of its own evaluator calls,
+// so the per-run counters (Result.ArcEvaluations, PassStats) stay
 // correct under concurrency. opts must satisfy cd.Matches; the
 // session-only options (Workers, Tier0, ...) are free.
-func NewSession(cd *Compiled, calc delaycalc.Evaluator, opts Options) (*Engine, error) {
+func NewSession(cd *Compiled, calc delaycalc.InfoEvaluator, opts Options) (*Engine, error) {
 	if opts.AttributionTopK < 0 {
 		return nil, fmt.Errorf("core: NewSession: AttributionTopK %d is negative", opts.AttributionTopK)
 	}
@@ -297,7 +297,7 @@ func NewSession(cd *Compiled, calc delaycalc.Evaluator, opts Options) (*Engine, 
 	}
 	e := &Engine{
 		Compiled:    cd,
-		Calc:        delaycalc.Scoped(calc),
+		Calc:        calc,
 		opts:        opts,
 		tier0Margin: tier0Margin,
 		m:           newEngineMetrics(opts.Metrics),

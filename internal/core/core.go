@@ -288,7 +288,7 @@ type Result struct {
 // Engine is not safe for concurrent Run calls.
 type Engine struct {
 	*Compiled
-	Calc delaycalc.Evaluator
+	Calc delaycalc.InfoEvaluator
 
 	opts Options
 	// tier0Margin is the session's copy of the tier0Margin constant
@@ -299,6 +299,9 @@ type Engine struct {
 	m         *engineMetrics
 	trace     *obs.Tracer
 	passStats []PassStat
+	// work sums the analysis's pass tallies, a discarded tier-0 run's
+	// included but for its tier-0 decisions (see Result.Tier0Rerun).
+	work tally
 	// bcs caches best-case arc results across passes, indexed by
 	// [out net − 1][pin*2 + dOut]. Exactly one worker owns a cell within
 	// a pass and passes are barrier-separated, so the slots need no
@@ -339,7 +342,7 @@ type endpointRef struct {
 // one step. The circuit must be lowered (only INV, NAND, NOR, DFF
 // cells) and carry extracted parasitics. Callers that analyze the same
 // circuit repeatedly should Compile once and open sessions per run.
-func NewEngine(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Engine, error) {
+func NewEngine(c *netlist.Circuit, calc delaycalc.InfoEvaluator, opts Options) (*Engine, error) {
 	cd, err := Compile(c, calc, opts)
 	if err != nil {
 		return nil, err
@@ -363,7 +366,6 @@ func (e *Engine) Run() (*Result, error) { return e.run(nil, nil) }
 // (RunSeeded, with the seed mask), and fills the result.
 func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 	start := time.Now()
-	e.Calc.ResetStats()
 	res := &Result{Mode: e.opts.Mode}
 	var seedNets int64
 	base := prev // the replay the passes seed from; nil for a full run
@@ -396,7 +398,12 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 		res.Replay.rev = prev.rev
 	}
 	res.Runtime = time.Since(start)
-	e.fillWork(res)
+	// The run's tally holds pass work only: the attribution rebuild's
+	// cache-warm replays below never count as analysis work.
+	w := &e.work
+	res.ArcEvaluations, res.Simulations, res.CacheHits = w.calc.Requests, w.calc.Simulations, w.calc.CacheHits
+	res.Tier0Hits, res.Tier0Fallbacks, res.Tier0FlipGuards = w.tier0Hits, w.tier0Fallbacks, w.tier0FlipGuards
+	res.Tier0Rerun = e.tier0Rerun
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
 		if err != nil {
@@ -423,15 +430,15 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 // analysis and the number of BFS passes it took (Run, RunSeeded, Report
 // and PathTo all build on it): full, or seeded from prev when eco is
 // non-nil. It owns the run-level telemetry scope: the analysis span, the
-// per-pass stats and the delay-calculator counter deltas pushed into the
-// metrics registry. A run whose tier-0 brackets broke is discarded and
-// recomputed all-Newton.
+// per-pass stats and the run's work tally (each pass publishes its own
+// to the metrics registry). A run whose tier-0 brackets broke is
+// discarded and recomputed all-Newton.
 func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
 	t0 := e.beginAnalysisTelemetry()
 	defer e.endAnalysisTelemetry(t0)
 	e.passStats = nil
 	e.replayPasses = nil
-	c0 := e.calcCounters()
+	e.work = tally{}
 	name := "analysis"
 	if prev != nil {
 		name = "eco-analysis"
@@ -453,11 +460,6 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 			Arg("cone_expansions", eco.ConeExpansions)
 	}
 	span.End()
-	d := e.calcCounters().Sub(c0)
-	e.m.arcEvals.Add(d.Requests)
-	e.m.sims.Add(d.Simulations)
-	e.m.newtonIters.Add(d.NewtonIterations)
-	e.m.newtonFails.Add(d.NewtonFailures)
 	return st, passes, err
 }
 
@@ -481,21 +483,6 @@ func (e *Engine) endAnalysisTelemetry(t0 time.Time) {
 	mode, corner, rev := e.sessionLabels()
 	e.m.analysisDur.With(mode, corner, rev).Observe(time.Since(t0).Seconds())
 	e.m.analyses.With(mode, corner).Inc()
-}
-
-// fillWork copies the finished analysis's work counters into res.
-// Called before any attribution rebuild: the rebuild re-evaluates
-// reported arcs through the same calculator scope, and those
-// cache-warm replays must not count as analysis work.
-func (e *Engine) fillWork(res *Result) {
-	res.ArcEvaluations, res.Simulations = e.Calc.Stats()
-	res.CacheHits = e.calcCounters().CacheHits
-	if e.t0 != nil {
-		res.Tier0Hits = e.t0.hits.Load()
-		res.Tier0Fallbacks = e.t0.fallbacks.Load()
-		res.Tier0FlipGuards = e.t0.flipGuards.Load()
-	}
-	res.Tier0Rerun = e.tier0Rerun
 }
 
 // emitAnalysisEvent writes one structured event-log record for a
@@ -546,6 +533,7 @@ func (e *Engine) newFullPass() *dirtySet {
 		ds.orig = nil
 		ds.pass1 = false
 		ds.expansions.Store(0)
+		ds.tally = tally{}
 		return ds
 	}
 	return &dirtySet{

@@ -139,12 +139,12 @@ func (e *Compiled) buildPhaseGraph(cells []netlist.CellID) *dfGraph {
 	return g
 }
 
-// runPhase executes one sweep phase and returns how many of its cells
-// do evaluated: do reports false for a cell it carried over without
-// evaluating. do runs on the goroutine that picked the cell, before any
+// runPhase executes one sweep phase and sums the work its cells tallied
+// into w. do runs on the goroutine that picked the cell, before any
 // dependent cell starts, so it may publish into state those cells read
-// (the sweep grows its dirty set there; see eco.go).
-func (e *Engine) runPhase(phase string, do func(cell *netlist.Cell) (bool, error)) (int64, error) {
+// (the sweep grows its dirty set there; see eco.go); it tallies its
+// work into the tally it is handed, which only that goroutine writes.
+func (e *Engine) runPhase(phase string, w *tally, do func(*netlist.Cell, *tally) error) error {
 	t0 := time.Now()
 	defer func() {
 		e.m.phaseDur.With(e.modeLabel(), phase).Observe(time.Since(t0).Seconds())
@@ -153,40 +153,35 @@ func (e *Engine) runPhase(phase string, do func(cell *netlist.Cell) (bool, error
 	if phase == phaseMain {
 		g = e.dfMain
 	}
-	return e.runDataflow(phase, g, e.opts.Workers, do)
+	return e.runDataflow(phase, g, e.opts.Workers, w, do)
 }
 
 // runDataflow drains one phase graph through a bounded worker pool.
 // Each worker keeps a small LIFO stack of ready cells and spills to a
 // shared queue when the stack fills or other workers are starved; a
 // failing cell raises a stop flag that parks the whole pool. Each
-// worker tallies its evaluated cells locally; the total is summed once,
-// at the phase barrier.
-func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
-	do func(cell *netlist.Cell) (bool, error)) (int64, error) {
+// worker keeps its own tally in a local; the tallies are summed into
+// total once, at the phase barrier (a failed phase's included).
+func (e *Engine) runDataflow(phase string, g *dfGraph, workers int, total *tally,
+	do func(*netlist.Cell, *tally) error) error {
 
 	n := len(g.cells)
 	if n == 0 {
-		return 0, nil
+		return nil
 	}
 	span := e.trace.Begin("wavefront", 0).Arg("phase", phase).Arg("cells", n)
 	if workers <= 1 || n < 2*workers {
 		// The graph's cells are stored in level order — a valid
 		// topological order — so the sequential path needs no counters.
 		e.m.seqCells.Add(int64(n))
-		var evaluated int64
 		for _, cid := range g.cells {
-			ran, err := do(e.C.Cell(cid))
-			if err != nil {
+			if err := do(e.C.Cell(cid), total); err != nil {
 				span.Arg("error", true).End()
-				return 0, err
-			}
-			if ran {
-				evaluated++
+				return err
 			}
 		}
 		span.End()
-		return evaluated, nil
+		return nil
 	}
 
 	deps := make([]int32, n)
@@ -196,7 +191,6 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 		shared    []int32
 		waiters   atomic.Int32
 		completed atomic.Int64
-		evaluated atomic.Int64
 		stop      atomic.Bool
 		wg        sync.WaitGroup
 	)
@@ -216,9 +210,12 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 		go func(w int) {
 			defer wg.Done()
 			wspan := e.trace.Begin("worker", w+1).Arg("phase", phase)
-			cells, evals, steals := 0, int64(0), int64(0)
+			var work tally
+			cells, steals := 0, int64(0)
 			defer func() {
-				evaluated.Add(evals)
+				mu.Lock()
+				total.add(&work)
+				mu.Unlock()
 				e.m.workerCells.Add(int64(cells))
 				e.m.schedSteals.Add(steals)
 				wspan.Arg("cells", cells).End()
@@ -260,14 +257,10 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 					mu.Unlock()
 					steals++
 				}
-				ran, err := do(e.C.Cell(g.cells[node]))
-				if err != nil {
+				if err := do(e.C.Cell(g.cells[node]), &work); err != nil {
 					errs[w] = err
 					finish()
 					return
-				}
-				if ran {
-					evals++
 				}
 				cells++
 				// Release successors; keep the first ready one local
@@ -297,9 +290,9 @@ func (e *Engine) runDataflow(phase string, g *dfGraph, workers int,
 	for _, err := range errs {
 		if err != nil {
 			span.Arg("error", true).End()
-			return 0, err
+			return err
 		}
 	}
 	span.End()
-	return evaluated.Load(), nil
+	return nil
 }

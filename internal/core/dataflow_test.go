@@ -304,15 +304,15 @@ func TestDataflowAbortsOnError(t *testing.T) {
 	workers := 8
 	var calls atomic.Int64
 	var failed atomic.Bool
-	do := func(cell *netlist.Cell) (bool, error) {
+	do := func(*netlist.Cell, *tally) error {
 		calls.Add(1)
 		if failed.CompareAndSwap(false, true) {
-			return true, errors.New("injected failure")
+			return errors.New("injected failure")
 		}
 		time.Sleep(time.Millisecond)
-		return true, nil
+		return nil
 	}
-	if _, err := eng.runDataflow("test", g, workers, do); err == nil {
+	if err := eng.runDataflow("test", g, workers, new(tally), do); err == nil {
 		t.Fatal("expected the injected error to propagate")
 	}
 	if got := calls.Load(); got > int64(4*workers) {
@@ -331,19 +331,22 @@ func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Calc.ResetStats()
-	st, err := eng.sweep(OneStep, nil, eng.newFullPass())
+	ds := eng.newFullPass()
+	st, err := eng.sweep(OneStep, nil, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	arcs := ds.tally.calc.Requests
 	delay, _ := eng.longest(st)
 	best := st
 	passes := 1
 	for passes < maxPasses {
-		next, err := eng.sweep(Iterative, snapshotQuiet(st), eng.newFullPass())
+		ds := eng.newFullPass()
+		next, err := eng.sweep(Iterative, snapshotQuiet(st), ds)
 		if err != nil {
 			t.Fatal(err)
 		}
+		arcs += ds.tally.calc.Requests
 		passes++
 		st = next
 		newDelay, _ := eng.longest(st)
@@ -355,7 +358,6 @@ func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator
 		}
 		delay = newDelay
 	}
-	arcs, _ := eng.Calc.Stats()
 	return best, passes, arcs
 }
 

@@ -217,9 +217,11 @@ type dirtySet struct {
 	// and must re-classify.
 	pass1      bool
 	expansions atomic.Int64
+	// tally is the sweep's work, summed at its phase barriers.
+	tally tally
 	// Line tallies of the finished sweep, taken at the pass barrier:
 	// lines recomputed (flip-flop launches included) and carried.
-	recomputed, carried, launches int64
+	recomputed, carried int64
 }
 
 // newEcoPass builds the recompute set of seeded pass passIdx: the edit

@@ -18,7 +18,7 @@ type PassStat struct {
 	// iterative seed pass).
 	Mode Mode
 	// ArcEvaluations / Simulations / CacheHits / NewtonIterations are
-	// the delay-calculator work deltas attributable to this pass.
+	// the delay-calculator work of this pass's own evaluator calls.
 	ArcEvaluations   int64
 	Simulations      int64
 	CacheHits        int64
@@ -44,10 +44,8 @@ type PassStat struct {
 // engineMetrics holds the engine's resolved registry instruments. With
 // a nil Options.Metrics the instruments are live but unregistered, so
 // the hot path is identical either way. Every add is a shared atomic
-// that the sweep workers contend on, so the hot path tallies its events
-// in locals — coupling decisions per arc, tier-0 dispatch decisions per
-// cell and direction — and publishes each total once; nothing adds per
-// coupled neighbour or per candidate pin.
+// that the sweep workers would contend on, so the sweep adds none: its
+// work is tallied per worker (tally) and published once per pass.
 type engineMetrics struct {
 	arcEvals, sims, newtonIters, newtonFails                *obs.Counter
 	couplingActive, couplingGrounded                        *obs.Counter
@@ -106,15 +104,55 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	}
 }
 
-// addCoupling publishes one arc's tallied coupling decisions, skipping
-// the shared atomic adds a zero total does not need.
-func (m *engineMetrics) addCoupling(active, grounded int) {
-	if active > 0 {
-		m.couplingActive.Add(int64(active))
-	}
-	if grounded > 0 {
-		m.couplingGrounded.Add(int64(grounded))
-	}
+// tally counts analysis work in plain fields: each evaluator call's
+// Info and each tier-0, coupling and t_bcs decision. Each dataflow
+// worker keeps one in a goroutine-local variable; runPhase sums them
+// into the pass's tally, which endPass publishes.
+type tally struct {
+	calc delaycalc.Info
+	// lines counts the cells whose arcs were evaluated.
+	lines                                      int64
+	tier0Hits, tier0Fallbacks, tier0FlipGuards int64
+	couplingActive, couplingGrounded           int64
+	zeroSkips, tbcsHits                        int64
+}
+
+// addInfo tallies one evaluator call's work.
+func (w *tally) addInfo(i delaycalc.Info) {
+	w.calc.Requests += i.Requests
+	w.calc.Simulations += i.Simulations
+	w.calc.CacheHits += i.CacheHits
+	w.calc.NewtonIterations += i.NewtonIterations
+	w.calc.NewtonFailures += i.NewtonFailures
+}
+
+// add sums o into w.
+func (w *tally) add(o *tally) {
+	w.addInfo(o.calc)
+	w.lines += o.lines
+	w.tier0Hits += o.tier0Hits
+	w.tier0Fallbacks += o.tier0Fallbacks
+	w.tier0FlipGuards += o.tier0FlipGuards
+	w.couplingActive += o.couplingActive
+	w.couplingGrounded += o.couplingGrounded
+	w.zeroSkips += o.zeroSkips
+	w.tbcsHits += o.tbcsHits
+}
+
+// publish adds one pass's tally to the registry's work counters: one
+// add per counter.
+func (m *engineMetrics) publish(w *tally) {
+	m.arcEvals.Add(w.calc.Requests)
+	m.sims.Add(w.calc.Simulations)
+	m.newtonIters.Add(w.calc.NewtonIterations)
+	m.newtonFails.Add(w.calc.NewtonFailures)
+	m.couplingActive.Add(w.couplingActive)
+	m.couplingGrounded.Add(w.couplingGrounded)
+	m.ccZeroSkips.Add(w.zeroSkips)
+	m.tbcsHits.Add(w.tbcsHits)
+	m.tier0Hits.Add(w.tier0Hits)
+	m.tier0Fallbacks.Add(w.tier0Fallbacks)
+	m.tier0FlipGuards.Add(w.tier0FlipGuards)
 }
 
 // modeLabel / sessionLabels render the session's bounded label tuple
@@ -125,62 +163,49 @@ func (e *Engine) sessionLabels() (mode, corner, revision string) {
 	return e.modeLabel(), e.opts.Corner, strconv.FormatUint(e.rev, 10)
 }
 
-// calcCounters snapshots the evaluator's work counters, preferring the
-// detailed CounterProvider view when the evaluator offers one.
-func (e *Engine) calcCounters() delaycalc.Counters {
-	if cp, ok := e.Calc.(delaycalc.CounterProvider); ok {
-		return cp.Counters()
-	}
-	req, sims := e.Calc.Stats()
-	return delaycalc.Counters{Requests: req, Simulations: sims}
-}
-
-// passHandle carries the start-of-pass snapshots between beginPass and
-// endPass.
+// passHandle carries a pass's identity, start time and span between
+// beginPass and endPass.
 type passHandle struct {
-	pass   int
-	mode   Mode
-	start  time.Time
-	c0     delaycalc.Counters
-	t0Hits int64
-	span   *obs.Span
+	pass  int
+	mode  Mode
+	start time.Time
+	span  *obs.Span
 }
 
 // beginPass opens the telemetry scope of one BFS sweep (driver
 // goroutine only).
 func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
-	ph := &passHandle{
+	return &passHandle{
 		pass:  pass,
 		mode:  mode,
 		start: time.Now(),
-		c0:    e.calcCounters(),
 		span:  e.trace.Begin("pass", 0).Arg("pass", pass).Arg("mode", mode.String()),
 	}
-	if e.t0 != nil {
-		ph.t0Hits = e.t0.hits.Load()
-	}
-	return ph
 }
 
 // endPass closes the scope of the sweep over ds, records the PassStat
-// and returns the pass's longest-path bound. The sweep's line tallies
-// are published here, once per pass: carried lines count as converged
-// skips in a delta pass; a seeded pass (eco non-nil) folds both tallies
-// into the ECO stats.
+// and returns the pass's longest-path bound. The sweep's work and line
+// tallies are published here, once per pass, and its work joins the
+// run's tally: carried lines count as converged skips in a delta pass;
+// a seeded pass (eco non-nil) folds both line tallies into the ECO
+// stats.
 func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOStats) float64 {
 	longest, _ := e.longest(st)
-	d := e.calcCounters().Sub(ph.c0)
+	w := &ds.tally
 	stat := PassStat{
 		Pass:              ph.pass,
 		Mode:              ph.mode,
-		ArcEvaluations:    d.Requests,
-		Simulations:       d.Simulations,
-		CacheHits:         d.CacheHits,
-		NewtonIterations:  d.NewtonIterations,
-		RecalculatedWires: ds.recomputed - ds.launches,
+		ArcEvaluations:    w.calc.Requests,
+		Simulations:       w.calc.Simulations,
+		CacheHits:         w.calc.CacheHits,
+		NewtonIterations:  w.calc.NewtonIterations,
+		Tier0Hits:         w.tier0Hits,
+		RecalculatedWires: w.lines,
 		LongestPath:       longest,
 		Wall:              time.Since(ph.start),
 	}
+	e.work.add(w)
+	e.m.publish(w)
 	e.m.recalcWires.Add(stat.RecalculatedWires)
 	switch {
 	case eco != nil:
@@ -195,9 +220,6 @@ func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOSt
 		stat.ConvergedSkips = ds.carried
 		e.m.convergedSkips.Add(ds.carried)
 	}
-	if e.t0 != nil {
-		stat.Tier0Hits = e.t0.hits.Load() - ph.t0Hits
-	}
 	e.passStats = append(e.passStats, stat)
 	if !e.opts.DisableReplay {
 		e.replayPasses = append(e.replayPasses, st)
@@ -205,7 +227,7 @@ func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOSt
 	e.m.passes.Inc()
 	e.m.passDur.With(e.modeLabel(), strconv.Itoa(ph.pass)).Observe(stat.Wall.Seconds())
 	ph.span.Arg("longest_ns", longest*1e9).
-		Arg("arcs", d.Requests).
+		Arg("arcs", stat.ArcEvaluations).
 		Arg("recalc_wires", stat.RecalculatedWires).
 		End()
 	if e.opts.Events != nil {
@@ -215,8 +237,8 @@ func (e *Engine) endPass(ph *passHandle, st []netState, ds *dirtySet, eco *ECOSt
 			"revision":        e.rev,
 			"pass":            ph.pass,
 			"longest_ns":      longest * 1e9,
-			"arc_evaluations": d.Requests,
-			"simulations":     d.Simulations,
+			"arc_evaluations": stat.ArcEvaluations,
+			"simulations":     stat.Simulations,
 			"recalc_wires":    stat.RecalculatedWires,
 			"converged_skips": stat.ConvergedSkips,
 			"wall_ms":         float64(stat.Wall) / 1e6,

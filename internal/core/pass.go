@@ -53,6 +53,7 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 	ph := e.beginPass(1, firstMode)
 	st, err := e.sweep(firstMode, nil, ds)
 	if err != nil {
+		e.m.publish(&ds.tally) // a failed pass's work still counts
 		return nil, 0, err
 	}
 	delay := e.endPass(ph, st, ds, eco)
@@ -75,6 +76,7 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 		ph := e.beginPass(passes+1, Iterative)
 		st, err = e.sweep(Iterative, qp, ds)
 		if err != nil {
+			e.m.publish(&ds.tally)
 			return nil, 0, err
 		}
 		passes++
@@ -106,7 +108,8 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 // Lines outside the recompute set carry ds.orig's state. A recomputed
 // line whose state diverges from ds.orig is marked changed and grows the
 // set through its fanout, before any dependent cell starts (see
-// dataflow.go). The line tallies are taken once, at the pass barrier.
+// dataflow.go). Its work is tallied into ds.tally; the line tallies are
+// taken once, at the pass barrier.
 func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netState, error) {
 	c := e.C
 	st := make([]netState, len(c.Nets))
@@ -150,18 +153,18 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	// Phase 1: clock tree (cells whose output is a clock net), level
 	// by level. Clock nets behave like any other net for coupling
 	// purposes.
-	doCell := func(cell *netlist.Cell) (bool, error) {
+	doCell := func(cell *netlist.Cell, w *tally) error {
 		if carry && !ds.dirty[cell.Out-1].Load() {
-			return false, nil
+			return nil
 		}
-		if err := e.processCell(mode, st, quietPrev, cell); err != nil {
-			return true, err
+		if err := e.processCell(mode, st, quietPrev, cell, w); err != nil {
+			return err
 		}
+		w.lines++
 		diverged(cell.Out)
-		return true, nil
+		return nil
 	}
-	clockN, err := e.runPhase(phaseClock, doCell)
-	if err != nil {
+	if err := e.runPhase(phaseClock, &ds.tally, doCell); err != nil {
 		return nil, err
 	}
 
@@ -193,14 +196,12 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	}
 
 	// Phase 2: combinational sweep.
-	mainN, err := e.runPhase(phaseMain, doCell)
-	if err != nil {
+	if err := e.runPhase(phaseMain, &ds.tally, doCell); err != nil {
 		return nil, err
 	}
 	cells := int64(len(e.dfClock.cells) + len(e.dfMain.cells))
-	ds.launches = launches
-	ds.recomputed = clockN + mainN + launches
-	ds.carried = cells - clockN - mainN + kept
+	ds.recomputed = ds.tally.lines + launches
+	ds.carried = cells - ds.tally.lines + kept
 	return st, nil
 }
 
@@ -219,8 +220,8 @@ func (e *Engine) launchTime(cell *netlist.Cell, clockArr func(netlist.NetID) flo
 }
 
 // processCell evaluates all timing arcs of one cell and updates its
-// output net's state.
-func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, cell *netlist.Cell) error {
+// output net's state, tallying the work into w.
+func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, cell *netlist.Cell, w *tally) error {
 	out := cell.Out
 	s := &st[out-1]
 	inf := &e.info[out-1]
@@ -257,7 +258,7 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 			cands = append(cands, t0Cand{pin: pin, inNet: inNet, inArr: inArr, inSlew: inSlew})
 		}
 		if e.t0 != nil {
-			e.t0Gate(mode, cell, dOut, cands)
+			e.t0Gate(mode, cell, dOut, cands, w)
 		}
 		for i := range cands {
 			c := &cands[i]
@@ -268,7 +269,7 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 			if c.bok {
 				t0a = c
 			}
-			res, err := e.evalArc(mode, st, quietPrev, cell, c.pin, dOut, c.inArr, c.inSlew, t0a)
+			res, err := e.evalArc(mode, st, quietPrev, cell, c.pin, dOut, c.inArr, c.inSlew, t0a, w)
 			if err != nil {
 				return err
 			}
@@ -345,16 +346,16 @@ func (e *Engine) arcRequest(cell *netlist.Cell, pin, dOut int, inSlew, grounded,
 // t0a, when non-nil, carries the arc's tier-0 bracket (see tier0.go):
 // non-near-critical arcs may elide the best-case evaluation when the
 // t_bcs bracket proves every coupling decision, and all final requests
-// route through the cross-pass memo.
+// route through the cross-pass memo. Its work is tallied into w.
 func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
-	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64, t0a *t0Cand) (delaycalc.Result, error) {
+	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64, t0a *t0Cand, w *tally) (delaycalc.Result, error) {
 
 	out := cell.Out
 	inf := &e.info[out-1]
 	pi := e.opts.PiModel
 	if (mode != OneStep && mode != Iterative) || inf.sumCc == 0 {
 		grounded, cc := modeLoad(mode, inf)
-		return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, grounded, cc, pi))
+		return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, grounded, cc, pi), w)
 	}
 	// Tier-0 elision: the best-case evaluation below exists only to fix
 	// t_bcs for the coupling comparisons. If the t_bcs bracket
@@ -370,20 +371,19 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 			c, proven := e.classify(st, quietPrev, out, dOut, inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi, nil)
 			switch {
 			case proven && c.cc > 0:
-				// Coupling metrics commit only here — the bail paths
+				// Coupling decisions count only here — the bail paths
 				// fall through to the exact classification, which
 				// counts them itself.
-				e.m.addCoupling(c.nActive, c.nGrounded)
-				e.t0.hits.Add(1) // the elided best-case evaluation
-				e.m.tier0Hits.Inc()
-				return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi))
+				w.couplingActive += c.nActive
+				w.couplingGrounded += c.nGrounded
+				w.tier0Hits++ // the elided best-case evaluation
+				return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi), w)
 			case proven:
 				// All neighbors grounded: the exact path's single
 				// best-case evaluation IS the result — nothing to
 				// elide, fall through.
 			default:
-				e.t0.flipGuards.Add(1)
-				e.m.tier0FlipGuards.Inc()
+				w.tier0FlipGuards++
 			}
 		}
 	}
@@ -391,34 +391,34 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 	// t_bcs — the earliest the victim could reach Vth. The request
 	// depends only on (cell, pin, dir, inSlew), so refinement passes
 	// whose input slew is unchanged reuse the stored result.
-	bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, pi))
+	bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, pi), w)
 	if err != nil {
 		return delaycalc.Result{}, err
 	}
 	if t0a != nil && (bcsRes.TimeToRestart < t0a.b.ttrLo || bcsRes.TimeToRestart > t0a.b.ttrHi) {
 		e.t0.taint.Store(true)
 	}
-	// Step 2: classify each adjacent wire. Decisions are tallied per arc
-	// and published once: the counters are shared by every worker.
+	// Step 2: classify each adjacent wire.
 	tBCS := inArr + bcsRes.TimeToRestart
 	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, nil)
-	e.m.addCoupling(c.nActive, c.nGrounded)
+	w.couplingActive += c.nActive
+	w.couplingGrounded += c.nGrounded
 	if c.cc == 0 {
 		// Every neighbor is quiet: the worst-case request would carry
 		// the full coupling capacitance grounded — electrically the
 		// best-case request already computed. Skip the second Eval.
-		e.m.ccZeroSkips.Inc()
+		w.zeroSkips++
 		return bcsRes, nil
 	}
 	// Step 3: worst-case waveform with the active subset coupling.
-	return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi))
+	return e.t0Eval(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi), w)
 }
 
 // coupled is the outcome of one arc's coupling classification: the
 // actively coupling capacitance and the per-decision neighbor counts.
 type coupled struct {
 	cc                 float64
-	nActive, nGrounded int
+	nActive, nGrounded int64
 }
 
 // classify applies the one-step rule (§5.1) to every neighbor coupled to
@@ -482,16 +482,23 @@ type bcsEntry struct {
 // the §5.2 refinement loop otherwise pays two evaluator calls per arc
 // per pass. The reuse decision depends only on per-arc values, so
 // parallel and sequential sweeps skip identically.
-func (e *Engine) evalBCS(cell *netlist.Cell, pin, dOut int, inSlew float64, req delaycalc.Request) (delaycalc.Result, error) {
+func (e *Engine) evalBCS(cell *netlist.Cell, pin, dOut int, inSlew float64, req delaycalc.Request, w *tally) (delaycalc.Result, error) {
 	slot := &e.bcs[cell.Out-1][pin*2+dOut]
 	if slot.valid && slot.inSlew == inSlew {
-		e.m.tbcsHits.Inc()
+		w.tbcsHits++
 		return slot.res, nil
 	}
-	res, err := e.Calc.Eval(req)
+	res, err := e.eval(req, w)
 	if err != nil {
 		return res, err
 	}
 	*slot = bcsEntry{inSlew: inSlew, res: res, valid: true}
 	return res, nil
+}
+
+// eval is the sweep's evaluator call, its work tallied into w.
+func (e *Engine) eval(req delaycalc.Request, w *tally) (delaycalc.Result, error) {
+	res, info, err := e.Calc.EvalInfo(req)
+	w.addInfo(info)
+	return res, err
 }

@@ -60,11 +60,6 @@ type tier0Run struct {
 	// exactly one worker owns a cell within a pass and passes are
 	// barrier-separated, so the slots need no locking.
 	memo [][]arcMemo
-	// hits counts arc evaluations avoided (dominance skips, elided
-	// best-case evals, memo reuses); fallbacks the near-critical or
-	// unboundable candidate pins dispatched exactly; flipGuards the
-	// straddled coupling comparisons that forced the exact t_bcs.
-	hits, fallbacks, flipGuards atomic.Int64
 	// taint records a bracket violation observed on an evaluated arc.
 	// The run's results are then discarded and recomputed all-Newton.
 	taint atomic.Bool
@@ -155,7 +150,7 @@ func (e *Engine) t0Frontier() error {
 		slw[pi-1] = [2]float64{slew, slew}
 	}
 
-	est := func(cell *netlist.Cell) (bool, error) {
+	est := func(cell *netlist.Cell, _ *tally) error {
 		out := cell.Out
 		for dOut := 0; dOut < 2; dOut++ {
 			dIn := 1 - dOut
@@ -188,9 +183,10 @@ func (e *Engine) t0Frontier() error {
 				slw[out-1][dOut] = bslew
 			}
 		}
-		return true, nil
+		return nil
 	}
-	if _, err := e.runPhase(phaseClock, est); err != nil {
+	// The estimates call no evaluator: their tally stays empty.
+	if err := e.runPhase(phaseClock, new(tally), est); err != nil {
 		return err
 	}
 	for _, cell := range c.Cells {
@@ -201,7 +197,7 @@ func (e *Engine) t0Frontier() error {
 		arr[cell.Out-1] = [2]float64{launch, launch}
 		slw[cell.Out-1] = [2]float64{e.opts.DFFOutSlew, e.opts.DFFOutSlew}
 	}
-	if _, err := e.runPhase(phaseMain, est); err != nil {
+	if err := e.runPhase(phaseMain, new(tally), est); err != nil {
 		return err
 	}
 
@@ -293,7 +289,7 @@ func (e *Engine) t0ArcBounds(mode Mode, cell *netlist.Cell, pin, dOut int, inSle
 // realizes a higher arrival (and completion) than the skipped pin
 // could — processCell's first-pin-wins argmax, its quiescent max and
 // the predecessor choice are all preserved bit-exactly.
-func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand) {
+func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand, w *tally) {
 	t0 := e.t0
 	memo := t0.memo[cell.Out-1]
 	outRank := e.netRank[cell.Out]
@@ -323,13 +319,10 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand)
 			compTop[1] = v
 		}
 	}
-	// Decisions are tallied here and published once per call: the
-	// counters are shared by every worker.
-	var hits, fallbacks int64
 	for i := range cands {
 		c := &cands[i]
 		if !c.bok || c.nearCrit {
-			fallbacks++
+			w.tier0Fallbacks++
 			continue
 		}
 		maxArr, maxComp := arrTop[0], compTop[0]
@@ -341,35 +334,26 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand)
 		}
 		if c.inArr+c.b.delayHi < maxArr && c.inArr+c.b.compHi < maxComp {
 			c.skip = true
-			hits++
+			w.tier0Hits++
 		}
-	}
-	if fallbacks > 0 {
-		t0.fallbacks.Add(fallbacks)
-		e.m.tier0Fallbacks.Add(fallbacks)
-	}
-	if hits > 0 {
-		t0.hits.Add(hits)
-		e.m.tier0Hits.Add(hits)
 	}
 }
 
 // t0Eval evaluates a final arc request through the cross-pass memo:
 // an identical request reuses the stored result (the evaluator is
-// deterministic, so the reuse is exact), anything else evaluates and
-// stores. With tier-0 off this is Calc.Eval.
-func (e *Engine) t0Eval(cell *netlist.Cell, pin, dOut int, req delaycalc.Request) (delaycalc.Result, error) {
+// deterministic, so the reuse is exact, and tallied as a tier-0 hit),
+// anything else evaluates and stores. With tier-0 off this is eval.
+func (e *Engine) t0Eval(cell *netlist.Cell, pin, dOut int, req delaycalc.Request, w *tally) (delaycalc.Result, error) {
 	t0 := e.t0
 	if t0 == nil || t0.memo[cell.Out-1] == nil {
-		return e.Calc.Eval(req)
+		return e.eval(req, w)
 	}
 	slot := &t0.memo[cell.Out-1][pin*2+dOut]
 	if slot.valid && slot.req == req {
-		t0.hits.Add(1)
-		e.m.tier0Hits.Inc()
+		w.tier0Hits++
 		return slot.res, nil
 	}
-	res, err := e.Calc.Eval(req)
+	res, err := e.eval(req, w)
 	if err != nil {
 		return res, err
 	}
@@ -400,6 +384,7 @@ func (e *Engine) discardTainted() bool {
 	}
 	e.passStats = nil
 	e.replayPasses = nil
+	e.work.tier0Hits, e.work.tier0Fallbacks, e.work.tier0FlipGuards = 0, 0, 0
 	e.t0 = nil
 	e.tier0Rerun = true
 	e.m.tier0Reruns.Inc()

@@ -244,6 +244,19 @@ func TestTier0RerunOnBracketViolation(t *testing.T) {
 	if n := reruns(); n != 1 {
 		t.Errorf("full: %s = %d, want 1", obs.MTier0Reruns, n)
 	}
+	// The documented rerun accounting: the work totals include the
+	// discarded tiered run, whose passes are not in PassStats.
+	var passArcs int64
+	for _, ps := range full.PassStats {
+		passArcs += ps.ArcEvaluations
+	}
+	if full.ArcEvaluations <= passArcs {
+		t.Errorf("full: ArcEvaluations %d does not exceed the reported passes' %d; the discarded run is missing",
+			full.ArcEvaluations, passArcs)
+	}
+	if n := reg.Counter(obs.MArcEvaluations).Value(); n != full.ArcEvaluations {
+		t.Errorf("full: %s = %d, Result.ArcEvaluations = %d", obs.MArcEvaluations, n, full.ArcEvaluations)
+	}
 
 	// The pair is not edited, so nothing diverges: seed its whole
 	// structural fan-out to make the seeded run evaluate arcs.

@@ -370,11 +370,11 @@ func (c *Calculator) Eval(r Request) (Result, error) {
 }
 
 // EvalInfo is Eval plus the per-call work breakdown, letting a session
-// scope (Scoped) attribute requests, simulations and Newton work to the
-// run that incurred them while the calculator's own counters stay
-// shared. Cache hits and single-flight waiters report Simulations == 0
-// — the same accounting the shared counters use, so scoped sums match
-// the serial Stats deltas exactly.
+// attribute requests, simulations and Newton work to the run that
+// incurred them while the calculator's own counters stay shared. Cache
+// hits and single-flight waiters report Simulations == 0 — the same
+// accounting the shared counters use, so a session's sums match the
+// serial Stats deltas exactly.
 func (c *Calculator) EvalInfo(r Request) (Result, Info, error) {
 	if c.m.enabled {
 		t0 := time.Now()

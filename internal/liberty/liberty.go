@@ -85,14 +85,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Library is a characterized timing library; it implements
-// delaycalc.Evaluator.
+// delaycalc.InfoEvaluator.
 type Library struct {
 	Name   string
 	proc   device.Process
 	sizing ccc.Sizing
 	tables map[ArcClass]*ArcTable
-
-	requests int64
 }
 
 // Proc implements delaycalc.Evaluator.
@@ -100,12 +98,6 @@ func (l *Library) Proc() device.Process { return l.proc }
 
 // Siz implements delaycalc.Evaluator.
 func (l *Library) Siz() ccc.Sizing { return l.sizing }
-
-// Stats implements delaycalc.Evaluator: a LUT never simulates.
-func (l *Library) Stats() (int64, int64) { return atomic.LoadInt64(&l.requests), 0 }
-
-// ResetStats implements delaycalc.Evaluator.
-func (l *Library) ResetStats() { atomic.StoreInt64(&l.requests, 0) }
 
 // ClearCache implements delaycalc.Evaluator (no-op; the tables ARE the
 // cache).
@@ -275,7 +267,6 @@ func (t *ArcTable) lookup(surface [][][]float64, slew, load, ratio float64) floa
 // cannot represent (π-model wires, scaled cells) are rejected so the
 // caller can fall back to the circuit-level calculator.
 func (l *Library) Eval(r delaycalc.Request) (delaycalc.Result, error) {
-	atomic.AddInt64(&l.requests, 1)
 	if r.RWire > 0 || r.CFar > 0 {
 		return delaycalc.Result{}, fmt.Errorf("liberty: π-model arcs are not characterized")
 	}
@@ -302,7 +293,18 @@ func (l *Library) Eval(r delaycalc.Request) (delaycalc.Result, error) {
 	return res, nil
 }
 
-var _ delaycalc.Evaluator = (*Library)(nil)
+// EvalInfo implements delaycalc.InfoEvaluator: a lookup is one request
+// and never simulates; a rejected request did no work, so it is counted
+// by whichever evaluator serves it.
+func (l *Library) EvalInfo(r delaycalc.Request) (delaycalc.Result, delaycalc.Info, error) {
+	res, err := l.Eval(r)
+	if err != nil {
+		return res, delaycalc.Info{}, err
+	}
+	return res, delaycalc.Info{Requests: 1}, nil
+}
+
+var _ delaycalc.InfoEvaluator = (*Library)(nil)
 
 // Validate probes every characterized arc class at cell midpoints of
 // the grid and compares the interpolated delay against a fresh
@@ -346,27 +348,23 @@ func (l *Library) Validate(calc *delaycalc.Calculator) (worstRel float64, probes
 // the secondary (LUT first, circuit-level calculator for clock buffers
 // and π-model arcs).
 type Fallback struct {
-	Primary, Secondary delaycalc.Evaluator
+	Primary, Secondary delaycalc.InfoEvaluator
 }
 
 // Eval implements delaycalc.Evaluator.
 func (f *Fallback) Eval(r delaycalc.Request) (delaycalc.Result, error) {
-	res, err := f.Primary.Eval(r)
-	if err == nil {
-		return res, nil
+	res, _, err := f.EvalInfo(r)
+	return res, err
+}
+
+// EvalInfo implements delaycalc.InfoEvaluator: the work is that of the
+// evaluator that served the request (a rejection costs none).
+func (f *Fallback) EvalInfo(r delaycalc.Request) (delaycalc.Result, delaycalc.Info, error) {
+	if res, info, err := f.Primary.EvalInfo(r); err == nil {
+		return res, info, nil
 	}
-	return f.Secondary.Eval(r)
+	return f.Secondary.EvalInfo(r)
 }
-
-// Stats sums both evaluators' counters.
-func (f *Fallback) Stats() (int64, int64) {
-	r1, s1 := f.Primary.Stats()
-	r2, s2 := f.Secondary.Stats()
-	return r1 + r2, s1 + s2
-}
-
-// ResetStats implements delaycalc.Evaluator.
-func (f *Fallback) ResetStats() { f.Primary.ResetStats(); f.Secondary.ResetStats() }
 
 // ClearCache implements delaycalc.Evaluator.
 func (f *Fallback) ClearCache() { f.Primary.ClearCache(); f.Secondary.ClearCache() }
@@ -377,4 +375,4 @@ func (f *Fallback) Proc() device.Process { return f.Secondary.Proc() }
 // Siz implements delaycalc.Evaluator.
 func (f *Fallback) Siz() ccc.Sizing { return f.Secondary.Siz() }
 
-var _ delaycalc.Evaluator = (*Fallback)(nil)
+var _ delaycalc.InfoEvaluator = (*Fallback)(nil)

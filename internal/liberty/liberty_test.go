@@ -129,22 +129,26 @@ func TestLUTRejectsUnsupported(t *testing.T) {
 func TestFallbackChains(t *testing.T) {
 	lib, calc := characterizeSmall(t)
 	fb := &Fallback{Primary: lib, Secondary: calc}
-	// Supported request: served by the LUT (no simulations).
-	fb.ResetStats()
-	if _, err := fb.Eval(delaycalc.Request{
+	// Supported request: served by the LUT, one request, no simulation.
+	_, info, err := fb.EvalInfo(delaycalc.Request{
 		Kind: netlist.INV, NIn: 1, Pin: 0, Dir: waveform.Rising, InSlew: 2e-10, CLoad: 2e-14,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, sims := fb.Stats()
-	if sims != 0 {
-		t.Errorf("LUT-served request ran %d simulations", sims)
+	if info != (delaycalc.Info{Requests: 1}) {
+		t.Errorf("LUT-served request: info %+v, want one request and no simulation", info)
 	}
-	// Clock buffer (SizeMult 4): falls back to the calculator.
-	if _, err := fb.Eval(delaycalc.Request{
+	// Clock buffer (SizeMult 4): the LUT rejects it and the calculator
+	// serves it, so it counts once, as the calculator's request.
+	_, info, err = fb.EvalInfo(delaycalc.Request{
 		Kind: netlist.INV, NIn: 1, Pin: 0, Dir: waveform.Rising, InSlew: 2e-10, CLoad: 2e-14, SizeMult: 4,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("fallback failed: %v", err)
+	}
+	if info.Requests != 1 || info.Simulations+info.CacheHits != 1 {
+		t.Errorf("fallback request: info %+v, want one calculator request", info)
 	}
 	if fb.Proc().VDD != 3.3 {
 		t.Error("Proc passthrough broken")

@@ -71,7 +71,7 @@ type Result struct {
 
 // FixTiming sizes gates until the longest path (plus flip-flop setup)
 // fits the clock period under the given analysis mode.
-func FixTiming(c *netlist.Circuit, calc delaycalc.Evaluator, analysis core.Options,
+func FixTiming(c *netlist.Circuit, calc delaycalc.InfoEvaluator, analysis core.Options,
 	period float64, cfg Config) (*Result, error) {
 
 	if period <= 0 {

@@ -167,6 +167,52 @@ func TestAnalyzeRejectsUnknownField(t *testing.T) {
 	}
 }
 
+// TestEditAndLoadRejectUnknownFields: edit and load bodies are as
+// strict as analyze bodies. A misspelled field — on the edit request,
+// on one of its edits, or on a load spec — must be refused with 400 and
+// the field's name, not dropped so that the request silently does
+// something else (an edit that re-analyzes nothing, a design built at
+// the default scale).
+func TestEditAndLoadRejectUnknownFields(t *testing.T) {
+	s, d := newTestServer(t, Config{})
+	h := s.Handler()
+	pairs := d.CoupledPairs(1)
+	if len(pairs) == 0 {
+		t.Fatal("test design has no coupled pairs")
+	}
+	edit := map[string]any{"op": "scale_coupling", "a": pairs[0].A, "b": pairs[0].B, "value": 1.5}
+	withField := func(m map[string]any, k string, v any) map[string]any {
+		out := map[string]any{k: v}
+		for mk, mv := range m {
+			out[mk] = mv
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name, path, field string
+		body              map[string]any
+	}{
+		{"edit request", "/v1/designs/d1/edit", "reanalyze",
+			map[string]any{"edits": []any{edit}, "reanalyze": "iterative"}},
+		{"edit entry", "/v1/designs/d1/edit", "factor",
+			map[string]any{"edits": []any{withField(edit, "factor", 1.5)}}},
+		{"load spec", "/v1/designs", "scael",
+			map[string]any{"id": "syn", "cells": 90, "dffs": 8, "depth": 5, "seed": 7, "scael": 0.5}},
+	} {
+		code, body, _ := do(t, h, "POST", tc.path, tc.body)
+		var er errorResp
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("%s: code %d, body %s is not an error response: %v", tc.name, code, body, err)
+		}
+		if code != 400 || !strings.Contains(er.Error, `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: code %d error %q, want 400 naming %q", tc.name, code, er.Error, tc.field)
+		}
+	}
+	if rev := d.Revision(); rev != 0 {
+		t.Errorf("a refused edit changed the design: revision %d", rev)
+	}
+}
+
 func TestLoadDesignOverHTTP(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()

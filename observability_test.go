@@ -62,9 +62,21 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Errorf("metric %s = %d, want > 0", name, dump.Counters[name])
 		}
 	}
-	if got := dump.Counters["arc_evaluations_total"]; got != res.ArcEvaluations {
-		t.Errorf("arc_evaluations_total = %d, Result.ArcEvaluations = %d", got, res.ArcEvaluations)
+	checkRegistryTwins(t, "tier-0 off", dump.Counters, res)
+	// With tier-0 on, on a registry of its own: the tier-0 counters
+	// have Result twins too.
+	reg0 := xtalksta.NewMetricsRegistry()
+	res0, err := d.Analyze(xtalksta.AnalysisOptions{
+		Mode: xtalksta.Iterative, Workers: 4, Tier0: true, Metrics: reg0,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res0.Tier0Rerun || res0.Tier0Hits == 0 {
+		t.Fatalf("tier-0 run: rerun %v, %d hits; the twin check needs a tiered run whose brackets held",
+			res0.Tier0Rerun, res0.Tier0Hits)
+	}
+	checkRegistryTwins(t, "tier-0 on", reg0.Snapshot().Counters, res0)
 
 	// The trace must parse as Chrome trace_event JSON, contain the
 	// expected span names, and nest properly per thread.
@@ -125,6 +137,38 @@ func TestObservabilityEndToEnd(t *testing.T) {
 				t.Fatalf("tid %d: spans overlap without nesting: [%g,%g] vs [%g,%g]",
 					tid, a[0], a[1], b[0], b[1])
 			}
+		}
+	}
+}
+
+// checkRegistryTwins asserts that every engine work counter with a
+// Result or PassStat twin reads the same as its twin, for a registry
+// that saw exactly one analysis: a pass dropped or counted twice
+// between the two shows here.
+func checkRegistryTwins(t *testing.T, label string, counters map[string]int64, res *xtalksta.AnalysisResult) {
+	t.Helper()
+	var newton, recalc, converged int64
+	for _, ps := range res.PassStats {
+		newton += ps.NewtonIterations
+		recalc += ps.RecalculatedWires
+		converged += ps.ConvergedSkips
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"arc_evaluations_total", res.ArcEvaluations},
+		{"simulations_total", res.Simulations},
+		{"passes_total", int64(res.Passes)},
+		{"tier0_hits_total", res.Tier0Hits},
+		{"tier0_fallbacks_total", res.Tier0Fallbacks},
+		{"tier0_flip_guards_total", res.Tier0FlipGuards},
+		{"recalculated_wires_total", recalc},
+		{"pass_converged_skips_total", converged},
+		{"newton_iterations_total", newton},
+	} {
+		if got := counters[c.name]; got != c.want {
+			t.Errorf("%s: %s = %d, its Result/PassStat twin %d", label, c.name, got, c.want)
 		}
 	}
 }

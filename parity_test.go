@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"xtalksta"
+	"xtalksta/internal/obs"
 )
 
 var updateParity = flag.Bool("update-parity", false, "rewrite testdata/parity_bits.json from the current implementation")
@@ -60,7 +61,8 @@ var parityCircuits = []struct {
 
 // computeParityBits runs the full matrix and returns
 // "preset/config" → IEEE-754 bits of the longest-path delay, plus
-// "preset/config/state" → stateDigest of the same result.
+// "preset/config/state" → stateDigest of the same result and
+// "preset/config/work" → workDigest of its work counts.
 func computeParityBits(t *testing.T) map[string]uint64 {
 	t.Helper()
 	out := make(map[string]uint64)
@@ -70,7 +72,10 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 			if err != nil {
 				t.Fatalf("generate %s: %v", pc.preset, err)
 			}
-			res, err := d.Analyze(cfg.opts)
+			reg := obs.NewRegistry()
+			opts := cfg.opts
+			opts.Metrics = reg
+			res, err := d.Analyze(opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", pc.preset, cfg.name, err)
 			}
@@ -92,9 +97,59 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 			key := fmt.Sprintf("%s/%s", pc.preset, cfg.name)
 			out[key] = math.Float64bits(final.LongestPath)
 			out[key+"/state"] = stateDigest(t, key, final)
+			out[key+"/work"] = workDigest(t, key, final, reg)
 		}
 	}
 	return out
+}
+
+// workCounters are the engine registry counters workDigest pins: every
+// work counter of the sweep, none of the scheduling-dependent sched_*
+// ones.
+var workCounters = []string{
+	obs.MArcEvaluations, obs.MSimulations, obs.MNewtonIters, obs.MNewtonFailures,
+	obs.MCouplingActive, obs.MCouplingGrounded, obs.MCouplingZeroSkips, obs.MTBCSReuseHits,
+	obs.MTier0Hits, obs.MTier0Fallbacks, obs.MTier0FlipGuards, obs.MTier0Reruns,
+	obs.MPasses, obs.MRecalcWires, obs.MPassConvergedSkips,
+	obs.MEcoEdits, obs.MEcoDirtyLines, obs.MEcoReusedLines, obs.MEcoConeExpansions, obs.MEcoFullFallbacks,
+}
+
+// workDigest is the FNV-1a 64-bit hash of the work a result reports:
+// its Result work totals, every PassStat field but Wall, its ECO stats
+// and the work counters of the registry attached to its runs (for an
+// ECO leg, the full run and the seeded one). It pins the work a
+// refactor must keep, not only the bits. The hashed values are logged
+// so a mismatch shows which count moved.
+func workDigest(t *testing.T, key string, res *xtalksta.AnalysisResult, reg *obs.Registry) uint64 {
+	t.Helper()
+	b2i := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	vals := []int64{res.ArcEvaluations, res.Simulations, res.CacheHits,
+		res.Tier0Hits, res.Tier0Fallbacks, res.Tier0FlipGuards, b2i(res.Tier0Rerun), int64(res.Passes)}
+	for _, ps := range res.PassStats {
+		vals = append(vals, int64(ps.Pass), int64(ps.Mode), ps.ArcEvaluations, ps.Simulations,
+			ps.CacheHits, ps.NewtonIterations, ps.Tier0Hits, ps.RecalculatedWires, ps.ConvergedSkips,
+			int64(math.Float64bits(ps.LongestPath)))
+	}
+	if e := res.ECO; e != nil {
+		vals = append(vals, e.DirtyLines, e.ReusedLines, e.ConeExpansions, b2i(e.FullFallback))
+	}
+	counters := reg.Snapshot().Counters
+	for _, name := range workCounters {
+		vals = append(vals, counters[name])
+	}
+	t.Logf("%s/work: %v", key, vals)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // stateDigest is the FNV-1a 64-bit hash of the Float64bits of every
@@ -124,9 +179,11 @@ func stateDigest(t *testing.T, key string, res *xtalksta.AnalysisResult) uint64 
 // TestRefactorParity locks the longest-path delay of every analysis
 // mode, sequential and parallel sweeps, tier-0 on/off and ECO-seeded
 // re-analysis to the bit patterns recorded before the SoA/CSR
-// memory-layout refactor (testdata/parity_bits.json), and the whole
-// final net state of each to its digest. Any drift means a
-// refactor changed numerics, not just layout.
+// memory-layout refactor (testdata/parity_bits.json), the whole
+// final net state of each to its digest, and the work each reports to
+// its work digest. Any drift in the first two means a refactor changed
+// numerics, not just layout; in the third, that it dropped or
+// double-counted work.
 func TestRefactorParity(t *testing.T) {
 	path := filepath.Join("testdata", "parity_bits.json")
 	got := computeParityBits(t)
@@ -164,6 +221,10 @@ func TestRefactorParity(t *testing.T) {
 		if gotHex != wantHex {
 			if strings.HasSuffix(k, "/state") {
 				t.Errorf("%s: final-state digest %s, fixture %s", k, gotHex, wantHex)
+				continue
+			}
+			if strings.HasSuffix(k, "/work") {
+				t.Errorf("%s: work digest %s, fixture %s (hashed values in the log above)", k, gotHex, wantHex)
 				continue
 			}
 			t.Errorf("%s: longest path bits %s, fixture %s (Float64 %v vs %v)",
@@ -206,7 +267,7 @@ func TestTier0PresetParity(t *testing.T) {
 
 // loadParityFixture reads testdata/parity_bits.json: "preset/config" →
 // hex IEEE-754 bits of the longest-path delay, "preset/config/state" →
-// hex stateDigest.
+// hex stateDigest, "preset/config/work" → hex workDigest.
 func loadParityFixture(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "parity_bits.json"))
