@@ -33,14 +33,14 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with worker concurrency and the
-# shared telemetry instruments — core's scheduler parity and abort tests
-# sweep 2, 8 and NumCPU workers — plus every root test that drives one
-# Design from several goroutines: mixed Analyze/Reanalyze/Edit
-# sessions, concurrent corner sessions (all bit-compared against serial
-# references — DESIGN.md §11), a LUT session beside an exact one (each
-# counting only its own work) and the introspection server scraped
-# while analyses and edits run. -count=1: no result comes from the test
-# cache.
+# shared telemetry instruments — core's executor parity and abort tests
+# run rank buckets on 2, 8 and NumCPU workers — plus every root test
+# that drives one Design from several goroutines: mixed
+# Analyze/Reanalyze/Edit sessions, concurrent corner sessions (all
+# bit-compared against serial references — DESIGN.md §11), a LUT
+# session beside an exact one (each counting only its own work) and the
+# introspection server scraped while analyses and edits run. -count=1:
+# no result comes from the test cache.
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./internal/delaycalc/ ./internal/obs/ ./internal/incremental/
 	$(GO) test -race -run 'Concurrent|IntrospectionServerLive' -count=1 .
@@ -89,11 +89,13 @@ perfbench-smoke:
 # The s38417 leg replays five random batches on a circuit whose last
 # Iterative pass is looser than the one before it, so the comparison
 # also covers the best-pass rule (the reported state is an earlier
-# pass's). ~1.5 s.
+# pass's). ~1.5 s. The last leg replays five random batches at two
+# workers, so every batch checks the parallel seeded executor. ~1.5 s.
 eco-check:
 	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode onestep -eco testdata/eco_clock_victim.json -eco-verify >/dev/null
 	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode iterative -eco testdata/eco_clock_victim.json -eco-verify >/dev/null
 	$(GO) run ./cmd/xtalksta -preset s38417 -scale 0.05 -mode iterative -eco-random 5 -eco-verify >/dev/null
+	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.05 -mode iterative -workers 2 -eco-random 5 -eco-verify >/dev/null
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

@@ -183,11 +183,13 @@ func (o BuildOptions) withDefaults() BuildOptions {
 // call Analyze, Reanalyze, Report and the corner/LUT variants while
 // others call Edit. Analyses run as independent sessions over an
 // immutable compiled snapshot (core.Compiled) cached on the Design;
-// Edit replaces the circuit copy-on-write and invalidates the
-// snapshots, so in-flight analyses finish against the revision they
-// started on. The sharded characterization cache is shared by all
-// concurrent sessions. Do not read the exported Circuit field directly
-// while another goroutine may Edit; use the accessor methods.
+// Edit replaces the circuit copy-on-write and advances the revision, so
+// the next analysis builds the new revision's snapshot (derived from
+// the previous one where the edits allow) while in-flight analyses
+// finish against the revision they started on. The sharded
+// characterization cache is shared by all concurrent sessions. Do not
+// read the exported Circuit field directly while another goroutine may
+// Edit; use the accessor methods.
 type Design struct {
 	Circuit *netlist.Circuit
 	Layout  *layout.Layout
@@ -201,9 +203,10 @@ type Design struct {
 	// revision and fetch/build the snapshot; the runs themselves hold no
 	// lock.
 	mu sync.RWMutex
-	// snap is the cached compiled snapshot of the current revision under
-	// the typical-corner calculator (nil until first use, nilled by
-	// Edit; rebuilt when the compile key changes).
+	// snap is the cached compiled snapshot under the typical-corner
+	// calculator (nil until first use; rebuilt when the compile key
+	// changes). Edit leaves it in place as the parent the next
+	// revision's snapshot derives from (see deriveLocked).
 	snap *core.Compiled
 	// corners memoizes per-corner device libraries, coupling models and
 	// calculators (circuit-independent, so they survive Edit) plus the
@@ -378,13 +381,14 @@ func (d *Design) applyECOLocked(opts *AnalysisOptions) {
 // compiledWith resolves opts against the current revision and returns
 // the compiled snapshot for it from *slot (a field guarded by d.mu:
 // &d.snap or a corner's), building and caching one when the slot is
-// empty or its compile key no longer matches. The returned revision is
-// the one the snapshot was built from, read in the same critical
-// section — the caller's consistent view of the design.
+// empty, holds an older revision or its compile key no longer matches.
+// The returned revision is the one the snapshot was built from, read in
+// the same critical section — the caller's consistent view of the
+// design.
 func (d *Design) compiledWith(calc delaycalc.Evaluator, slot **core.Compiled, opts *AnalysisOptions) (*core.Compiled, uint64, error) {
 	d.mu.RLock()
 	d.applyECOLocked(opts)
-	if cd := *slot; cd != nil && cd.Matches(*opts) {
+	if cd := *slot; cd != nil && cd.Revision() == d.rev && cd.Matches(*opts) {
 		rev := d.rev
 		d.mu.RUnlock()
 		d.snapReuses.Add(1)
@@ -398,12 +402,19 @@ func (d *Design) compiledWith(calc delaycalc.Evaluator, slot **core.Compiled, op
 	// An Edit may have slipped in between the locks: re-merge the
 	// overrides and re-check so snapshot, options and revision agree.
 	d.applyECOLocked(opts)
-	if cd := *slot; cd != nil && cd.Matches(*opts) {
+	if cd := *slot; cd != nil && cd.Revision() == d.rev && cd.Matches(*opts) {
 		d.snapReuses.Add(1)
 		opts.Metrics.Counter(obs.MSnapshotReuses).Inc()
 		return cd, d.rev, nil
 	}
-	cd, err := core.Compile(d.Circuit, calc, *opts)
+	var cd *core.Compiled
+	var err error
+	if slot == &d.snap {
+		cd, err = d.deriveLocked(*slot, *opts)
+	}
+	if cd == nil && err == nil {
+		cd, err = core.Compile(d.Circuit, calc, *opts)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -412,6 +423,25 @@ func (d *Design) compiledWith(calc delaycalc.Evaluator, slot **core.Compiled, op
 	d.snapBuilds.Add(1)
 	opts.Metrics.Counter(obs.MSnapshotBuilds).Inc()
 	return cd, d.rev, nil
+}
+
+// deriveLocked derives the current revision's snapshot from parent, an
+// older revision's typical-corner snapshot, seeded with every net the
+// edit batches since parent's revision changed (see
+// core.Compiled.Derive). It returns nil when there is no parent or the
+// edits do not explain the difference in compile keys. Callers hold
+// d.mu.
+func (d *Design) deriveLocked(parent *core.Compiled, opts AnalysisOptions) (*core.Compiled, error) {
+	if parent == nil || parent.Revision() >= d.rev {
+		return nil, nil
+	}
+	seed := make([]bool, len(d.Circuit.Nets))
+	for i := len(d.ecoLog) - 1; i >= 0 && d.ecoLog[i].rev > parent.Revision(); i-- {
+		for _, id := range d.ecoLog[i].seeds {
+			seed[id-1] = true
+		}
+	}
+	return parent.Derive(d.Circuit, opts, seed)
 }
 
 // compiled is compiledWith for the typical-corner snapshot.
@@ -924,9 +954,9 @@ func (d *Design) Edit(edits ...Edit) error {
 // applyEdits applies one edit batch copy-on-write: the edits land on a
 // clone of the circuit, which replaces d.Circuit only when the whole
 // batch succeeds. In-flight analyses keep reading the previous
-// revision's circuit through their compiled snapshots; the cached
-// snapshots are invalidated so the next analysis compiles the new
-// revision.
+// revision's circuit through their compiled snapshots. The typical
+// snapshot stays cached as the parent the next analysis derives the new
+// revision's from; the corner snapshots are dropped.
 func (d *Design) applyEdits(edits []Edit, reg *obs.Registry, tr *obs.Tracer) ([]netlist.NetID, error) {
 	if len(edits) == 0 {
 		return nil, nil
@@ -943,7 +973,6 @@ func (d *Design) applyEdits(edits []Edit, reg *obs.Registry, tr *obs.Tracer) ([]
 	d.Circuit = clone
 	d.rev++
 	d.ecoLog = append(d.ecoLog, ecoRecord{rev: d.rev, seeds: seeds})
-	d.snap = nil
 	for _, cs := range d.corners {
 		cs.snap = nil
 	}

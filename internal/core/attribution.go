@@ -262,7 +262,8 @@ func (e *Engine) attributeArc(mode Mode, st []netState, quietPrev [][2]float64,
 			return
 		}
 		if mode == WorstCase {
-			for k := inf.ccLo; k < inf.ccHi; k++ {
+			lo, hi := e.cc.Span(out)
+			for k := lo; k < hi; k++ {
 				aggs = append(aggs, AttributionAggressor{Net: e.C.Net(e.cc.Nbr[k]).Name, C: e.cc.C[k]})
 			}
 		}

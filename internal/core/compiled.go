@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"xtalksta/internal/ccc"
@@ -11,11 +13,12 @@ import (
 )
 
 // Compiled is the immutable compiled form of one design revision: the
-// per-net electrical summaries, topological order and ranks, endpoint
-// list, per-phase dataflow dependency graphs and clock-sink index —
-// everything an analysis needs that does not change between runs. A Compiled is built once (Compile) and then shared by
-// any number of concurrent sessions (NewSession); nothing in it is
-// written after Compile returns, so no locking is needed around it.
+// per-net electrical summaries, topological order and ranks, per-phase
+// rank buckets, endpoint list and clock-sink index — everything an
+// analysis needs that does not change between runs. A Compiled is built
+// once (Compile, or Derive from the previous revision's) and then shared
+// by any number of concurrent sessions (NewSession); nothing in it is
+// written after it is built, so no locking is needed around it.
 //
 // The snapshot depends on a subset of the analysis options — POCap,
 // PiModel and CellSizes feed the net summaries and endpoint extras —
@@ -30,16 +33,13 @@ type Compiled struct {
 	info      []netInfo // by NetID-1
 	order     []netlist.CellID
 	endpoints []endpointRef
-	// netRank is the per-net rank of the calculated-neighbor test; see
-	// levels.go.
-	netRank []int
-	// Per-phase dataflow dependency graphs of the sweep executor; see
-	// dataflow.go. Immutable: runDataflow copies indeg per pass.
-	dfClock, dfMain *dfGraph
+	// netRank is the per-net rank of the calculated-neighbor test, and
+	// clockLv/mainLv each phase's cells in rank buckets; see levels.go.
+	netRank         []int
+	clockLv, mainLv levels
 	// cc is the SoA coupling adjacency of the whole design (offsets +
-	// neighbor/capacitance arrays); netInfo spans index into it. The
-	// hot coupling-classification loops scan these flat arrays instead
-	// of per-net Coupling slices.
+	// neighbor/capacitance arrays). The hot coupling-classification
+	// loops scan these flat arrays instead of per-net Coupling slices.
 	cc *netlist.CouplingCSR
 	// sink is the dense (cell, pin) → wire-delay table replacing the
 	// per-net SinkWireDelay map lookups on the arc path.
@@ -86,21 +86,93 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 		poCap:   opts.POCap,
 		piModel: opts.PiModel,
 	}
-	if len(opts.CellSizes) > 0 {
-		cd.cellSizes = make(map[netlist.CellID]float64, len(opts.CellSizes))
-		for k, v := range opts.CellSizes {
-			cd.cellSizes[k] = v
-		}
-	}
+	cd.setCellSizes(opts.CellSizes)
 	cd.cc = c.BuildCouplingCSR()
 	cd.sink = c.BuildSinkDelayCSR()
-	if err := cd.buildNetInfo(); err != nil {
-		return nil, err
+	cd.buildClockSinks()
+	cd.info = make([]netInfo, len(c.Nets))
+	for i := range cd.info {
+		if err := cd.buildRow(netlist.NetID(i + 1)); err != nil {
+			return nil, err
+		}
 	}
 	cd.buildEndpoints()
-	cd.buildDataflow(cd.buildLevels())
-	cd.buildClockSinks()
+	cd.buildLevels()
 	return cd, nil
+}
+
+// Derive builds the snapshot of c, an edited copy of cd's circuit, under
+// opts. seed flags (by NetID−1) every net whose electrical parameters
+// the edits since cd's revision changed, as incremental.Apply reports
+// them. No edit changes topology, so the snapshot shares cd's order,
+// ranks, rank buckets, endpoints, sink CSR and clock-sink index; it
+// rebuilds the coupling CSR (unseeded spans copied from cd's) and the
+// seeded nets' rows, with the row function Compile uses, so it equals
+// Compile(c, calc, opts) field for field. It returns nil when cd cannot
+// be the parent — another net or cell count, POCap or PiModel, or a
+// CellSizes change the seeds do not cover — and the caller compiles
+// from scratch.
+func (cd *Compiled) Derive(c *netlist.Circuit, opts Options, seed []bool) (*Compiled, error) {
+	opts = opts.withDefaults()
+	if len(c.Nets) != len(cd.C.Nets) || len(c.Cells) != len(cd.C.Cells) || len(seed) != len(c.Nets) ||
+		opts.POCap != cd.poCap || opts.PiModel != cd.piModel || !cd.sizesCovered(opts.CellSizes, seed) {
+		return nil, nil
+	}
+	d := *cd
+	d.C = c
+	d.rev = 0
+	d.setCellSizes(opts.CellSizes)
+	d.cc = c.RebuildCouplingCSR(cd.cc, seed)
+	d.info = slices.Clone(cd.info)
+	for i, s := range seed {
+		if s {
+			if err := d.buildRow(netlist.NetID(i + 1)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &d, nil
+}
+
+// sizesCovered reports whether every cell whose size differs between
+// the snapshot's CellSizes and sizes has its output and input nets
+// seeded: the rows that read a cell's size.
+func (cd *Compiled) sizesCovered(sizes map[netlist.CellID]float64, seed []bool) bool {
+	covered := func(cid netlist.CellID) bool {
+		if cid < 0 || int(cid) >= len(cd.C.Cells) {
+			return false
+		}
+		cell := cd.C.Cell(cid)
+		if cell.Out != netlist.NoNet && !seed[cell.Out-1] {
+			return false
+		}
+		for _, in := range cell.In {
+			if !seed[in-1] {
+				return false
+			}
+		}
+		return true
+	}
+	for k, v := range sizes {
+		if old, ok := cd.cellSizes[k]; (!ok || old != v) && !covered(k) {
+			return false
+		}
+	}
+	for k := range cd.cellSizes {
+		if _, ok := sizes[k]; !ok && !covered(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// setCellSizes records a private copy of the CellSizes compile key (nil
+// when empty).
+func (cd *Compiled) setCellSizes(sizes map[netlist.CellID]float64) {
+	cd.cellSizes = nil
+	if len(sizes) > 0 {
+		cd.cellSizes = maps.Clone(sizes)
+	}
 }
 
 // buildClockSinks indexes the flip-flops per clock net as a CSR
@@ -197,62 +269,55 @@ func (cd *Compiled) sizeOf(cid netlist.CellID) float64 {
 	return mult
 }
 
-func (cd *Compiled) buildNetInfo() error {
+// buildRow builds the electrical summary of net id into its info row.
+// The loads are summed in one fixed order — wire cap, fanout pin caps in
+// fanout order, the PO pad, then clock-pin caps in cell order — so a row
+// Derive rebuilds is bit-equal to the one Compile builds.
+func (cd *Compiled) buildRow(id netlist.NetID) error {
 	c := cd.C
-	cd.info = make([]netInfo, len(c.Nets))
-	for i, n := range c.Nets {
-		inf := &cd.info[i]
-		inf.baseCap = n.Par.CWire
-		inf.cwire = n.Par.CWire
-		inf.rwire = n.Par.RWire
-		inf.sumCc = n.Par.TotalCoupling()
-		inf.ccLo, inf.ccHi = cd.cc.Span(n.ID)
-		inf.sizeMult = 1
-		if n.Driver != netlist.NoCell {
-			inf.sizeMult = cd.sizeOf(n.Driver)
-		} else if n.IsClock {
-			inf.sizeMult = cd.Siz.ClockBufMult
-		}
-		if n.Driver != netlist.NoCell {
-			drv := c.Cell(n.Driver)
-			inf.driverKind = drv.Kind
-			inf.driverNIn = len(drv.In)
-		}
-		// Sink pin loads.
-		for _, pr := range n.Fanout {
-			sink := c.Cell(pr.Cell)
-			var pinCap float64
+	n := c.Net(id)
+	inf := netInfo{
+		baseCap:  n.Par.CWire,
+		cwire:    n.Par.CWire,
+		rwire:    n.Par.RWire,
+		sumCc:    n.Par.TotalCoupling(),
+		sizeMult: 1,
+	}
+	if n.Driver != netlist.NoCell {
+		drv := c.Cell(n.Driver)
+		inf.sizeMult = cd.sizeOf(n.Driver)
+		inf.driverKind = drv.Kind
+		inf.driverNIn = len(drv.In)
+	} else if n.IsClock {
+		inf.sizeMult = cd.Siz.ClockBufMult
+	}
+	for _, pr := range n.Fanout {
+		sink := c.Cell(pr.Cell)
+		pinCap := ccc.DFFDataCap(cd.Proc, cd.Siz)
+		if sink.Kind != netlist.DFF {
 			var err error
-			if sink.Kind == netlist.DFF {
-				pinCap = ccc.DFFDataCap(cd.Proc, cd.Siz)
-			} else {
-				pinCap, err = ccc.InputCap(cd.Proc, cd.Siz, sink.Kind, len(sink.In), cd.sizeOf(sink.ID))
-				if err != nil {
-					return err
-				}
-			}
-			inf.baseCap += pinCap
-			if d := cd.sink.At(pr.Cell, pr.Pin); d > inf.maxSinkElmore {
-				inf.maxSinkElmore = d
+			if pinCap, err = ccc.InputCap(cd.Proc, cd.Siz, sink.Kind, len(sink.In), cd.sizeOf(sink.ID)); err != nil {
+				return err
 			}
 		}
-		if n.IsPO {
-			inf.baseCap += cd.poCap
-			if n.Par.POWireDelay > inf.maxSinkElmore {
-				inf.maxSinkElmore = n.Par.POWireDelay
-			}
+		inf.baseCap += pinCap
+		if d := cd.sink.At(pr.Cell, pr.Pin); d > inf.maxSinkElmore {
+			inf.maxSinkElmore = d
 		}
 	}
-	// Clock-pin caps: add per DFF to its clock net.
-	for _, cell := range c.Cells {
-		if cell.Kind == netlist.DFF && cell.Clock != netlist.NoNet {
-			inf := &cd.info[cell.Clock-1]
-			inf.baseCap += ccc.DFFClockCap(cd.Proc, cd.Siz)
-			if d := cd.sink.ClockDelay[cell.ID]; d > inf.maxSinkElmore {
-				inf.maxSinkElmore = d
-			}
+	if n.IsPO {
+		inf.baseCap += cd.poCap
+		if n.Par.POWireDelay > inf.maxSinkElmore {
+			inf.maxSinkElmore = n.Par.POWireDelay
 		}
 	}
+	for _, dff := range cd.clockSinksOf(id) {
+		inf.baseCap += ccc.DFFClockCap(cd.Proc, cd.Siz)
+		if d := cd.sink.ClockDelay[dff]; d > inf.maxSinkElmore {
+			inf.maxSinkElmore = d
+		}
+	}
+	cd.info[id-1] = inf
 	return nil
 }
 

@@ -77,10 +77,9 @@ type Options struct {
 	// measured at the far (receiver) node — resistive shielding, the
 	// limitation the paper's §2 explicitly concedes.
 	PiModel bool
-	// Workers evaluates cells concurrently when > 1, pipelining them
-	// through the dataflow wavefront as their dependencies complete.
-	// Results are identical to the sequential run (the one-step
-	// neighbor rule is rank-based, see levels.go and dataflow.go).
+	// Workers evaluates the cells of one rank bucket concurrently when
+	// > 1. Results are identical to the sequential run (the one-step
+	// neighbor rule is rank-based, see levels.go).
 	Workers int
 	// PISlew is the transition time assumed at primary inputs (default
 	// 0.2 ns).
@@ -204,13 +203,10 @@ type netState struct {
 
 // netInfo is the pass-invariant electrical summary of a net.
 type netInfo struct {
-	baseCap float64 // grounded load excluding coupling caps
-	cwire   float64 // wire portion of baseCap
-	rwire   float64 // wire resistance (π-model extension)
-	sumCc   float64
-	// ccLo/ccHi span the net's entries in the compiled coupling CSR
-	// (Compiled.cc) — the SoA replacement for a per-net []Coupling.
-	ccLo, ccHi    int32
+	baseCap       float64 // grounded load excluding coupling caps
+	cwire         float64 // wire portion of baseCap
+	rwire         float64 // wire resistance (π-model extension)
+	sumCc         float64
 	sizeMult      float64
 	maxSinkElmore float64
 	driverKind    netlist.GateKind
@@ -282,7 +278,7 @@ type Result struct {
 
 // Engine is one analysis session over a compiled snapshot: the
 // embedded *Compiled carries every immutable, shareable artifact
-// (circuit, net summaries, levels, ranks, dataflow graphs), while the
+// (circuit, net summaries, ranks, rank buckets), while the
 // Engine itself holds only per-run mutable state. Sessions over the
 // same Compiled are independent and may run concurrently; a single
 // Engine is not safe for concurrent Run calls.
@@ -305,7 +301,7 @@ type Engine struct {
 	// bcs caches best-case arc results across passes, indexed by
 	// [out net − 1][pin*2 + dOut]. Exactly one worker owns a cell within
 	// a pass and passes are barrier-separated, so the slots need no
-	// locking (see dataflow.go).
+	// locking (see levels.go).
 	bcs [][]bcsEntry
 	// t0 is the tiered-dispatch state when Options.Tier0 is active for
 	// this analysis (see tier0.go); nil otherwise. tier0Rerun records

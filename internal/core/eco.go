@@ -158,7 +158,7 @@ func (e *Engine) seedableTopology() bool {
 		n := e.C.Net(id)
 		return n.IsPI || n.IsClock
 	}
-	for _, cid := range e.dfClock.cells {
+	for _, cid := range e.clockLv.cells {
 		for _, in := range e.C.Cell(cid).In {
 			if !visible(in) {
 				return false
@@ -205,9 +205,9 @@ func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 // diverged output, possibly on a worker goroutine), so its bits are
 // atomic; every expansion provably targets a cell that has not started
 // yet — fanout sinks and pass-1 coupling victims have strictly higher
-// rank, so the executor's dependency edges order the mark before the
-// read. changed is written by at most one goroutine per index (the cell
-// owner) and only read after that write.
+// rank, so the mark lands before the executor reads the target's bucket
+// (see levels.go). changed is written by at most one goroutine per
+// index (the cell owner) and only read after that write.
 type dirtySet struct {
 	orig    []netState
 	dirty   []atomic.Bool

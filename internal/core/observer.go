@@ -54,8 +54,7 @@ type engineMetrics struct {
 	passes, recalcWires                                     *obs.Counter
 	workerCells, seqCells                                   *obs.Counter
 	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks        *obs.Counter
-	schedSteals, convergedSkips                             *obs.Counter
-	schedReadyDepth                                         *obs.Histogram
+	convergedSkips                                          *obs.Counter
 	workers                                                 *obs.Gauge
 
 	// Live introspection plane: labeled latency families (resolved to
@@ -91,9 +90,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		ecoReused:         r.Counter(obs.MEcoReusedLines),
 		ecoExpansions:     r.Counter(obs.MEcoConeExpansions),
 		ecoFallbacks:      r.Counter(obs.MEcoFullFallbacks),
-		schedSteals:       r.Counter(obs.MSchedSteals),
 		convergedSkips:    r.Counter(obs.MPassConvergedSkips),
-		schedReadyDepth:   r.Histogram(obs.MSchedReadyDepth),
 		workers:           r.Gauge(obs.MWorkers),
 		analysisDur:       r.HistogramVec(obs.MAnalysisDuration, obs.DurationBounds, "mode", "corner", "revision"),
 		passDur:           r.HistogramVec(obs.MPassDuration, obs.DurationBounds, "mode", "pass"),
@@ -105,9 +102,9 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 }
 
 // tally counts analysis work in plain fields: each evaluator call's
-// Info and each tier-0, coupling and t_bcs decision. Each dataflow
-// worker keeps one in a goroutine-local variable; runPhase sums them
-// into the pass's tally, which endPass publishes.
+// Info and each tier-0, coupling and t_bcs decision. Each executor
+// goroutine keeps one in a local variable; runPhase sums them into the
+// pass's tally at each bucket barrier, and endPass publishes it.
 type tally struct {
 	calc delaycalc.Info
 	// lines counts the cells whose arcs were evaluated.

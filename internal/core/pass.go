@@ -107,9 +107,9 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 //
 // Lines outside the recompute set carry ds.orig's state. A recomputed
 // line whose state diverges from ds.orig is marked changed and grows the
-// set through its fanout, before any dependent cell starts (see
-// dataflow.go). Its work is tallied into ds.tally; the line tallies are
-// taken once, at the pass barrier.
+// set through its fanout, before any dependent cell's bucket starts
+// (see levels.go). Its work is tallied into ds.tally; the line tallies
+// are taken once, at the pass barrier.
 func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netState, error) {
 	c := e.C
 	st := make([]netState, len(c.Nets))
@@ -154,9 +154,6 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	// by level. Clock nets behave like any other net for coupling
 	// purposes.
 	doCell := func(cell *netlist.Cell, w *tally) error {
-		if carry && !ds.dirty[cell.Out-1].Load() {
-			return nil
-		}
 		if err := e.processCell(mode, st, quietPrev, cell, w); err != nil {
 			return err
 		}
@@ -164,7 +161,7 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 		diverged(cell.Out)
 		return nil
 	}
-	if err := e.runPhase(phaseClock, &ds.tally, doCell); err != nil {
+	if err := e.runPhase(phaseClock, ds, &ds.tally, doCell); err != nil {
 		return nil, err
 	}
 
@@ -196,10 +193,10 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 	}
 
 	// Phase 2: combinational sweep.
-	if err := e.runPhase(phaseMain, &ds.tally, doCell); err != nil {
+	if err := e.runPhase(phaseMain, ds, &ds.tally, doCell); err != nil {
 		return nil, err
 	}
-	cells := int64(len(e.dfClock.cells) + len(e.dfMain.cells))
+	cells := int64(len(e.clockLv.cells) + len(e.mainLv.cells))
 	ds.recomputed = ds.tally.lines + launches
 	ds.carried = cells - ds.tally.lines + kept
 	return st, nil
@@ -433,10 +430,10 @@ type coupled struct {
 func (e *Engine) classify(st []netState, quietPrev [][2]float64, out netlist.NetID, dOut int,
 	lo, hi float64, active func(k int32)) (c coupled, proven bool) {
 
-	inf := &e.info[out-1]
 	dAggressor := 1 - dOut // opposite transition couples
 	ccNbr, ccC := e.cc.Nbr, e.cc.C
-	for k := inf.ccLo; k < inf.ccHi; k++ {
+	first, end := e.cc.Span(out)
+	for k := first; k < end; k++ {
 		other := ccNbr[k]
 		var calculated bool
 		var quietAt float64

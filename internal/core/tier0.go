@@ -186,7 +186,7 @@ func (e *Engine) t0Frontier() error {
 		return nil
 	}
 	// The estimates call no evaluator: their tally stays empty.
-	if err := e.runPhase(phaseClock, new(tally), est); err != nil {
+	if err := e.runPhase(phaseClock, nil, new(tally), est); err != nil {
 		return err
 	}
 	for _, cell := range c.Cells {
@@ -197,7 +197,7 @@ func (e *Engine) t0Frontier() error {
 		arr[cell.Out-1] = [2]float64{launch, launch}
 		slw[cell.Out-1] = [2]float64{e.opts.DFFOutSlew, e.opts.DFFOutSlew}
 	}
-	if err := e.runPhase(phaseMain, new(tally), est); err != nil {
+	if err := e.runPhase(phaseMain, nil, new(tally), est); err != nil {
 		return err
 	}
 

@@ -75,6 +75,39 @@ func (c *Circuit) BuildCouplingCSR() *CouplingCSR {
 	return a
 }
 
+// RebuildCouplingCSR builds the coupling CSR of c from prev, the CSR of
+// an earlier revision of c: the nets flagged in changed (by NetID−1)
+// read their current lists, every other net copies its span from prev.
+// The result equals BuildCouplingCSR when changed flags every net whose
+// list differs from prev's.
+func (c *Circuit) RebuildCouplingCSR(prev *CouplingCSR, changed []bool) *CouplingCSR {
+	total := len(prev.Nbr)
+	for i, ch := range changed {
+		if ch {
+			total += len(c.Nets[i].Par.Couplings) - int(prev.Off[i+1]-prev.Off[i])
+		}
+	}
+	a := &CouplingCSR{
+		Off: make([]int32, len(c.Nets)+1),
+		Nbr: make([]NetID, 0, total),
+		C:   make([]float64, 0, total),
+	}
+	for i := range c.Nets {
+		if changed[i] {
+			for _, cp := range c.Nets[i].Par.Couplings {
+				a.Nbr = append(a.Nbr, cp.Other)
+				a.C = append(a.C, cp.C)
+			}
+		} else {
+			lo, hi := prev.Off[i], prev.Off[i+1]
+			a.Nbr = append(a.Nbr, prev.Nbr[lo:hi]...)
+			a.C = append(a.C, prev.C[lo:hi]...)
+		}
+		a.Off[i+1] = int32(len(a.Nbr))
+	}
+	return a
+}
+
 // SinkDelayCSR is the dense form of the per-net SinkWireDelay maps,
 // keyed the way the analyses read them: entry Off[cell]+pin is the
 // Elmore wire delay from the driver of In[pin] to that input pin of

@@ -46,19 +46,14 @@ const (
 	MTier0FlipGuards = "tier0_flip_guards_total"
 	MTier0Reruns     = "tier0_reruns_total"
 
-	// Engine sweep structure. WorkerCells counts cells evaluated by
-	// pool workers and SequentialCells those run inline (one worker, or
-	// a phase too small to fan out); SchedReadyDepth is the shared
-	// overflow-queue depth observed at each spill and SchedSteals the
-	// cells claimed from the shared queue rather than a worker's own
-	// stack.
+	// Engine sweep structure. WorkerCells counts the cells the executor
+	// ran on its worker goroutines and SequentialCells those it ran
+	// inline (one worker, or a rank bucket too small to fan out).
 	MPasses          = "passes_total"
 	MRecalcWires     = "recalculated_wires_total"
 	MWorkerCells     = "worker_cells_total"
 	MSequentialCells = "sequential_cells_total"
-	MWorkers         = "workers"                 // gauge
-	MSchedReadyDepth = "sched_ready_queue_depth" // histogram
-	MSchedSteals     = "sched_steals_total"
+	MWorkers         = "workers" // gauge
 	// Delta-convergent Iterative refinement: lines carried over because
 	// their inputs and neighbor quiescent times were bit-identical to
 	// the previous pass.
@@ -172,7 +167,7 @@ func AllMetrics() []MetricDef {
 		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards), c(MTier0Reruns),
 		c(MPasses), c(MRecalcWires),
 		c(MWorkerCells), c(MSequentialCells),
-		g(MWorkers), h(MSchedReadyDepth), c(MSchedSteals),
+		g(MWorkers),
 		c(MPassConvergedSkips),
 		c(MEcoEdits), c(MEcoDirtyLines), c(MEcoReusedLines),
 		c(MEcoConeExpansions), c(MEcoFullFallbacks),

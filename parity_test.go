@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"xtalksta"
+	"xtalksta/internal/incremental"
 	"xtalksta/internal/obs"
 )
 
@@ -26,7 +28,14 @@ type parityConfig struct {
 	name string
 	opts xtalksta.AnalysisOptions
 	eco  bool // apply a coupling edit and Reanalyze, record the seeded result
+	// ecoRandom re-analyzes parityRandomBatches random edit batches in a
+	// chain and records the last seeded result.
+	ecoRandom bool
 }
+
+// parityRandomBatches is the length of the ecoRandom chain; each batch
+// holds 4 edits drawn from one rand.NewSource(1) stream.
+const parityRandomBatches = 3
 
 func parityMatrix() []parityConfig {
 	cfgs := []parityConfig{}
@@ -47,6 +56,8 @@ func parityMatrix() []parityConfig {
 			Mode: xtalksta.Iterative}, eco: true},
 		parityConfig{name: "Iterative/tier0-eco", opts: xtalksta.AnalysisOptions{
 			Mode: xtalksta.Iterative, Tier0: true}, eco: true},
+		parityConfig{name: "Iterative/eco-random-w2", opts: xtalksta.AnalysisOptions{
+			Mode: xtalksta.Iterative, Workers: 2}, ecoRandom: true},
 	)
 	return cfgs
 }
@@ -94,6 +105,9 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 					t.Fatalf("%s/%s reanalyze: %v", pc.preset, cfg.name, err)
 				}
 			}
+			if cfg.ecoRandom {
+				final = parityRandomChain(t, d, res, fmt.Sprintf("%s/%s", pc.preset, cfg.name))
+			}
 			key := fmt.Sprintf("%s/%s", pc.preset, cfg.name)
 			out[key] = math.Float64bits(final.LongestPath)
 			out[key+"/state"] = stateDigest(t, key, final)
@@ -103,9 +117,32 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 	return out
 }
 
+// parityRandomChain re-analyzes parityRandomBatches random 4-edit
+// batches, each from the previous result, and returns the last. Every
+// batch must recompute lines and evaluate arcs, so the leg pins the
+// seeded sweep's work rather than an empty carry-over.
+func parityRandomChain(t *testing.T, d *xtalksta.Design, res *xtalksta.AnalysisResult, key string) *xtalksta.AnalysisResult {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for b := 0; b < parityRandomBatches; b++ {
+		batch := incremental.RandomBatch(d.Circuit, rng, 4)
+		next, err := d.Reanalyze(res, batch)
+		if err != nil {
+			t.Fatalf("%s batch %d: %v", key, b, err)
+		}
+		if next.ECO == nil || next.ECO.DirtyLines <= 0 || next.ArcEvaluations <= 0 {
+			t.Fatalf("%s batch %d (%v): seeded run recomputed nothing (ECO %+v, %d arc evaluations)",
+				key, b, batch, next.ECO, next.ArcEvaluations)
+		}
+		t.Logf("%s batch %d: %d dirty lines, %d arc evaluations", key, b, next.ECO.DirtyLines, next.ArcEvaluations)
+		res = next
+	}
+	return res
+}
+
 // workCounters are the engine registry counters workDigest pins: every
-// work counter of the sweep, none of the scheduling-dependent sched_*
-// ones.
+// work counter of the sweep, not the executor's worker and sequential
+// cell counts, which depend on the worker count.
 var workCounters = []string{
 	obs.MArcEvaluations, obs.MSimulations, obs.MNewtonIters, obs.MNewtonFailures,
 	obs.MCouplingActive, obs.MCouplingGrounded, obs.MCouplingZeroSkips, obs.MTBCSReuseHits,
