@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check perfbench-smoke eco-check bench bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint fuzz-smoke perfbench-check perfbench-smoke eco-check bench bench-100k clean
 
 all: check
 
@@ -9,7 +9,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check perfbench-smoke eco-check bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint fuzz-smoke perfbench-check perfbench-smoke eco-check bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -59,6 +59,14 @@ race-server:
 metrics-lint:
 	$(GO) test -run 'TestMetricNameDrift|TestRegisterAllCoversVocabulary' -count=1 . ./internal/obs/
 	$(GO) vet ./...
+
+# Twenty seconds of coverage-guided fuzzing of the -eco file decoder:
+# every input that decodes is replayed through incremental.Apply on a
+# generated design, and nothing may panic. `go test ./...` runs only the
+# seed corpus; a failing input lands in
+# internal/incremental/testdata/fuzz/ and reruns with every later test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatches -fuzztime 20s ./internal/incremental/
 
 # The benchmark is a Go module of its own (perfbench/go.mod), so the
 # root `go test ./...` never compiles it. It calls the engine directly

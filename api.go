@@ -245,6 +245,22 @@ type ecoRecord struct {
 	seeds []netlist.NetID
 }
 
+// seedsBetween unions the dirty seeds of the edit batches that produced
+// the revisions in (after, through], as a mask by NetID−1. ecoLog is
+// append-only and ascends by revision, so the walk starts at its end.
+// Callers hold d.mu.
+func (d *Design) seedsBetween(after, through uint64) []bool {
+	seed := make([]bool, len(d.Circuit.Nets))
+	for i := len(d.ecoLog) - 1; i >= 0 && d.ecoLog[i].rev > after; i-- {
+		if d.ecoLog[i].rev <= through {
+			for _, id := range d.ecoLog[i].seeds {
+				seed[id-1] = true
+			}
+		}
+	}
+	return seed
+}
+
 // FromCircuit lowers the circuit to the transistor-level primitive
 // library, places and routes it, extracts parasitics, and prepares the
 // delay calculator.
@@ -435,13 +451,7 @@ func (d *Design) deriveLocked(parent *core.Compiled, opts AnalysisOptions) (*cor
 	if parent == nil || parent.Revision() >= d.rev {
 		return nil, nil
 	}
-	seed := make([]bool, len(d.Circuit.Nets))
-	for i := len(d.ecoLog) - 1; i >= 0 && d.ecoLog[i].rev > parent.Revision(); i-- {
-		for _, id := range d.ecoLog[i].seeds {
-			seed[id-1] = true
-		}
-	}
-	return parent.Derive(d.Circuit, opts, seed)
+	return parent.Derive(d.Circuit, opts, d.seedsBetween(parent.Revision(), d.rev))
 }
 
 // compiled is compiledWith for the typical-corner snapshot.
@@ -1018,18 +1028,9 @@ func (d *Design) Reanalyze(prev *AnalysisResult, edits []Edit) (*AnalysisResult,
 		return prev, nil
 	}
 	// Union the dirty seeds of every batch applied after prev's run, up
-	// to the revision the snapshot was compiled at (ecoLog entries are
-	// append-only history, immutable once written).
-	seed := make([]bool, rs.Nets())
+	// to the revision the snapshot was compiled at.
 	d.mu.RLock()
-	for _, rec := range d.ecoLog {
-		if rec.rev <= rs.Revision() || rec.rev > rev {
-			continue
-		}
-		for _, id := range rec.seeds {
-			seed[id-1] = true
-		}
-	}
+	seed := d.seedsBetween(rs.Revision(), rev)
 	d.mu.RUnlock()
 	done := d.beginSession(opts.Metrics)
 	defer done()

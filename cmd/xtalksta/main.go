@@ -37,6 +37,7 @@ import (
 
 	"xtalksta"
 	"xtalksta/internal/circuitgen"
+	"xtalksta/internal/core"
 	"xtalksta/internal/incremental"
 	"xtalksta/internal/netlist"
 	"xtalksta/internal/obs"
@@ -375,7 +376,7 @@ func run() error {
 // Design.Reanalyze, printing the dirty/reused line counts, the delay
 // movement, and the wall time per revision. With -eco-verify every
 // incremental result is additionally bit-compared against a
-// from-scratch analysis of the edited design (compareECO).
+// from-scratch analysis of the edited design (fromScratch, compareECO).
 func runECO(d *xtalksta.Design, aopts xtalksta.AnalysisOptions, path string, random int, seed int64, perBatch int, verify bool) error {
 	var batches [][]xtalksta.Edit
 	if path != "" {
@@ -436,7 +437,7 @@ func runECO(d *xtalksta.Design, aopts xtalksta.AnalysisOptions, path string, ran
 				i+1, len(batches), next.LongestPath*1e9, delta, wall.Round(time.Microsecond))
 		}
 		if verify {
-			full, err := d.Analyze(aopts)
+			full, err := fromScratch(d, next)
 			if err != nil {
 				return err
 			}
@@ -450,6 +451,22 @@ func runECO(d *xtalksta.Design, aopts xtalksta.AnalysisOptions, path string, ran
 	fmt.Printf("final: longest %.4f ns at revision %d (cache: %d entries)\n",
 		res.LongestPath*1e9, d.Revision(), d.Calc.CacheEntries())
 	return nil
+}
+
+// fromScratch analyzes the design's current revision under the options
+// the incremental result ran with (the edits' size and slew overrides
+// included) on a freshly compiled snapshot. Design.Analyze would reuse
+// the snapshot Reanalyze derived from the previous revision's, so a
+// wrong derivation would show on both sides of the comparison.
+func fromScratch(d *xtalksta.Design, inc *xtalksta.AnalysisResult) (*xtalksta.AnalysisResult, error) {
+	if inc.Replay == nil {
+		return nil, fmt.Errorf("incremental result carries no replay state")
+	}
+	eng, err := core.NewEngine(d.Circuit, d.Calc, inc.Replay.Options())
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run()
 }
 
 // compareECO checks an incremental result against a from-scratch run of

@@ -50,6 +50,10 @@ type Compiled struct {
 	// (forFanout).
 	clockSinkOff   []int32
 	clockSinkCells []netlist.CellID
+	// arcOff is the arc index the per-arc slabs (Engine.bcs, tier0Run.memo)
+	// share: the arcs of the cell that drives net id own slots
+	// [arcOff[id-1], arcOff[id]), two per input pin (see arcSlot).
+	arcOff []int32
 
 	// Compile key (see Matches).
 	poCap     float64
@@ -90,6 +94,7 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 	cd.cc = c.BuildCouplingCSR()
 	cd.sink = c.BuildSinkDelayCSR()
 	cd.buildClockSinks()
+	cd.buildArcIndex()
 	cd.info = make([]netInfo, len(c.Nets))
 	for i := range cd.info {
 		if err := cd.buildRow(netlist.NetID(i + 1)); err != nil {
@@ -105,7 +110,7 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 // opts. seed flags (by NetID−1) every net whose electrical parameters
 // the edits since cd's revision changed, as incremental.Apply reports
 // them. No edit changes topology, so the snapshot shares cd's order,
-// ranks, rank buckets, endpoints, sink CSR and clock-sink index; it
+// ranks, rank buckets, endpoints, sink CSR, clock-sink and arc index; it
 // rebuilds the coupling CSR (unseeded spans copied from cd's) and the
 // seeded nets' rows, with the row function Compile uses, so it equals
 // Compile(c, calc, opts) field for field. It returns nil when cd cannot
@@ -204,6 +209,31 @@ func (cd *Compiled) buildClockSinks() {
 // clockSinksOf returns the flip-flops clocked by net id.
 func (cd *Compiled) clockSinksOf(id netlist.NetID) []netlist.CellID {
 	return cd.clockSinkCells[cd.clockSinkOff[id-1]:cd.clockSinkOff[id]]
+}
+
+// buildArcIndex lays the timing arcs out net by net: the combinational
+// cell driving a net owns two slots per input pin. Flip-flops, whose
+// outputs are launched rather than evaluated, own none.
+func (cd *Compiled) buildArcIndex() {
+	c := cd.C
+	cd.arcOff = make([]int32, len(c.Nets)+1)
+	for _, cell := range c.Cells {
+		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
+			cd.arcOff[cell.Out] = int32(2 * len(cell.In))
+		}
+	}
+	for i := 1; i < len(cd.arcOff); i++ {
+		cd.arcOff[i] += cd.arcOff[i-1]
+	}
+}
+
+// arcs returns the length of a per-arc slab.
+func (cd *Compiled) arcs() int { return int(cd.arcOff[len(cd.arcOff)-1]) }
+
+// arcSlot returns the slab slot of the arc from input pin of the cell
+// driving out, switching its output in direction dOut.
+func (cd *Compiled) arcSlot(out netlist.NetID, pin, dOut int) int32 {
+	return cd.arcOff[out-1] + int32(pin*2+dOut)
 }
 
 // forFanout calls mark on every line whose timing reads net directly:
@@ -374,11 +404,6 @@ func NewSession(cd *Compiled, calc delaycalc.InfoEvaluator, opts Options) (*Engi
 		workers = 1
 	}
 	e.m.workers.Set(float64(workers))
-	e.bcs = make([][]bcsEntry, len(cd.C.Nets))
-	for _, cell := range cd.C.Cells {
-		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
-			e.bcs[cell.Out-1] = make([]bcsEntry, 2*len(cell.In))
-		}
-	}
+	e.bcs = make([]bcsEntry, cd.arcs())
 	return e, nil
 }

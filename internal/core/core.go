@@ -298,19 +298,17 @@ type Engine struct {
 	// work sums the analysis's pass tallies, a discarded tier-0 run's
 	// included but for its tier-0 decisions (see Result.Tier0Rerun).
 	work tally
-	// bcs caches best-case arc results across passes, indexed by
-	// [out net − 1][pin*2 + dOut]. Exactly one worker owns a cell within
-	// a pass and passes are barrier-separated, so the slots need no
-	// locking (see levels.go).
-	bcs [][]bcsEntry
+	// bcs caches best-case arc results across passes, a slab over the
+	// snapshot's arc index (arcSlot). Exactly one worker owns a cell
+	// within a pass and passes are barrier-separated, so the slots need
+	// no locking (see levels.go). The run's replay takes the slab with
+	// it; the next run starts a fresh one.
+	bcs []bcsEntry
 	// t0 is the tiered-dispatch state when Options.Tier0 is active for
 	// this analysis (see tier0.go); nil otherwise. tier0Rerun records
 	// that the analysis in flight discarded a tainted tiered run.
 	t0         *tier0Run
 	tier0Rerun bool
-	// dirtyPool recycles the sweeps' dirty sets across passes and runs
-	// (driver goroutine only).
-	dirtyPool []*dirtySet
 	// Replay capture (eco.go): the per-pass state slices, reset per
 	// analysis, harvested by takeReplay.
 	replayPasses [][]netState
@@ -435,6 +433,9 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 	e.passStats = nil
 	e.replayPasses = nil
 	e.work = tally{}
+	if e.bcs == nil { // an earlier run's replay took the slab
+		e.bcs = make([]bcsEntry, e.arcs())
+	}
 	name := "analysis"
 	if prev != nil {
 		name = "eco-analysis"
@@ -512,38 +513,13 @@ func (e *Engine) emitAnalysisEvent(name string, res *Result, extra map[string]an
 	e.opts.Events.Emit(name, fields)
 }
 
-// newFullPass hands out a reset dirty set from the session pool: with
-// nothing to carry (orig nil), a sweep over it recomputes every line.
-// The dirty/changed arrays are cleared here, so the set's other
-// constructors see the same zero state a fresh allocation would give.
+// newFullPass allocates a pass's dirty set: with nothing to carry (orig
+// nil), a sweep over it recomputes every line.
 func (e *Engine) newFullPass() *dirtySet {
 	n := len(e.C.Nets)
-	if l := len(e.dirtyPool); l > 0 {
-		ds := e.dirtyPool[l-1]
-		e.dirtyPool[l-1] = nil
-		e.dirtyPool = e.dirtyPool[:l-1]
-		for i := range ds.dirty {
-			ds.dirty[i].Store(false)
-		}
-		clear(ds.changed)
-		ds.orig = nil
-		ds.pass1 = false
-		ds.expansions.Store(0)
-		ds.tally = tally{}
-		return ds
-	}
 	return &dirtySet{
 		changed: make([]bool, n),
 		dirty:   make([]atomic.Bool, n),
-	}
-}
-
-// putDirtySet returns a dirty set to the pool once nothing reads its
-// changed mask anymore (the next pass has consumed it).
-func (e *Engine) putDirtySet(ds *dirtySet) {
-	if ds != nil && len(ds.changed) == len(e.C.Nets) {
-		ds.orig = nil
-		e.dirtyPool = append(e.dirtyPool, ds)
 	}
 }
 

@@ -42,9 +42,9 @@ type ReplayState struct {
 	// reported pass (the lowest Iterative pass, see runPasses).
 	passes [][]netState
 	final  int
-	// bcs is a copy of the cross-pass best-case arc cache at the end of
-	// the run, reusable across revisions for electrically unchanged nets.
-	bcs [][]bcsEntry
+	// bcs is the run's cross-pass best-case arc slab as the run left it,
+	// reusable across revisions for electrically unchanged nets.
+	bcs []bcsEntry
 	rev uint64
 }
 
@@ -97,8 +97,9 @@ func (rs *ReplayState) finalField(get func(*netState) [2]float64) [][2]float64 {
 	return out
 }
 
-// takeReplay harvests the capture buffers into a ReplayState and clears
-// them. Returns nil when capture was disabled or nothing was captured.
+// takeReplay moves the capture buffers and the best-case slab into a
+// ReplayState, so the next run on the session starts a fresh slab.
+// Returns nil when capture was disabled or nothing was captured.
 func (e *Engine) takeReplay() *ReplayState {
 	if e.opts.DisableReplay || len(e.replayPasses) == 0 {
 		return nil
@@ -109,14 +110,9 @@ func (e *Engine) takeReplay() *ReplayState {
 		nets:   len(e.C.Nets),
 		passes: e.replayPasses,
 		final:  e.finalPass,
+		bcs:    e.bcs,
 	}
-	rs.bcs = make([][]bcsEntry, len(e.bcs))
-	for i, row := range e.bcs {
-		if row != nil {
-			rs.bcs[i] = append([]bcsEntry(nil), row...)
-		}
-	}
-	e.replayPasses = nil
+	e.replayPasses, e.bcs = nil, nil
 	return rs
 }
 
@@ -136,14 +132,18 @@ type ECOStats struct {
 }
 
 // seedBCS warms the cross-pass best-case arc cache from a previous
-// revision's replay, skipping the seeded nets: their electrical
-// parameters changed, so their cached results would be stale. The cache
-// is keyed on the exact input slew, so a stale-slew entry is never
-// consulted.
+// revision's replay: one copy of its slab into the session's own, then
+// the seeded nets' spans cleared, as their electrical parameters
+// changed and their cached results would be stale. The cache is keyed
+// on the exact input slew, so a stale-slew entry is never consulted.
 func (e *Engine) seedBCS(prev *ReplayState, seed []bool) {
-	for i, row := range prev.bcs {
-		if !seed[i] && len(row) == len(e.bcs[i]) {
-			copy(e.bcs[i], row)
+	if len(prev.bcs) != e.arcs() {
+		return // another circuit's slab
+	}
+	e.bcs = append(e.bcs[:0], prev.bcs...)
+	for i, s := range seed {
+		if s {
+			clear(e.bcs[e.arcOff[i]:e.arcOff[i+1]])
 		}
 	}
 }

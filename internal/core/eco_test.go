@@ -182,6 +182,74 @@ func TestSeededInputSlewExactness(t *testing.T) {
 	bitEqual(t, full, seeded, "pi slew")
 }
 
+// TestReplayOwnsBestCaseSlab: a replay keeps the best-case slab its run
+// filled, and no later run writes it. Two runs of one session hand
+// their replays distinct slabs, and a seeded run from a replay, with
+// seeds whose arcs own filled slots, leaves that replay's slab bit for
+// bit as it was and keeps a slab of its own.
+func TestReplayOwnsBestCaseSlab(t *testing.T) {
+	c, calc := buildExtracted(t, 140, 12, 7, 47)
+	opts := Options{Mode: Iterative}
+	eng, err := NewEngine(c, calc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := first.Replay.bcs
+	if len(slab) == 0 || &slab[0] == &second.Replay.bcs[0] {
+		t.Fatal("two runs of one session hand their replays the same best-case slab")
+	}
+
+	// Seed a coupled pair whose first net owns a filled slot.
+	var a, b netlist.NetID
+	for _, n := range c.Nets {
+		if len(n.Par.Couplings) == 0 {
+			continue
+		}
+		for _, s := range slab[eng.arcOff[n.ID-1]:eng.arcOff[n.ID]] {
+			if s.valid {
+				a, b = n.ID, n.Par.Couplings[0].Other
+			}
+		}
+		if a != netlist.NoNet {
+			break
+		}
+	}
+	if a == netlist.NoNet {
+		t.Fatal("no coupled net owns a filled best-case slot; the check is vacuous")
+	}
+	bits := func(s *bcsEntry) [7]uint64 {
+		r := &s.res
+		v := uint64(0)
+		if s.valid {
+			v = 1
+		}
+		return [7]uint64{math.Float64bits(s.inSlew), math.Float64bits(r.Delay), math.Float64bits(r.OutSlew),
+			math.Float64bits(r.TimeToRestart), math.Float64bits(r.Completion), math.Float64bits(r.EventTime), v}
+	}
+	want := make([][7]uint64, len(slab))
+	for i := range slab {
+		want[i] = bits(&slab[i])
+	}
+	scalePair(c, a, b, 1.6)
+	seeded := runSeeded(t, c, calc, opts, first, []netlist.NetID{a, b})
+	if &seeded.Replay.bcs[0] == &slab[0] {
+		t.Fatal("the seeded run's replay holds its base replay's slab")
+	}
+	for i := range slab {
+		if bits(&slab[i]) != want[i] {
+			t.Fatalf("seeded run changed slot %d of its base replay's slab", i)
+		}
+	}
+}
+
 // TestRunSeededValidation: malformed seeds are rejected up front.
 func TestRunSeededValidation(t *testing.T) {
 	c, calc := buildExtracted(t, 100, 8, 6, 46)

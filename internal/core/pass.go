@@ -70,7 +70,6 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 		default:
 			next = e.newDeltaPass(st, ds.changed)
 		}
-		e.putDirtySet(ds)
 		ds = next
 		qp := snapshotQuiet(st)
 		ph := e.beginPass(passes+1, Iterative)
@@ -92,7 +91,6 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 		}
 		delay = newDelay
 	}
-	e.putDirtySet(ds)
 	return best, passes, nil
 }
 
@@ -364,7 +362,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 	if t0a != nil && !t0a.nearCrit {
 		// An exact t_bcs already in the cache is free: elide only
 		// without one.
-		if slot := &e.bcs[out-1][pin*2+dOut]; !slot.valid || slot.inSlew != inSlew {
+		if slot := &e.bcs[e.arcSlot(out, pin, dOut)]; !slot.valid || slot.inSlew != inSlew {
 			c, proven := e.classify(st, quietPrev, out, dOut, inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi, nil)
 			switch {
 			case proven && c.cc > 0:
@@ -480,7 +478,7 @@ type bcsEntry struct {
 // per pass. The reuse decision depends only on per-arc values, so
 // parallel and sequential sweeps skip identically.
 func (e *Engine) evalBCS(cell *netlist.Cell, pin, dOut int, inSlew float64, req delaycalc.Request, w *tally) (delaycalc.Result, error) {
-	slot := &e.bcs[cell.Out-1][pin*2+dOut]
+	slot := &e.bcs[e.arcSlot(cell.Out, pin, dOut)]
 	if slot.valid && slot.inSlew == inSlew {
 		w.tbcsHits++
 		return slot.res, nil

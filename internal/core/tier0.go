@@ -56,10 +56,10 @@ type tier0Run struct {
 	// against). Estimates, not bounds: the gate is policy, not proof.
 	frontier []float64
 	// memo caches the final arc request and result, and the last
-	// bracket, per [out−1][pin*2+dOut] slot, mirroring Engine.bcs:
-	// exactly one worker owns a cell within a pass and passes are
-	// barrier-separated, so the slots need no locking.
-	memo [][]arcMemo
+	// bracket, per arc: a slab over the snapshot's arc index, like
+	// Engine.bcs. Exactly one worker owns a cell within a pass and passes
+	// are barrier-separated, so the slots need no locking.
+	memo []arcMemo
 	// taint records a bracket violation observed on an evaluated arc.
 	// The run's results are then discarded and recomputed all-Newton.
 	taint atomic.Bool
@@ -118,14 +118,7 @@ func (e *Engine) setupTier0(seeded bool) error {
 	if !ok {
 		return nil
 	}
-	t0 := &tier0Run{margin: e.tier0Margin, be: be}
-	t0.memo = make([][]arcMemo, len(e.C.Nets))
-	for _, cell := range e.C.Cells {
-		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
-			t0.memo[cell.Out-1] = make([]arcMemo, 2*len(cell.In))
-		}
-	}
-	e.t0 = t0
+	e.t0 = &tier0Run{margin: e.tier0Margin, be: be, memo: make([]arcMemo, e.arcs())}
 	return e.t0Frontier()
 }
 
@@ -291,14 +284,13 @@ func (e *Engine) t0ArcBounds(mode Mode, cell *netlist.Cell, pin, dOut int, inSle
 // the predecessor choice are all preserved bit-exactly.
 func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand, w *tally) {
 	t0 := e.t0
-	memo := t0.memo[cell.Out-1]
 	outRank := e.netRank[cell.Out]
 	arrTop := [2]float64{math.Inf(-1), math.Inf(-1)}
 	compTop := [2]float64{math.Inf(-1), math.Inf(-1)}
 	arrIdx, compIdx := -1, -1
 	for i := range cands {
 		c := &cands[i]
-		slot := &memo[c.pin*2+dOut]
+		slot := &t0.memo[e.arcSlot(cell.Out, c.pin, dOut)]
 		if !slot.bSet || math.Float64bits(slot.bSlew) != math.Float64bits(c.inSlew) {
 			slot.b, slot.bok = e.t0ArcBounds(mode, cell, c.pin, dOut, c.inSlew)
 			slot.bSlew, slot.bSet = c.inSlew, true
@@ -345,10 +337,10 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand,
 // anything else evaluates and stores. With tier-0 off this is eval.
 func (e *Engine) t0Eval(cell *netlist.Cell, pin, dOut int, req delaycalc.Request, w *tally) (delaycalc.Result, error) {
 	t0 := e.t0
-	if t0 == nil || t0.memo[cell.Out-1] == nil {
+	if t0 == nil {
 		return e.eval(req, w)
 	}
-	slot := &t0.memo[cell.Out-1][pin*2+dOut]
+	slot := &t0.memo[e.arcSlot(cell.Out, pin, dOut)]
 	if slot.valid && slot.req == req {
 		w.tier0Hits++
 		return slot.res, nil

@@ -145,10 +145,9 @@ func TestTier0BoundsMemoExact(t *testing.T) {
 		if cell.Kind == netlist.DFF || cell.Out == netlist.NoNet {
 			continue
 		}
-		slots := eng.t0.memo[cell.Out-1]
 		for pin, in := range cell.In {
 			for dOut := 0; dOut < 2; dOut++ {
-				slot := &slots[pin*2+dOut]
+				slot := &eng.t0.memo[eng.arcSlot(cell.Out, pin, dOut)]
 				if !slot.bSet {
 					continue
 				}

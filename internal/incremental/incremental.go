@@ -7,6 +7,7 @@
 package incremental
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -122,16 +123,39 @@ func LoadBatches(path string) ([][]Edit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeBatches(path, data)
+}
+
+// decodeBatches decodes the `-eco` file format, or a single flat batch
+// ([edit, ...]) as a convenience, telling the two apart by the first
+// element. A field an Edit does not have is an error in either form:
+// dropped, a misspelled "value" would leave its edit at the zero value
+// (a scale by 0 removes the coupling). Errors name the input.
+func decodeBatches(name string, data []byte) ([][]Edit, error) {
+	var elems []json.RawMessage
+	err := json.Unmarshal(data, &elems)
 	var batches [][]Edit
-	if err := json.Unmarshal(data, &batches); err != nil {
-		// Accept a single flat batch as a convenience.
+	switch {
+	case err != nil: // not a JSON array
+	case len(elems) > 0 && elems[0][0] == '{':
 		var one []Edit
-		if err2 := json.Unmarshal(data, &one); err2 != nil {
-			return nil, fmt.Errorf("incremental: %s: %w", path, err)
+		if err = decodeStrict(data, &one); err == nil {
+			batches = [][]Edit{one}
 		}
-		batches = [][]Edit{one}
+	default:
+		err = decodeStrict(data, &batches)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("incremental: %s: %w", name, err)
 	}
 	return batches, nil
+}
+
+// decodeStrict decodes one JSON value into v, rejecting unknown fields.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func cloneMap[K comparable, V any](m map[K]V) map[K]V {

@@ -305,6 +305,23 @@ func TestLoadBatches(t *testing.T) {
 	if _, err := incremental.LoadBatches(bad); err == nil {
 		t.Fatal("malformed file accepted")
 	}
+	// A misspelled field ("factor" for "value") would leave the scale at
+	// 0 and silently remove the coupling: both forms reject it, naming
+	// the file and the field.
+	for name, body := range map[string]string{
+		"typo-nested.json": `[[{"op":"scale_coupling","a":"CLKB1","b":"Q48","factor":1.6}]]`,
+		"typo-flat.json":   `[{"op":"scale_coupling","a":"CLKB1","b":"Q48","factor":1.6}]`,
+	} {
+		path := filepath.Join(dir, name)
+		os.WriteFile(path, []byte(body), 0o644)
+		_, err := incremental.LoadBatches(path)
+		if err == nil {
+			t.Fatalf("%s: unknown field accepted", name)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `"factor"`) {
+			t.Errorf("%s: error %q does not name the file and the unknown field", name, err)
+		}
+	}
 	if _, err := incremental.LoadBatches(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
