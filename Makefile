@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint fuzz-smoke perfbench-check perfbench-smoke eco-check bench bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint fuzz-smoke perfbench-check perfbench-smoke eco-check bench bench-100k loc clean
 
 all: check
 
@@ -9,7 +9,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint fuzz-smoke perfbench-check perfbench-smoke eco-check bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint fuzz-smoke perfbench-check perfbench-smoke eco-check bench-100k loc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -114,6 +114,13 @@ bench:
 # past paper scale are caught at the gate.
 bench-100k:
 	$(GO) run ./cmd/xtalksta -preset synth100k -mode iterative >/dev/null
+
+# The two line counts ROADMAP.md tracks: non-test Go outside the
+# benchmark module, without the generated tier0_bands.go table, and
+# internal/core alone. Informational; nothing fails on them.
+loc:
+	@echo "non-test Go outside perfbench/, without tier0_bands.go: $$(find . -name '*.go' ! -name '*_test.go' ! -name tier0_bands.go ! -path './perfbench/*' -exec cat {} + | wc -l)"
+	@echo "internal/core: $$(find internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -198,7 +198,7 @@ type Design struct {
 	Lib     *device.Library
 	Calc    *delaycalc.Calculator
 	opts    BuildOptions
-	// mu guards Circuit, rev, eco, ecoLog, snap and corners. Analyses
+	// mu guards Circuit, rev, ecoLog, snap and corners. Analyses
 	// take it only long enough to resolve options against the current
 	// revision and fetch/build the snapshot; the runs themselves hold no
 	// lock.
@@ -214,12 +214,11 @@ type Design struct {
 	// snapshots cannot share the main one: the per-net summaries bake in
 	// corner-dependent pin capacitances.
 	corners map[Corner]*cornerState
-	// ECO state: rev counts applied edit batches, eco accumulates the
-	// option-level overrides (cell sizes, PI slews), and ecoLog records
+	// ECO state: rev counts applied edit batches and ecoLog records
 	// each revision's dirty seeds so Reanalyze can union the seeds
-	// between any stored revision and the current one.
+	// between any stored revision and the current one. The edits
+	// themselves, cell sizes and input slews included, live in Circuit.
 	rev    uint64
-	eco    incremental.Overrides
 	ecoLog []ecoRecord
 	// Session and snapshot bookkeeping, mirrored to the obs names
 	// MSnapshotBuilds / MSnapshotReuses / MConcurrentSessionsPeak when
@@ -380,18 +379,11 @@ func Generate(params circuitgen.Params, opts BuildOptions) (*Design, error) {
 	return FromCircuit(c, opts)
 }
 
-// applyECOLocked resolves the design-level defaults and overlays the
-// accumulated ECO overrides (cell sizes, PI slews) so every analysis
-// path sees the edited design state. Callers hold d.mu (either side);
-// MergeInto clones the override maps into opts, so the merged options
-// stay private to the session. The merge is idempotent — the slow
-// snapshot path re-merges under the write lock to stay consistent with
-// any Edit that interleaved.
-func (d *Design) applyECOLocked(opts *AnalysisOptions) {
+// defaultPOCap resolves the design-level POCap default into opts.
+func (d *Design) defaultPOCap(opts *AnalysisOptions) {
 	if opts.POCap == 0 {
 		opts.POCap = d.opts.POCap
 	}
-	d.eco.MergeInto(opts)
 }
 
 // compiledWith resolves opts against the current revision and returns
@@ -402,8 +394,8 @@ func (d *Design) applyECOLocked(opts *AnalysisOptions) {
 // the same critical section — the caller's consistent view of the
 // design.
 func (d *Design) compiledWith(calc delaycalc.Evaluator, slot **core.Compiled, opts *AnalysisOptions) (*core.Compiled, uint64, error) {
+	d.defaultPOCap(opts)
 	d.mu.RLock()
-	d.applyECOLocked(opts)
 	if cd := *slot; cd != nil && cd.Revision() == d.rev && cd.Matches(*opts) {
 		rev := d.rev
 		d.mu.RUnlock()
@@ -415,9 +407,8 @@ func (d *Design) compiledWith(calc delaycalc.Evaluator, slot **core.Compiled, op
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// An Edit may have slipped in between the locks: re-merge the
-	// overrides and re-check so snapshot, options and revision agree.
-	d.applyECOLocked(opts)
+	// An Edit may have slipped in between the locks: re-check so
+	// snapshot and revision agree.
 	if cd := *slot; cd != nil && cd.Revision() == d.rev && cd.Matches(*opts) {
 		d.snapReuses.Add(1)
 		opts.Metrics.Counter(obs.MSnapshotReuses).Inc()
@@ -773,16 +764,14 @@ type SizingConfig = opt.Config
 // FixTiming upsizes gates on critical paths until the clock period is
 // met under the given analysis mode (or limits are reached) — a small
 // timing-driven optimization loop on top of the crosstalk-aware
-// analyses.
+// analyses. It starts from the current revision, resize edits included,
+// and sizes copies of its circuit: the design itself is not edited.
 func (d *Design) FixTiming(opts AnalysisOptions, clockPeriod float64, cfg SizingConfig) (*SizingResult, error) {
 	// The optimizer's inner analyses never seed a Reanalyze; skip the
 	// per-pass state capture.
 	opts.DisableReplay = true
-	d.mu.RLock()
-	d.applyECOLocked(&opts)
-	c := d.Circuit
-	d.mu.RUnlock()
-	return opt.FixTiming(c, d.Calc, opts, clockPeriod, cfg)
+	d.defaultPOCap(&opts)
+	return opt.FixTiming(d.circuit(), d.Calc, opts, clockPeriod, cfg)
 }
 
 // NoiseReport is the functional-crosstalk (glitch) view of the design.
@@ -961,26 +950,23 @@ func (d *Design) Edit(edits ...Edit) error {
 	return err
 }
 
-// applyEdits applies one edit batch copy-on-write: the edits land on a
-// clone of the circuit, which replaces d.Circuit only when the whole
-// batch succeeds. In-flight analyses keep reading the previous
-// revision's circuit through their compiled snapshots. The typical
-// snapshot stays cached as the parent the next analysis derives the new
-// revision's from; the corner snapshots are dropped.
+// applyEdits applies one edit batch copy-on-write: incremental.Apply
+// returns the edited copy of the circuit, which replaces d.Circuit only
+// when the whole batch succeeds. In-flight analyses keep reading the
+// previous revision's circuit through their compiled snapshots. The
+// typical snapshot stays cached as the parent the next analysis derives
+// the new revision's from; the corner snapshots are dropped.
 func (d *Design) applyEdits(edits []Edit, reg *obs.Registry, tr *obs.Tracer) ([]netlist.NetID, error) {
 	if len(edits) == 0 {
 		return nil, nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	clone := d.Circuit.CloneForEdit()
-	// Apply rolls the override state back itself on failure; the clone
-	// is simply discarded.
-	seeds, err := incremental.Apply(clone, &d.eco, edits, reg, tr)
+	edited, seeds, err := incremental.Apply(d.Circuit, edits, reg, tr)
 	if err != nil {
 		return nil, err
 	}
-	d.Circuit = clone
+	d.Circuit = edited
 	d.rev++
 	d.ecoLog = append(d.ecoLog, ecoRecord{rev: d.rev, seeds: seeds})
 	for _, cs := range d.corners {

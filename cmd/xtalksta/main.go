@@ -453,11 +453,11 @@ func runECO(d *xtalksta.Design, aopts xtalksta.AnalysisOptions, path string, ran
 	return nil
 }
 
-// fromScratch analyzes the design's current revision under the options
-// the incremental result ran with (the edits' size and slew overrides
-// included) on a freshly compiled snapshot. Design.Analyze would reuse
-// the snapshot Reanalyze derived from the previous revision's, so a
-// wrong derivation would show on both sides of the comparison.
+// fromScratch analyzes the design's current revision, whose circuit
+// carries every edit, under the options the incremental result ran
+// with, on a freshly compiled snapshot. Design.Analyze would reuse the
+// snapshot Reanalyze derived from the previous revision's, so a wrong
+// derivation would show on both sides of the comparison.
 func fromScratch(d *xtalksta.Design, inc *xtalksta.AnalysisResult) (*xtalksta.AnalysisResult, error) {
 	if inc.Replay == nil {
 		return nil, fmt.Errorf("incremental result carries no replay state")

@@ -48,17 +48,13 @@ func assertBitExact(t *testing.T, full, inc *AnalysisResult, ctx string) {
 }
 
 // scratchAnalyze analyzes the design's current revision on a freshly
-// compiled snapshot, with the design's ECO overrides merged — never on
-// the design's cached one, which Reanalyze derived from the previous
-// revision's, so a wrong derived snapshot cannot hide on both sides of
-// a comparison.
+// compiled snapshot — never on the design's cached one, which Reanalyze
+// derived from the previous revision's, so a wrong derived snapshot
+// cannot hide on both sides of a comparison.
 func scratchAnalyze(t *testing.T, d *Design, opts AnalysisOptions) *AnalysisResult {
 	t.Helper()
-	d.mu.RLock()
-	d.applyECOLocked(&opts)
-	c := d.Circuit
-	d.mu.RUnlock()
-	cd, err := core.Compile(c, d.Calc, opts)
+	d.defaultPOCap(&opts)
+	cd, err := core.Compile(d.circuit(), d.Calc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,4 +399,105 @@ func TestEditRevisionBookkeeping(t *testing.T) {
 		t.Fatalf("incremental result at revision %d, want 2", inc.Replay.Revision())
 	}
 	assertBitExact(t, scratchAnalyze(t, d, opts), inc, "accumulated batches")
+}
+
+// TestFixTimingStartsFromEditedSizes: the sizing optimizer works on the
+// edited design. With every driver of the critical path resized to 0.5,
+// its Before is Analyze of the edited design bit for bit, Sizes lists
+// the cells the edits resized, and its first move on such a cell
+// multiplies the edited size.
+func TestFixTimingStartsFromEditedSizes(t *testing.T) {
+	d, err := Generate(circuitgen.Params{Seed: 13, Cells: 100, DFFs: 8, Depth: 6}, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := AnalysisOptions{Mode: BestCase}
+	base, err := d.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 0.5
+	var edits []Edit
+	resized := make(map[string]bool)
+	for _, st := range base.Path {
+		if st.Cell != "" {
+			edits = append(edits, ResizeCell(st.Cell, size))
+			resized[st.Cell] = true
+		}
+	}
+	if err := d.Edit(edits...); err != nil {
+		t.Fatal(err)
+	}
+	edited, err := d.Analyze(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SizingConfig{MaxIterations: 2, UpsizeFactor: 1.6}
+	res, err := d.FixTiming(opts, edited.LongestPath*0.9, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(res.Before) != math.Float64bits(edited.LongestPath) {
+		t.Fatalf("FixTiming Before %.6g ns != Analyze of the edited design %.6g ns (unedited %.6g ns)",
+			res.Before*1e9, edited.LongestPath*1e9, base.LongestPath*1e9)
+	}
+	c := d.circuit()
+	for _, cell := range c.Cells {
+		if resized[cell.Name] {
+			if _, ok := res.Sizes[cell.ID]; !ok {
+				t.Errorf("Sizes omits %s, resized to %g before the run", cell.Name, size)
+			}
+		}
+	}
+	first := 0
+	moved := make(map[string]bool)
+	for _, mv := range res.Moves {
+		if resized[mv.Cell] && !moved[mv.Cell] {
+			first++
+			if want := size * cfg.UpsizeFactor; mv.NewSize != want {
+				t.Errorf("first move on %s: size %g, want the edited %g × %g", mv.Cell, mv.NewSize, size, cfg.UpsizeFactor)
+			}
+		}
+		moved[mv.Cell] = true
+	}
+	if first == 0 {
+		t.Fatal("no move touched a resized cell; the check is vacuous")
+	}
+}
+
+// TestGoldenPathSeesResize: the transistor-level path simulator sizes
+// its stages by the circuit's sizes. Tripling every driver of the
+// critical path must cut the golden delay by at least 20%.
+func TestGoldenPathSeesResize(t *testing.T) {
+	d, err := Generate(circuitgen.Params{Seed: 13, Cells: 160, DFFs: 12, Depth: 8, ClockFanout: 8}, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Analyze(AnalysisOptions{Mode: Iterative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := GoldenConfig{MaxOptimizedAggressors: 3, Candidates: 3, Rounds: 1}
+	before, err := d.GoldenPath(res.Path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edits []Edit
+	for _, st := range res.Path {
+		if st.Cell != "" {
+			edits = append(edits, ResizeCell(st.Cell, 3))
+		}
+	}
+	if err := d.Edit(edits...); err != nil {
+		t.Fatal(err)
+	}
+	after, err := d.GoldenPath(res.Path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("golden delay %.5f ns, %.5f ns after tripling %d drivers", before.Delay*1e9, after.Delay*1e9, len(edits))
+	if after.Delay > 0.8*before.Delay {
+		t.Fatalf("golden delay %.5g ns after tripling %d drivers, want at most 80%% of %.5g ns",
+			after.Delay*1e9, len(edits), before.Delay*1e9)
+	}
 }

@@ -35,6 +35,21 @@ func DefaultSizing(p device.Process) Sizing {
 	}
 }
 
+// Mult returns the drive-strength multiplier of a combinational cell of
+// c: its Size (1 when unset), scaled by ClockBufMult when it drives a
+// clock net. Timing, extraction and the golden path simulator all size
+// cells by this one rule.
+func (s Sizing) Mult(c *netlist.Circuit, cell *netlist.Cell) float64 {
+	mult := 1.0
+	if cell.Size > 0 {
+		mult = cell.Size
+	}
+	if cell.Out != netlist.NoNet && c.Net(cell.Out).IsClock {
+		mult *= s.ClockBufMult
+	}
+	return mult
+}
+
 // deviceWidths returns the per-transistor N and P widths of a cell.
 func (s Sizing) deviceWidths(kind netlist.GateKind, nin int) (wn, wp float64, err error) {
 	switch kind {

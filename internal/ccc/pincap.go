@@ -7,10 +7,10 @@ import (
 
 // PinCapFunc returns the sink-pin capacitance function for a lowered
 // circuit, suitable for layout extraction: combinational pins get their
-// transistor gate capacitance (scaled for clock-tree buffers), DFF data
-// and clock pins get the flip-flop constants. Unknown kinds report a
-// conservative unit inverter load rather than failing, because
-// extraction runs before timing validates the library.
+// transistor gate capacitance (scaled by Mult), DFF data and clock pins
+// get the flip-flop constants. Unknown kinds report a conservative unit
+// inverter load rather than failing, because extraction runs before
+// timing validates the library.
 func PinCapFunc(c *netlist.Circuit, p device.Process, s Sizing) func(netlist.PinRef) float64 {
 	invCap := p.CgPerWidth * (s.WnUnit + s.WpUnit)
 	return func(pr netlist.PinRef) float64 {
@@ -21,11 +21,7 @@ func PinCapFunc(c *netlist.Circuit, p device.Process, s Sizing) func(netlist.Pin
 			}
 			return DFFDataCap(p, s)
 		}
-		mult := 1.0
-		if c.Net(cell.Out).IsClock {
-			mult = s.ClockBufMult
-		}
-		v, err := InputCap(p, s, cell.Kind, len(cell.In), mult)
+		v, err := InputCap(p, s, cell.Kind, len(cell.In), s.Mult(c, cell))
 		if err != nil {
 			return invCap
 		}

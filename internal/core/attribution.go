@@ -178,7 +178,7 @@ func (e *Engine) attributeStep(st []netState, pr arcPred, dOut int, outArr float
 	is := &st[from-1]
 	inSlew := is.slew[fromDir]
 	if inSlew <= 0 {
-		inSlew = e.opts.PISlew
+		inSlew = piSlew
 	}
 
 	// The same net may feed several pins of the cell; the predecessor

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -20,11 +19,11 @@ import (
 // by any number of concurrent sessions (NewSession); nothing in it is
 // written after it is built, so no locking is needed around it.
 //
-// The snapshot depends on a subset of the analysis options — POCap,
-// PiModel and CellSizes feed the net summaries and endpoint extras —
-// recorded as the compile key; Matches reports whether a later run can
-// reuse the snapshot. The key is compared entry-by-entry (never
-// hashed): a collision would silently break the bit-exactness contract.
+// The snapshot depends on two analysis options — POCap and PiModel
+// feed the net summaries and endpoint extras — recorded as the compile
+// key; Matches reports whether a later run can reuse the snapshot.
+// Everything else it reads, cell sizes and input slews included, is
+// circuit state, so a snapshot is bound to its circuit revision.
 type Compiled struct {
 	C    *netlist.Circuit
 	Proc device.Process
@@ -56,9 +55,8 @@ type Compiled struct {
 	arcOff []int32
 
 	// Compile key (see Matches).
-	poCap     float64
-	piModel   bool
-	cellSizes map[netlist.CellID]float64
+	poCap   float64
+	piModel bool
 
 	// rev is the design revision the snapshot was compiled at (stamped
 	// by the API layer; 0 for standalone engine use).
@@ -66,11 +64,11 @@ type Compiled struct {
 }
 
 // Compile builds the immutable snapshot of a circuit under the
-// compile-relevant options (POCap, PiModel, CellSizes; everything else
-// in opts is per-session and ignored here). The circuit must be lowered
-// (only INV, NAND, NOR, DFF cells) and carry extracted parasitics, and
-// must not be mutated while the snapshot is alive — the API layer
-// guarantees this by copy-on-write editing.
+// compile-relevant options (POCap, PiModel; everything else in opts is
+// per-session and ignored here). The circuit must be lowered (only INV,
+// NAND, NOR, DFF cells) and carry extracted parasitics, and must not be
+// mutated while the snapshot is alive — the API layer guarantees this
+// by copy-on-write editing.
 func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compiled, error) {
 	opts = opts.withDefaults()
 	for _, cell := range c.Cells {
@@ -90,7 +88,6 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 		poCap:   opts.POCap,
 		piModel: opts.PiModel,
 	}
-	cd.setCellSizes(opts.CellSizes)
 	cd.cc = c.BuildCouplingCSR()
 	cd.sink = c.BuildSinkDelayCSR()
 	cd.buildClockSinks()
@@ -114,19 +111,16 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 // rebuilds the coupling CSR (unseeded spans copied from cd's) and the
 // seeded nets' rows, with the row function Compile uses, so it equals
 // Compile(c, calc, opts) field for field. It returns nil when cd cannot
-// be the parent — another net or cell count, POCap or PiModel, or a
-// CellSizes change the seeds do not cover — and the caller compiles
-// from scratch.
+// be the parent — another net or cell count, POCap or PiModel — and the
+// caller compiles from scratch.
 func (cd *Compiled) Derive(c *netlist.Circuit, opts Options, seed []bool) (*Compiled, error) {
-	opts = opts.withDefaults()
 	if len(c.Nets) != len(cd.C.Nets) || len(c.Cells) != len(cd.C.Cells) || len(seed) != len(c.Nets) ||
-		opts.POCap != cd.poCap || opts.PiModel != cd.piModel || !cd.sizesCovered(opts.CellSizes, seed) {
+		!cd.Matches(opts) {
 		return nil, nil
 	}
 	d := *cd
 	d.C = c
 	d.rev = 0
-	d.setCellSizes(opts.CellSizes)
 	d.cc = c.RebuildCouplingCSR(cd.cc, seed)
 	d.info = slices.Clone(cd.info)
 	for i, s := range seed {
@@ -137,47 +131,6 @@ func (cd *Compiled) Derive(c *netlist.Circuit, opts Options, seed []bool) (*Comp
 		}
 	}
 	return &d, nil
-}
-
-// sizesCovered reports whether every cell whose size differs between
-// the snapshot's CellSizes and sizes has its output and input nets
-// seeded: the rows that read a cell's size.
-func (cd *Compiled) sizesCovered(sizes map[netlist.CellID]float64, seed []bool) bool {
-	covered := func(cid netlist.CellID) bool {
-		if cid < 0 || int(cid) >= len(cd.C.Cells) {
-			return false
-		}
-		cell := cd.C.Cell(cid)
-		if cell.Out != netlist.NoNet && !seed[cell.Out-1] {
-			return false
-		}
-		for _, in := range cell.In {
-			if !seed[in-1] {
-				return false
-			}
-		}
-		return true
-	}
-	for k, v := range sizes {
-		if old, ok := cd.cellSizes[k]; (!ok || old != v) && !covered(k) {
-			return false
-		}
-	}
-	for k := range cd.cellSizes {
-		if _, ok := sizes[k]; !ok && !covered(k) {
-			return false
-		}
-	}
-	return true
-}
-
-// setCellSizes records a private copy of the CellSizes compile key (nil
-// when empty).
-func (cd *Compiled) setCellSizes(sizes map[netlist.CellID]float64) {
-	cd.cellSizes = nil
-	if len(sizes) > 0 {
-		cd.cellSizes = maps.Clone(sizes)
-	}
 }
 
 // buildClockSinks indexes the flip-flops per clock net as a CSR
@@ -254,21 +207,9 @@ func (cd *Compiled) forFanout(net netlist.NetID, mark func(netlist.NetID)) {
 
 // Matches reports whether the snapshot's compile key covers the given
 // options, i.e. a session with these options may share the snapshot.
-// The CellSizes maps are compared exactly, per entry.
 func (cd *Compiled) Matches(opts Options) bool {
 	opts = opts.withDefaults()
-	if cd.poCap != opts.POCap || cd.piModel != opts.PiModel {
-		return false
-	}
-	if len(cd.cellSizes) != len(opts.CellSizes) {
-		return false
-	}
-	for k, v := range opts.CellSizes {
-		if got, ok := cd.cellSizes[k]; !ok || got != v {
-			return false
-		}
-	}
-	return true
+	return cd.poCap == opts.POCap && cd.piModel == opts.PiModel
 }
 
 // Revision returns the design revision the snapshot was compiled at.
@@ -278,26 +219,12 @@ func (cd *Compiled) Revision() uint64 { return cd.rev }
 // stable human-readable identifier, for the introspection plane's
 // per-revision session listing. Not a hash: purely descriptive.
 func (cd *Compiled) KeyString() string {
-	return fmt.Sprintf("rev=%d pocap=%g pimodel=%t sizes=%d",
-		cd.rev, cd.poCap, cd.piModel, len(cd.cellSizes))
+	return fmt.Sprintf("rev=%d pocap=%g pimodel=%t", cd.rev, cd.poCap, cd.piModel)
 }
 
 // SetRevision stamps the design revision (API layer bookkeeping; call
 // before the snapshot is shared, never after).
 func (cd *Compiled) SetRevision(rev uint64) { cd.rev = rev }
-
-// sizeOf returns the effective drive-strength multiplier of a cell
-// under the snapshot's CellSizes.
-func (cd *Compiled) sizeOf(cid netlist.CellID) float64 {
-	mult := 1.0
-	if m, ok := cd.cellSizes[cid]; ok && m > 0 {
-		mult = m
-	}
-	if cd.C.Net(cd.C.Cell(cid).Out).IsClock {
-		mult *= cd.Siz.ClockBufMult
-	}
-	return mult
-}
 
 // buildRow builds the electrical summary of net id into its info row.
 // The loads are summed in one fixed order — wire cap, fanout pin caps in
@@ -315,7 +242,7 @@ func (cd *Compiled) buildRow(id netlist.NetID) error {
 	}
 	if n.Driver != netlist.NoCell {
 		drv := c.Cell(n.Driver)
-		inf.sizeMult = cd.sizeOf(n.Driver)
+		inf.sizeMult = cd.Siz.Mult(c, drv)
 		inf.driverKind = drv.Kind
 		inf.driverNIn = len(drv.In)
 	} else if n.IsClock {
@@ -326,7 +253,7 @@ func (cd *Compiled) buildRow(id netlist.NetID) error {
 		pinCap := ccc.DFFDataCap(cd.Proc, cd.Siz)
 		if sink.Kind != netlist.DFF {
 			var err error
-			if pinCap, err = ccc.InputCap(cd.Proc, cd.Siz, sink.Kind, len(sink.In), cd.sizeOf(sink.ID)); err != nil {
+			if pinCap, err = ccc.InputCap(cd.Proc, cd.Siz, sink.Kind, len(sink.In), cd.Siz.Mult(c, sink)); err != nil {
 				return err
 			}
 		}
@@ -388,7 +315,7 @@ func NewSession(cd *Compiled, calc delaycalc.InfoEvaluator, opts Options) (*Engi
 	}
 	opts = opts.withDefaults()
 	if !cd.Matches(opts) {
-		return nil, fmt.Errorf("core: NewSession: options do not match the compiled snapshot (POCap/PiModel/CellSizes differ); recompile")
+		return nil, fmt.Errorf("core: NewSession: options do not match the compiled snapshot (POCap/PiModel differ); recompile")
 	}
 	e := &Engine{
 		Compiled:    cd,

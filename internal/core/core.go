@@ -81,21 +81,8 @@ type Options struct {
 	// > 1. Results are identical to the sequential run (the one-step
 	// neighbor rule is rank-based, see levels.go).
 	Workers int
-	// PISlew is the transition time assumed at primary inputs (default
-	// 0.2 ns).
-	PISlew float64
-	// PISlews overrides the input transition time per primary input
-	// (ECO input-slew edits); nets absent from the map use PISlew.
-	PISlews map[netlist.NetID]float64
-	// DFFOutSlew is the transition time of flip-flop outputs (default
-	// 0.15 ns).
-	DFFOutSlew float64
 	// POCap is the load of a primary-output pad (default 30 fF).
 	POCap float64
-	// CellSizes overrides per-cell drive strength multipliers (default
-	// 1; clock-tree buffers are additionally scaled by the library's
-	// ClockBufMult). Used by the timing-driven sizing optimizer.
-	CellSizes map[netlist.CellID]float64
 	// Tier0 enables tiered delay evaluation (DESIGN.md §14): candidate
 	// arcs are bracketed analytically and dispatched to the exact
 	// Newton evaluator only when near-critical, dominance-unresolved or
@@ -145,6 +132,10 @@ type Options struct {
 const (
 	// maxPasses bounds the iterative refinement.
 	maxPasses = 10
+	// piSlew is the transition time at a primary input whose InputSlew
+	// no edit set; dffOutSlew that of every flip-flop output.
+	piSlew     = 0.2e-9
+	dffOutSlew = 0.15e-9
 	// tier0Margin is the relative margin of the tier-0 criticality gate:
 	// an arc whose bracketed arrival upper bound reaches within this
 	// fraction of the analytic longest-path frontier at its rank is
@@ -154,12 +145,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.PISlew == 0 {
-		o.PISlew = 0.2e-9
-	}
-	if o.DFFOutSlew == 0 {
-		o.DFFOutSlew = 0.15e-9
-	}
 	if o.POCap == 0 {
 		o.POCap = 30e-15
 	}
@@ -344,13 +329,13 @@ func NewEngine(c *netlist.Circuit, calc delaycalc.InfoEvaluator, opts Options) (
 	return NewSession(cd, calc, opts)
 }
 
-// piSlewFor returns the input transition time of a primary input,
-// honoring per-net ECO overrides.
+// piSlewFor returns the input transition time of a primary input: the
+// one an ECO edit set, else the default.
 func (e *Engine) piSlewFor(net netlist.NetID) float64 {
-	if s, ok := e.opts.PISlews[net]; ok && s > 0 {
+	if s := e.C.Net(net).InputSlew; s > 0 {
 		return s
 	}
-	return e.opts.PISlew
+	return piSlew
 }
 
 // Run executes the configured analysis.

@@ -64,20 +64,14 @@ func sameSnapshot(t *testing.T, ctx string, derived, want *core.Compiled) {
 // Compile of the same circuit and options, so the analyses that reuse
 // it — Reanalyze and every later Analyze of the revision — see exactly
 // the snapshot a from-scratch compile gives. A derivation across the
-// last two revisions (their seeds' union) must too, and a change the
-// seeds cannot explain — another POCap or PiModel, or a size change of
-// a cell whose nets are not seeded — must fall back.
+// last two revisions (their seeds' union) must too, and a change of the
+// compile key — another POCap or PiModel — must fall back.
 func TestDeriveMatchesCompile(t *testing.T) {
 	for _, preset := range []circuitgen.Preset{circuitgen.S35932Like, circuitgen.S38417Like} {
 		t.Run(string(preset), func(t *testing.T) {
 			c, calc := extractedPreset(t, preset, 0.02)
-			var ov incremental.Overrides
-			optsAt := func() core.Options {
-				var o core.Options
-				ov.MergeInto(&o)
-				return o
-			}
-			cd, err := core.Compile(c, calc, optsAt())
+			var opts core.Options
+			cd, err := core.Compile(c, calc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,16 +85,14 @@ func TestDeriveMatchesCompile(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			for b := 1; b <= 8; b++ {
 				prev := revs[len(revs)-1]
-				next := prev.c.CloneForEdit()
-				batch := incremental.RandomBatch(next, rng, 5)
-				seeds, err := incremental.Apply(next, &ov, batch, nil, nil)
+				batch := incremental.RandomBatch(prev.c, rng, 5)
+				next, seeds, err := incremental.Apply(prev.c, batch, nil, nil)
 				if err != nil {
 					t.Fatalf("batch %d: %v", b, err)
 				}
 				for _, ed := range batch {
 					kinds[ed.Op] = true
 				}
-				opts := optsAt()
 				derived, err := prev.cd.Derive(next, opts, seedMask(next, seeds))
 				if err != nil {
 					t.Fatal(err)
@@ -122,7 +114,6 @@ func TestDeriveMatchesCompile(t *testing.T) {
 
 			// Two revisions at once, from the snapshot two back.
 			last := revs[len(revs)-1]
-			opts := optsAt()
 			want, err := core.Compile(last.c, calc, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -134,35 +125,16 @@ func TestDeriveMatchesCompile(t *testing.T) {
 			}
 			sameSnapshot(t, "seed union", derived, want)
 
-			// Changes the seeds do not explain fall back.
+			// A compile-key change falls back.
 			mask := seedMask(last.c, last.seeds)
 			parent := revs[len(revs)-2].cd
-			fallbacks := map[string]core.Options{}
-			o := opts
-			o.POCap = 2 * 30e-15
-			fallbacks["POCap"] = o
-			o = opts
-			o.PiModel = true
-			fallbacks["PiModel"] = o
-			for _, cell := range last.c.Cells {
-				in := cell.Kind != netlist.DFF && cell.Out != netlist.NoNet && !mask[cell.Out-1]
-				if _, sized := opts.CellSizes[cell.ID]; in && !sized {
-					o = opts
-					o.CellSizes = map[netlist.CellID]float64{cell.ID: 1.5}
-					for k, v := range opts.CellSizes {
-						o.CellSizes[k] = v
-					}
-					fallbacks["CellSizes"] = o
-					break
-				}
-			}
-			for name, o := range fallbacks {
+			for name, o := range map[string]core.Options{
+				"POCap":   {POCap: 2 * 30e-15},
+				"PiModel": {PiModel: true},
+			} {
 				if got, err := parent.Derive(last.c, o, mask); got != nil || err != nil {
 					t.Errorf("%s change: Derive returned (%v, %v), want a fallback", name, got != nil, err)
 				}
-			}
-			if len(fallbacks) != 3 {
-				t.Fatalf("only %d fallback cases built", len(fallbacks))
 			}
 		})
 	}

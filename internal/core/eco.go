@@ -51,8 +51,9 @@ type ReplayState struct {
 // Mode returns the analysis mode the state was captured under.
 func (rs *ReplayState) Mode() Mode { return rs.mode }
 
-// Options returns the options of the captured run. Callers must treat
-// the contained maps as read-only.
+// Options returns the options of the captured run. The edits of later
+// revisions are in their circuits, not in the options, so Reanalyze
+// runs under these as they are.
 func (rs *ReplayState) Options() Options { return rs.opts }
 
 // Revision identifies the design revision the state was computed at

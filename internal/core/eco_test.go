@@ -168,17 +168,16 @@ func TestSeededUnseedableTopologyFallsBack(t *testing.T) {
 	bitEqual(t, full, seeded, "unseedable topology")
 }
 
-// TestSeededInputSlewExactness: a changed PI slew (via Options.PISlews)
+// TestSeededInputSlewExactness: a changed PI slew (the net's InputSlew)
 // must dirty the PI's cone and stay exact.
 func TestSeededInputSlewExactness(t *testing.T) {
 	c, calc := buildExtracted(t, 140, 12, 7, 45)
 	pi := c.PIs[0]
 	opts := Options{Mode: Iterative}
 	before := runMode(t, c, calc, opts)
-	edited := opts
-	edited.PISlews = map[netlist.NetID]float64{pi: 150e-12}
-	seeded := runSeeded(t, c, calc, edited, before, []netlist.NetID{pi})
-	full := runMode(t, c, calc, edited)
+	c.Net(pi).InputSlew = 150e-12
+	seeded := runSeeded(t, c, calc, opts, before, []netlist.NetID{pi})
+	full := runMode(t, c, calc, opts)
 	bitEqual(t, full, seeded, "pi slew")
 }
 

@@ -130,7 +130,7 @@ func (e *Engine) minSweep() (early, slews [][2]float64, err error) {
 				}
 				inSlew := slews[inNet-1][dIn]
 				if inSlew <= 0 {
-					inSlew = e.opts.PISlew
+					inSlew = piSlew
 				}
 				// Fastest plausible conditions: coupling caps grounded
 				// at face value (neighbors quiet), the load lumped at
@@ -163,7 +163,7 @@ func (e *Engine) minSweep() (early, slews [][2]float64, err error) {
 			continue
 		}
 		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return early[clk-1][dirRise] })
-		ds := e.opts.DFFOutSlew
+		ds := dffOutSlew
 		early[cell.Out-1], slews[cell.Out-1] = [2]float64{launch, launch}, [2]float64{ds, ds}
 	}
 	for _, cid := range e.order {

@@ -183,8 +183,8 @@ func (e *Engine) sweep(mode Mode, quietPrev [][2]float64, ds *dirtySet) ([]netSt
 		s := netState{calculated: true} // a launch point: no predecessor
 		for d := 0; d < 2; d++ {
 			s.arrival[d] = launch
-			s.slew[d] = e.opts.DFFOutSlew
-			s.quiet[d] = launch + e.opts.DFFOutSlew/2
+			s.slew[d] = dffOutSlew
+			s.quiet[d] = launch + dffOutSlew/2
 		}
 		st[out-1] = s
 		diverged(out)
@@ -248,7 +248,7 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 			}
 			inSlew := is.slew[dIn]
 			if inSlew <= 0 {
-				inSlew = e.opts.PISlew
+				inSlew = piSlew
 			}
 			cands = append(cands, t0Cand{pin: pin, inNet: inNet, inArr: inArr, inSlew: inSlew})
 		}

@@ -36,7 +36,7 @@ func (e *Engine) ExportSDF(w io.Writer, design string) error {
 				var delay [2]float64 // best case, worst case
 				for i, mode := range [2]Mode{BestCase, WorstCase} {
 					grounded, cc := modeLoad(mode, inf)
-					res, err := e.Calc.Eval(e.arcRequest(cell, pin, dOut, e.opts.PISlew, grounded, cc, false))
+					res, err := e.Calc.Eval(e.arcRequest(cell, pin, dOut, piSlew, grounded, cc, false))
 					if err != nil {
 						return fmt.Errorf("core: SDF export %s pin %d: %w", cell.Name, pin, err)
 					}

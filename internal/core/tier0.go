@@ -159,7 +159,7 @@ func (e *Engine) t0Frontier() error {
 				}
 				inSlew := slw[inNet-1][dIn]
 				if inSlew <= 0 {
-					inSlew = e.opts.PISlew
+					inSlew = piSlew
 				}
 				d, os := 0.0, inSlew
 				if b, ok := e.t0ArcBounds(e.opts.Mode, cell, pin, dOut, inSlew); ok {
@@ -188,7 +188,7 @@ func (e *Engine) t0Frontier() error {
 		}
 		launch := e.launchTime(cell, func(clk netlist.NetID) float64 { return arr[clk-1][dirRise] })
 		arr[cell.Out-1] = [2]float64{launch, launch}
-		slw[cell.Out-1] = [2]float64{e.opts.DFFOutSlew, e.opts.DFFOutSlew}
+		slw[cell.Out-1] = [2]float64{dffOutSlew, dffOutSlew}
 	}
 	if err := e.runPhase(phaseMain, nil, new(tally), est); err != nil {
 		return err

@@ -35,8 +35,8 @@ func fuzzDesign(f *testing.F) *netlist.Circuit {
 }
 
 // FuzzDecodeBatches feeds arbitrary bytes through the `-eco` file
-// decoder and replays whatever decodes, batch by batch, on a clone of a
-// generated design. Nothing may panic; a decode error must name the
+// decoder and replays whatever decodes, batch by batch, on a generated
+// design, each accepted batch editing the previous one's copy. Nothing may panic; a decode error must name the
 // input, and a rejected batch is an ordinary error. The seed corpus is
 // the checked-in replay file and the misspelled-field cases of
 // TestLoadBatches, so `go test` runs them every time.
@@ -58,10 +58,11 @@ func FuzzDecodeBatches(f *testing.F) {
 			}
 			return
 		}
-		edited := c.CloneForEdit()
-		var ov Overrides
+		edited := c
 		for _, batch := range batches {
-			Apply(edited, &ov, batch, nil, nil)
+			if next, _, err := Apply(edited, batch, nil, nil); err == nil {
+				edited = next
+			}
 		}
 	})
 }

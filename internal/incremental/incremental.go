@@ -1,9 +1,9 @@
 // Package incremental implements the ECO (engineering change order)
 // side of the re-analysis flow: typed design edits, their atomic
-// application to an extracted circuit, and the dirty seeds — the nets
-// whose electrical parameters a batch changed, which core.RunSeeded
-// grows into the full dirty cone (fan-out plus quiescent-time coupling
-// victims; see DESIGN.md §9).
+// application to a copy of an extracted circuit, and the dirty seeds —
+// the nets whose electrical parameters a batch changed, which
+// core.RunSeeded grows into the full dirty cone (fan-out plus
+// quiescent-time coupling victims; see DESIGN.md §9).
 package incremental
 
 import (
@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
-	"xtalksta/internal/core"
 	"xtalksta/internal/netlist"
 	"xtalksta/internal/obs"
 )
@@ -83,39 +83,6 @@ func (ed Edit) String() string {
 	return fmt.Sprintf("edit(%q)", string(ed.Op))
 }
 
-// Overrides carries the edit state that lives in analysis options
-// rather than in the circuit: per-cell drive strengths and per-PI input
-// slews. It accumulates across batches.
-type Overrides struct {
-	CellSizes map[netlist.CellID]float64
-	PISlews   map[netlist.NetID]float64
-}
-
-// MergeInto overlays the overrides onto analysis options, cloning the
-// option maps so stored ReplayState options are never mutated.
-func (ov *Overrides) MergeInto(opts *core.Options) {
-	if len(ov.CellSizes) > 0 {
-		m := make(map[netlist.CellID]float64, len(opts.CellSizes)+len(ov.CellSizes))
-		for k, v := range opts.CellSizes {
-			m[k] = v
-		}
-		for k, v := range ov.CellSizes {
-			m[k] = v
-		}
-		opts.CellSizes = m
-	}
-	if len(ov.PISlews) > 0 {
-		m := make(map[netlist.NetID]float64, len(opts.PISlews)+len(ov.PISlews))
-		for k, v := range opts.PISlews {
-			m[k] = v
-		}
-		for k, v := range ov.PISlews {
-			m[k] = v
-		}
-		opts.PISlews = m
-	}
-}
-
 // LoadBatches reads a JSON array of edit batches (the `-eco` replay
 // file format: [[edit, ...], [edit, ...], ...]).
 func LoadBatches(path string) ([][]Edit, error) {
@@ -158,17 +125,6 @@ func decodeStrict(data []byte, v any) error {
 	return dec.Decode(v)
 }
 
-func cloneMap[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil {
-		return nil
-	}
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // resolved is an edit with its name references looked up.
 type resolved struct {
 	edit Edit
@@ -176,55 +132,30 @@ type resolved struct {
 	cell netlist.CellID
 }
 
-// Apply validates and applies a batch of edits atomically: either every
-// edit is applied to the circuit and overrides, or neither is and an
-// error reports the first offending edit. Returns the dirty seeds —
+// Apply validates a batch of edits against c and applies it to a copy
+// of c (CloneForEdit), returning the edited copy and the dirty seeds —
 // each net whose electrical parameters changed (coupling edits seed
 // both sides; a resize seeds the cell's output and input nets, whose
-// loads include its input capacitance). Per-edit spans and the
+// loads include its input capacitance). c itself is never written, so
+// analyses of it may run on, and a batch with an invalid edit returns
+// only an error naming the first one. Per-edit spans and the
 // eco_edits_total counter go to tr/reg when non-nil.
-func Apply(c *netlist.Circuit, ov *Overrides, edits []Edit, reg *obs.Registry, tr *obs.Tracer) ([]netlist.NetID, error) {
+func Apply(c *netlist.Circuit, edits []Edit, reg *obs.Registry, tr *obs.Tracer) (*netlist.Circuit, []netlist.NetID, error) {
 	res := make([]resolved, 0, len(edits))
 	for i, ed := range edits {
 		r, err := resolve(c, ed)
 		if err != nil {
-			return nil, fmt.Errorf("incremental: edit %d (%s): %w", i, ed, err)
+			return nil, nil, fmt.Errorf("incremental: edit %d (%s): %w", i, ed, err)
 		}
 		res = append(res, r)
 	}
 
-	// Snapshot the coupling lists of every net a coupling edit can
-	// touch, so a mid-batch failure can restore them.
-	saved := make(map[netlist.NetID][]netlist.Coupling)
-	snapshot := func(id netlist.NetID) {
-		if _, ok := saved[id]; !ok {
-			saved[id] = append([]netlist.Coupling(nil), c.Net(id).Par.Couplings...)
-		}
+	next := c.CloneForEdit()
+	// The clone shares c's cells; a resize replaces its cell with a
+	// copy, in a pointer slice of the batch's own.
+	if slices.ContainsFunc(res, func(r resolved) bool { return r.edit.Op == OpResizeCell }) {
+		next.Cells = slices.Clone(c.Cells)
 	}
-	for _, r := range res {
-		switch r.edit.Op {
-		case OpScaleCoupling, OpSetCoupling, OpAddCoupling, OpRemoveCoupling:
-			snapshot(r.a)
-			snapshot(r.b)
-		case OpDecoupleNet:
-			snapshot(r.a)
-			for _, cp := range c.Net(r.a).Par.Couplings {
-				snapshot(cp.Other)
-			}
-		}
-	}
-	// Overrides mutate during the apply loop too; keep copies so a
-	// mid-batch failure rolls the whole batch back, not just couplings.
-	savedSizes := cloneMap(ov.CellSizes)
-	savedSlews := cloneMap(ov.PISlews)
-	restore := func() {
-		for id, cps := range saved {
-			c.Net(id).Par.Couplings = cps
-		}
-		ov.CellSizes = savedSizes
-		ov.PISlews = savedSlews
-	}
-
 	counter := reg.Counter(obs.MEcoEdits)
 	var seeds []netlist.NetID
 	seen := make(map[netlist.NetID]bool)
@@ -238,15 +169,14 @@ func Apply(c *netlist.Circuit, ov *Overrides, edits []Edit, reg *obs.Registry, t
 	}
 	for i, r := range res {
 		span := tr.Begin("eco-edit", 0).Arg("op", string(r.edit.Op)).Arg("edit", r.edit.String())
-		err := apply(c, ov, r, seed)
+		err := apply(next, r, seed)
 		span.End()
 		if err != nil {
-			restore()
-			return nil, fmt.Errorf("incremental: edit %d (%s): %w", i, r.edit, err)
+			return nil, nil, fmt.Errorf("incremental: edit %d (%s): %w", i, r.edit, err)
 		}
 		counter.Inc()
 	}
-	return seeds, nil
+	return next, seeds, nil
 }
 
 func resolve(c *netlist.Circuit, ed Edit) (resolved, error) {
@@ -366,7 +296,7 @@ func removePair(c *netlist.Circuit, from, to netlist.NetID) int {
 	return n
 }
 
-func apply(c *netlist.Circuit, ov *Overrides, r resolved, seed func(...netlist.NetID)) error {
+func apply(c *netlist.Circuit, r resolved, seed func(...netlist.NetID)) error {
 	switch r.edit.Op {
 	case OpScaleCoupling, OpSetCoupling:
 		finite := true
@@ -414,20 +344,15 @@ func apply(c *netlist.Circuit, ov *Overrides, r resolved, seed func(...netlist.N
 		}
 		par.Couplings = nil
 	case OpResizeCell:
-		if ov.CellSizes == nil {
-			ov.CellSizes = make(map[netlist.CellID]float64)
-		}
-		ov.CellSizes[r.cell] = r.edit.Value
-		cell := c.Cell(r.cell)
+		cell := *c.Cell(r.cell)
+		cell.Size = r.edit.Value
+		c.Cells[r.cell] = &cell
 		// The cell's drive strength changes its output arcs, and its
 		// input capacitance changes the load of every net feeding it.
 		seed(cell.Out)
 		seed(cell.In...)
 	case OpSetInputSlew:
-		if ov.PISlews == nil {
-			ov.PISlews = make(map[netlist.NetID]float64)
-		}
-		ov.PISlews[r.a] = r.edit.Value
+		c.Net(r.a).InputSlew = r.edit.Value
 		seed(r.a)
 	}
 	return nil

@@ -58,8 +58,7 @@ func TestApplySeedsAndEffects(t *testing.T) {
 	a, b := coupledPair(t, c)
 	before := couplingOf(c, a, b)
 
-	var ov incremental.Overrides
-	seeds, err := incremental.Apply(c, &ov, []incremental.Edit{
+	c, seeds, err := incremental.Apply(c, []incremental.Edit{
 		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 2},
 	}, nil, nil)
 	if err != nil {
@@ -76,7 +75,7 @@ func TestApplySeedsAndEffects(t *testing.T) {
 	}
 
 	// Resize: seeds the output and every input net (whose load sees the
-	// cell's input caps), and lands in the overrides.
+	// cell's input caps), and sets the size on the copy's cell.
 	var gate *netlist.Cell
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet && len(cell.In) > 0 {
@@ -84,14 +83,14 @@ func TestApplySeedsAndEffects(t *testing.T) {
 			break
 		}
 	}
-	seeds, err = incremental.Apply(c, &ov, []incremental.Edit{
+	c, seeds, err = incremental.Apply(c, []incremental.Edit{
 		{Op: incremental.OpResizeCell, Cell: gate.Name, Value: 1.7},
 	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov.CellSizes[gate.ID] != 1.7 {
-		t.Fatalf("override size = %v, want 1.7", ov.CellSizes[gate.ID])
+	if got := c.Cell(gate.ID).Size; got != 1.7 {
+		t.Fatalf("edited size = %v, want 1.7", got)
 	}
 	seedSet := map[netlist.NetID]bool{}
 	for _, id := range seeds {
@@ -116,12 +115,13 @@ func TestApplySeedsAndEffects(t *testing.T) {
 		}
 	}
 	neighbors := append([]netlist.Coupling(nil), victim.Par.Couplings...)
-	seeds, err = incremental.Apply(c, &ov, []incremental.Edit{
+	c, seeds, err = incremental.Apply(c, []incremental.Edit{
 		{Op: incremental.OpDecoupleNet, A: victim.Name},
 	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim = c.Net(victim.ID)
 	if len(victim.Par.Couplings) != 0 {
 		t.Fatalf("decoupled net still has %d couplings", len(victim.Par.Couplings))
 	}
@@ -201,8 +201,7 @@ func TestApplyValidation(t *testing.T) {
 		}
 	}
 	for _, tc := range cases {
-		var ov incremental.Overrides
-		if _, err := incremental.Apply(c, &ov, []incremental.Edit{tc.edit}, nil, nil); err == nil {
+		if _, _, err := incremental.Apply(c, []incremental.Edit{tc.edit}, nil, nil); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
@@ -210,8 +209,10 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-// TestApplyAtomicity: when a later edit fails, earlier edits of the
-// batch must be rolled back — couplings AND overrides.
+// TestApplyAtomicity: Apply never writes its input circuit. A batch
+// whose later edit fails returns only the error, and the input keeps
+// its couplings and cell sizes; a batch that succeeds lands on the
+// returned copy alone.
 func TestApplyAtomicity(t *testing.T) {
 	d := build(t, 23)
 	c := d.Circuit
@@ -224,6 +225,7 @@ func TestApplyAtomicity(t *testing.T) {
 			break
 		}
 	}
+	pi := c.Net(c.PIs[0])
 	// Find an uncoupled pair for the failing tail edit: resolves fine,
 	// fails at apply time.
 	na, _ := c.NetByName(a)
@@ -244,39 +246,61 @@ func TestApplyAtomicity(t *testing.T) {
 			break
 		}
 	}
+	unchanged := func(ctx string) {
+		t.Helper()
+		if got := couplingOf(c, a, b); math.Float64bits(got) != math.Float64bits(before) {
+			t.Fatalf("%s: input coupling changed: %g != %g", ctx, got, before)
+		}
+		if c.Cell(gate.ID) != gate || gate.Size != 0 {
+			t.Fatalf("%s: input cell %s written (size %g)", ctx, gate.Name, c.Cell(gate.ID).Size)
+		}
+		if pi.InputSlew != 0 {
+			t.Fatalf("%s: input slew of %s written: %g", ctx, pi.Name, pi.InputSlew)
+		}
+	}
 
-	var ov incremental.Overrides
-	_, err := incremental.Apply(c, &ov, []incremental.Edit{
+	batch := []incremental.Edit{
 		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 3},
 		{Op: incremental.OpResizeCell, Cell: gate.Name, Value: 2},
+		{Op: incremental.OpSetInputSlew, A: pi.Name, Value: 1e-10},
 		{Op: incremental.OpRemoveCoupling, A: a, B: uncoupled}, // fails
-	}, nil, nil)
-	if err == nil {
+	}
+	if next, seeds, err := incremental.Apply(c, batch, nil, nil); err == nil {
 		t.Fatal("batch with failing tail accepted")
+	} else if next != nil || seeds != nil {
+		t.Fatalf("failed batch returned a circuit (%v) or seeds %v", next != nil, seeds)
 	}
-	if got := couplingOf(c, a, b); got != before {
-		t.Fatalf("coupling not rolled back: %g != %g", got, before)
+	unchanged("failed batch")
+
+	next, _, err := incremental.Apply(c, batch[:3], nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ov.CellSizes) != 0 {
-		t.Fatalf("overrides not rolled back: %v", ov.CellSizes)
+	unchanged("applied batch")
+	if got := couplingOf(next, a, b); got <= before {
+		t.Fatalf("copy coupling %g not scaled up from %g", got, before)
+	}
+	if got := next.Cell(gate.ID).Size; got != 2 {
+		t.Fatalf("copy size = %g, want 2", got)
+	}
+	if got := next.Net(pi.ID).InputSlew; got != 1e-10 {
+		t.Fatalf("copy input slew = %g, want 1e-10", got)
 	}
 
 	// Finite factors can still overflow: two 1e300 scales leave the cap
 	// at +Inf, which the analysis would time as the smallest load
-	// bucket. The second edit fails and the first rolls back with it,
-	// through Apply and through the facade's copy-on-write Edit alike.
+	// bucket. The second edit fails the batch, through Apply and through
+	// the facade's copy-on-write Edit alike.
 	overflow := []incremental.Edit{
 		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 1e300},
 		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 1e300},
 	}
-	if _, err := incremental.Apply(c, &ov, overflow, nil, nil); err == nil {
+	if _, _, err := incremental.Apply(c, overflow, nil, nil); err == nil {
 		t.Fatal("overflowing scale accepted")
 	} else if !strings.Contains(err.Error(), "edit 1") || !strings.Contains(err.Error(), "non-finite") {
 		t.Errorf("overflow error %q does not name edit 1 and the non-finite cap", err)
 	}
-	if got := couplingOf(c, a, b); math.Float64bits(got) != math.Float64bits(before) {
-		t.Fatalf("coupling not rolled back after overflow: %g != %g", got, before)
-	}
+	unchanged("overflow")
 	if err := d.Edit(overflow...); err == nil {
 		t.Fatal("Design.Edit accepted the overflowing scale")
 	}
@@ -331,18 +355,19 @@ func TestLoadBatches(t *testing.T) {
 // internally consistent — Apply accepts each one against the evolving
 // circuit.
 func TestRandomBatchAlwaysApplies(t *testing.T) {
-	d := build(t, 24)
+	c := build(t, 24).Circuit
 	rng := rand.New(rand.NewSource(7))
-	var ov incremental.Overrides
 	applied := 0
 	for i := 0; i < 12; i++ {
-		batch := incremental.RandomBatch(d.Circuit, rng, 5)
+		batch := incremental.RandomBatch(c, rng, 5)
 		if len(batch) == 0 {
 			continue
 		}
-		if _, err := incremental.Apply(d.Circuit, &ov, batch, nil, nil); err != nil {
+		next, _, err := incremental.Apply(c, batch, nil, nil)
+		if err != nil {
 			t.Fatalf("batch %d rejected: %v\nbatch: %v", i, err, batch)
 		}
+		c = next
 		applied += len(batch)
 	}
 	if applied == 0 {

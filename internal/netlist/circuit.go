@@ -84,6 +84,9 @@ type Net struct {
 	IsPO    bool
 	IsClock bool
 	Par     Parasitics
+	// InputSlew is the transition time an ECO edit set on a primary
+	// input (0 = the analysis default).
+	InputSlew float64
 }
 
 // Cell is one gate instance.
@@ -96,6 +99,9 @@ type Cell struct {
 	// Clock is the clock net for DFF cells (NoNet when the circuit has
 	// no explicit clock tree; the DFF is then ideal).
 	Clock NetID
+	// Size is the drive-strength multiplier an ECO resize set (0 = 1;
+	// see ccc.Sizing.Mult).
+	Size float64
 }
 
 // Circuit is a gate-level sequential circuit.

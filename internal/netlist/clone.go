@@ -4,10 +4,12 @@ package netlist
 // through the incremental-edit paths while the original keeps serving
 // read-only analyses (copy-on-write revisioning). Every Net struct and
 // its Couplings slice is copied — incremental edits rewrite coupling
-// entries in place and compact the slice against its backing array —
-// while everything the editors never touch is shared with the original:
-// Cells, Fanout slices, SinkWireDelay maps, the PI/PO lists and the
-// name index (edits never add or rename nets).
+// entries in place, compact the slice against its backing array and set
+// a primary input's InputSlew — while everything else is shared with
+// the original: Cells, Fanout slices, SinkWireDelay maps, the PI/PO
+// lists and the name index (edits never add or rename nets). A resize
+// must not write a shared cell: incremental.Apply copies the cell
+// pointer slice and the cell it resizes.
 // The copies preserve the dense layout: all Net structs come from one
 // contiguous slab and all Couplings copies from a second one (each
 // subslice capacity-capped at its span so edit-time appends reallocate

@@ -17,6 +17,7 @@ import (
 
 	"xtalksta/internal/core"
 	"xtalksta/internal/delaycalc"
+	"xtalksta/internal/incremental"
 	"xtalksta/internal/netlist"
 )
 
@@ -61,7 +62,8 @@ type Result struct {
 	Met bool
 	// Before and After are the longest-path delays.
 	Before, After float64
-	// Sizes is the final per-cell multiplier map (cells at 1 omitted).
+	// Sizes is the final per-cell multiplier map (cells at 1 omitted),
+	// sizes the circuit carried before the run included.
 	Sizes map[netlist.CellID]float64
 	// Moves lists the decisions in order.
 	Moves []Move
@@ -70,7 +72,9 @@ type Result struct {
 }
 
 // FixTiming sizes gates until the longest path (plus flip-flop setup)
-// fits the clock period under the given analysis mode.
+// fits the clock period under the given analysis mode. It starts from
+// the sizes c carries and applies its moves to copies of c
+// (incremental.Apply); c itself is never written.
 func FixTiming(c *netlist.Circuit, calc delaycalc.InfoEvaluator, analysis core.Options,
 	period float64, cfg Config) (*Result, error) {
 
@@ -82,12 +86,13 @@ func FixTiming(c *netlist.Circuit, calc delaycalc.InfoEvaluator, analysis core.O
 	cellByName := make(map[string]netlist.CellID, len(c.Cells))
 	for _, cell := range c.Cells {
 		cellByName[cell.Name] = cell.ID
+		if cell.Size != 0 && cell.Size != 1 {
+			sizes[cell.ID] = cell.Size
+		}
 	}
 
 	run := func() (*core.Result, *core.TimingReport, error) {
-		opts := analysis
-		opts.CellSizes = sizes
-		eng, err := core.NewEngine(c, calc, opts)
+		eng, err := core.NewEngine(c, calc, analysis)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -150,7 +155,8 @@ func FixTiming(c *netlist.Circuit, calc delaycalc.InfoEvaluator, analysis core.O
 		if n > len(cands) {
 			n = len(cands)
 		}
-		for _, cd := range cands[:n] {
+		edits := make([]incremental.Edit, n)
+		for i, cd := range cands[:n] {
 			cur := sizes[cd.cell]
 			if cur == 0 {
 				cur = 1
@@ -160,7 +166,12 @@ func FixTiming(c *netlist.Circuit, calc delaycalc.InfoEvaluator, analysis core.O
 				next = cfg.MaxSize
 			}
 			sizes[cd.cell] = next
-			out.Moves = append(out.Moves, Move{Cell: c.Cell(cd.cell).Name, NewSize: next})
+			name := c.Cell(cd.cell).Name
+			edits[i] = incremental.Edit{Op: incremental.OpResizeCell, Cell: name, Value: next}
+			out.Moves = append(out.Moves, Move{Cell: name, NewSize: next})
+		}
+		if c, _, err = incremental.Apply(c, edits, nil, nil); err != nil {
+			return nil, err
 		}
 		res, rep, err = run()
 		if err != nil {

@@ -155,10 +155,7 @@ func build(c *netlist.Circuit, lib *device.Library, siz ccc.Sizing, path []core.
 			}
 			gates[pi] = rail
 		}
-		sizeMult := 1.0
-		if n.IsClock {
-			sizeMult = siz.ClockBufMult
-		}
+		sizeMult := siz.Mult(c, cell)
 		if err := ccc.AddTransistors(ckt, lib, siz, cell.Kind, gates, out, vdd, sizeMult, fmt.Sprintf("s%d", i)); err != nil {
 			return nil, err
 		}
