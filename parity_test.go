@@ -31,6 +31,10 @@ type parityConfig struct {
 	// ecoRandom re-analyzes parityRandomBatches random edit batches in a
 	// chain and records the last seeded result.
 	ecoRandom bool
+	// warm first fills the calculator with an all-Newton run of the same
+	// mode (its work is not recorded), so the recorded run re-analyzes
+	// on a warm characterization cache.
+	warm bool
 }
 
 // parityRandomBatches is the length of the ecoRandom chain; each batch
@@ -58,6 +62,8 @@ func parityMatrix() []parityConfig {
 			Mode: xtalksta.Iterative, Tier0: true}, eco: true},
 		parityConfig{name: "Iterative/eco-random-w2", opts: xtalksta.AnalysisOptions{
 			Mode: xtalksta.Iterative, Workers: 2}, ecoRandom: true},
+		parityConfig{name: "Iterative/tier0-warm-w2", opts: xtalksta.AnalysisOptions{
+			Mode: xtalksta.Iterative, Tier0: true, Workers: 2}, warm: true},
 	)
 	return cfgs
 }
@@ -82,6 +88,11 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 			d, err := xtalksta.GeneratePreset(pc.preset, pc.scale, xtalksta.Defaults())
 			if err != nil {
 				t.Fatalf("generate %s: %v", pc.preset, err)
+			}
+			if cfg.warm {
+				if _, err := d.Analyze(xtalksta.AnalysisOptions{Mode: cfg.opts.Mode}); err != nil {
+					t.Fatalf("%s/%s cold fill: %v", pc.preset, cfg.name, err)
+				}
 			}
 			reg := obs.NewRegistry()
 			opts := cfg.opts
