@@ -114,13 +114,14 @@ func Analyze(c *netlist.Circuit, p device.Process, siz ccc.Sizing, lib *device.L
 		for _, pr := range n.Fanout {
 			cg += pinCap(pr)
 		}
-		selfCap, err := ccc.OutputDrainCap(p, siz, drv.Kind, len(drv.In), 1)
+		mult := siz.Mult(c, drv) // the cell's size, and the clock-buffer factor on clock nets
+		selfCap, err := ccc.OutputDrainCap(p, siz, drv.Kind, len(drv.In), mult)
 		if err != nil {
 			return nil, err
 		}
 		cg += selfCap
 		// Holding resistance of the quiet driver.
-		rdrv, err := ccc.DriveResistance(lib, siz, drv.Kind, len(drv.In), 1)
+		rdrv, err := ccc.DriveResistance(lib, siz, drv.Kind, len(drv.In), mult)
 		if err != nil {
 			return nil, err
 		}

@@ -110,3 +110,57 @@ func TestFailingSubset(t *testing.T) {
 		}
 	}
 }
+
+// TestResizeMovesGlitch: a victim's glitch depends on its driver's
+// strength, so upsizing the driver of a clock net and of a data net
+// must lower both peaks (a stronger driver holds its net harder and
+// adds drain capacitance to the divider).
+func TestResizeMovesGlitch(t *testing.T) {
+	c, err := circuitgen.Generate(circuitgen.Params{Seed: 13, Cells: 160, DFFs: 12, Depth: 8, ClockFanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netlist.Lower(c); err != nil {
+		t.Fatal(err)
+	}
+	p := device.Generic05um()
+	siz := ccc.DefaultSizing(p)
+	l, err := layout.Build(c, layout.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Extract(p, ccc.PinCapFunc(c, p, siz), 30e-15); err != nil {
+		t.Fatal(err)
+	}
+	lib := device.NewLibrary(p, 65)
+	victims := []string{"CLKB0", "N41"}
+	peaks := func() map[string]float64 {
+		t.Helper()
+		rep, err := Analyze(c, p, siz, lib, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]float64)
+		for _, n := range rep.Nets {
+			out[n.Net] = n.Peak
+		}
+		return out
+	}
+	before := peaks()
+	for _, name := range victims {
+		n, ok := c.NetByName(name)
+		if !ok {
+			t.Fatalf("net %s not found", name)
+		}
+		if _, ok := before[name]; !ok {
+			t.Fatalf("net %s has no glitch estimate", name)
+		}
+		c.Cell(n.Driver).Size = 4
+	}
+	after := peaks()
+	for _, name := range victims {
+		if !(after[name] < before[name]) {
+			t.Errorf("%s: peak %.6f V after resizing its driver ×4, %.6f V before; want lower", name, after[name], before[name])
+		}
+	}
+}
