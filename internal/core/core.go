@@ -339,11 +339,29 @@ func (e *Engine) piSlewFor(net netlist.NetID) float64 {
 }
 
 // Run executes the configured analysis.
-func (e *Engine) Run() (*Result, error) { return e.run(nil, nil) }
+func (e *Engine) Run() (*Result, error) {
+	res, _, err := e.run(nil, nil)
+	return res, err
+}
+
+// RunReport executes the configured analysis once and returns both its
+// result and the per-endpoint timing report against the clock period,
+// which Run followed by Report would take two analyses to produce.
+func (e *Engine) RunReport(period float64) (*Result, *TimingReport, error) {
+	if err := checkPeriod(period); err != nil {
+		return nil, nil, err
+	}
+	res, st, err := e.run(nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, e.timingReport(st, period), nil
+}
 
 // run executes a full analysis (prev == nil) or one seeded from prev
-// (RunSeeded, with the seed mask), and fills the result.
-func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
+// (RunSeeded, with the seed mask), fills the result and returns it with
+// the reported pass's state.
+func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, []netState, error) {
 	start := time.Now()
 	res := &Result{Mode: e.opts.Mode}
 	var seedNets int64
@@ -367,7 +385,7 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 	}
 	st, passes, err := e.analyze(base, seed, eco)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Passes = passes
 	res.PassStats = append([]PassStat(nil), e.passStats...)
@@ -386,13 +404,13 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.Attribution = attr
 	}
 	if prev == nil {
 		e.emitAnalysisEvent("analysis", res, nil)
-		return res, nil
+		return res, st, nil
 	}
 	e.emitAnalysisEvent("eco", res, map[string]any{
 		"base_revision":   prev.rev,
@@ -402,7 +420,7 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 		"cone_expansions": res.ECO.ConeExpansions,
 		"full_fallback":   res.ECO.FullFallback,
 	})
-	return res, nil
+	return res, st, nil
 }
 
 // analyze produces the reported pass's netState of the configured

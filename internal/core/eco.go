@@ -195,7 +195,8 @@ func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 		return nil, fmt.Errorf("core: RunSeeded: seed mask has %d entries, want %d", len(seed), len(e.C.Nets))
 	}
 	e.seedBCS(prev, seed)
-	return e.run(prev, seed)
+	res, _, err := e.run(prev, seed)
+	return res, err
 }
 
 // dirtySet is one sweep's recompute set. Lines outside it carry the

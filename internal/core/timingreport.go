@@ -94,8 +94,8 @@ func (tr *TimingReport) Render(w io.Writer, k int) error {
 // Report runs the configured analysis and returns the per-endpoint
 // timing report for the given clock period.
 func (e *Engine) Report(period float64) (*TimingReport, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("core: clock period must be positive, got %g", period)
+	if err := checkPeriod(period); err != nil {
+		return nil, err
 	}
 	// Run the analysis for its reported pass state: the same passes Run
 	// executes, without assembling a Result.
@@ -103,6 +103,19 @@ func (e *Engine) Report(period float64) (*TimingReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.timingReport(st, period), nil
+}
+
+func checkPeriod(period float64) error {
+	if period <= 0 {
+		return fmt.Errorf("core: clock period must be positive, got %g", period)
+	}
+	return nil
+}
+
+// timingReport builds the per-endpoint report of the reported pass
+// state st against the clock period.
+func (e *Engine) timingReport(st []netState, period float64) *TimingReport {
 	rep := &TimingReport{Mode: e.opts.Mode, Period: period}
 	for _, ep := range e.endpoints {
 		s := &st[ep.net-1]
@@ -141,5 +154,5 @@ func (e *Engine) Report(period float64) (*TimingReport, error) {
 		}
 		return rep.Endpoints[i].Net < rep.Endpoints[j].Net
 	})
-	return rep, nil
+	return rep
 }

@@ -96,15 +96,7 @@ func FixTiming(c *netlist.Circuit, calc delaycalc.InfoEvaluator, analysis core.O
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := eng.Run()
-		if err != nil {
-			return nil, nil, err
-		}
-		rep, err := eng.Report(period)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, rep, nil
+		return eng.RunReport(period)
 	}
 
 	res, rep, err := run()

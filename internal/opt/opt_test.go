@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"xtalksta/internal/ccc"
@@ -11,6 +13,7 @@ import (
 	"xtalksta/internal/device"
 	"xtalksta/internal/layout"
 	"xtalksta/internal/netlist"
+	"xtalksta/internal/obs"
 )
 
 func setup(t *testing.T, seed int64) (*netlist.Circuit, *delaycalc.Calculator) {
@@ -116,5 +119,42 @@ func TestFixTimingValidation(t *testing.T) {
 	c, calc := setup(t, 804)
 	if _, err := FixTiming(c, calc, core.Options{Mode: core.OneStep}, 0, Config{}); err == nil {
 		t.Error("period 0 must error")
+	}
+}
+
+// TestFixTimingAnalyzesEachRevisionOnce: every revision the optimizer
+// visits — the starting circuit and one per move batch — costs one
+// analysis, and counting them does not change what it decides.
+func TestFixTimingAnalyzesEachRevisionOnce(t *testing.T) {
+	c, calc := setup(t, 801)
+	period := baseline(t, c, calc) * 0.85
+	cfg := Config{MaxIterations: 3}
+	plain, err := FixTiming(c, calc, core.Options{Mode: core.Iterative, Tier0: true}, period, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res, err := FixTiming(c, calc, core.Options{Mode: core.Iterative, Tier0: true, Metrics: reg}, period, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Before != plain.Before || res.After != plain.After || !slices.Equal(res.Moves, plain.Moves) {
+		t.Fatalf("counted run decided differently: before %v/%v, after %v/%v, moves %v/%v",
+			res.Before, plain.Before, res.After, plain.After, res.Moves, plain.Moves)
+	}
+	// Iterations counts the move batches applied, whichever way the loop
+	// ended.
+	batches := res.Iterations
+	if batches == 0 || len(res.Moves) == 0 {
+		t.Fatal("no move batch ran: the test needs a period the first revision misses")
+	}
+	var analyses int64
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, obs.MAnalyses+"{") {
+			analyses += v
+		}
+	}
+	if want := int64(1 + batches); analyses != want {
+		t.Errorf("%d analyses for %d move batches, want %d (one per revision)", analyses, batches, want)
 	}
 }
