@@ -349,7 +349,9 @@ func (e *Engine) t0Eval(cell *netlist.Cell, pin, dOut int, req delaycalc.Request
 	if err != nil {
 		return res, err
 	}
-	*slot = arcMemo{req: req, res: res, valid: true}
+	// The slot's bracket stays: the next pass reuses it at a bit-equal
+	// slew.
+	slot.req, slot.res, slot.valid = req, res, true
 	return res, nil
 }
 

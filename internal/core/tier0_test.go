@@ -181,6 +181,41 @@ func TestTier0BoundsMemoExact(t *testing.T) {
 	t.Logf("%d filled bracket slots, %d bounded", filled, bounded)
 }
 
+// TestTier0EvalKeepsBracket: t0Eval fills a memo slot's request and
+// result only, so every slot t0Gate bracketed and t0Eval then evaluated
+// still holds its bracket after the run, for the next pass to reuse.
+func TestTier0EvalKeepsBracket(t *testing.T) {
+	c, calc := buildExtracted(t, 260, 20, 9, 306)
+	eng, err := NewEngine(c, calc, Options{Mode: Iterative, Tier0: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tier0Rerun || eng.t0 == nil {
+		t.Fatal("tier-0 did not run to completion")
+	}
+	evaluated, lost := 0, 0
+	for i := range eng.t0.memo {
+		slot := &eng.t0.memo[i]
+		if !slot.valid {
+			continue
+		}
+		evaluated++
+		if !slot.bSet {
+			lost++
+		}
+	}
+	if evaluated == 0 {
+		t.Fatal("no memo slot was evaluated; the check is vacuous")
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d evaluated memo slots lost their bracket", lost, evaluated)
+	}
+}
+
 // narrowBounds is a calculator whose tier-0 brackets collapse to their
 // midpoints, so no evaluated arc lands inside its bracket and the
 // audit must fire. calls counts the brackets an analysis asks for.
