@@ -16,8 +16,9 @@ import (
 // rank buckets, endpoint list and clock-sink index — everything an
 // analysis needs that does not change between runs. A Compiled is built
 // once (Compile, or Derive from the previous revision's) and then shared
-// by any number of concurrent sessions (NewSession); nothing in it is
-// written after it is built, so no locking is needed around it.
+// by any number of concurrent sessions (NewSession); nothing in it but
+// the tier-0 frontier memo (its own sync.Once per mode class) is written
+// after it is built, so no locking is needed around it.
 //
 // The snapshot depends on two analysis options — POCap and PiModel
 // feed the net summaries and endpoint extras — recorded as the compile
@@ -53,6 +54,10 @@ type Compiled struct {
 	// share: the arcs of the cell that drives net id own slots
 	// [arcOff[id-1], arcOff[id]), two per input pin (see arcSlot).
 	arcOff []int32
+	// frontiers memoizes the tier-0 frontier of each mode class: the one
+	// part of a snapshot filled after it is built, by the first tiered
+	// session that needs it (see setupTier0). Derive starts a fresh one.
+	frontiers *frontierMemo
 
 	// Compile key (see Matches).
 	poCap   float64
@@ -81,12 +86,13 @@ func Compile(c *netlist.Circuit, calc delaycalc.Evaluator, opts Options) (*Compi
 		return nil, err
 	}
 	cd := &Compiled{
-		C:       c,
-		Proc:    calc.Proc(),
-		Siz:     calc.Siz(),
-		order:   order,
-		poCap:   opts.POCap,
-		piModel: opts.PiModel,
+		C:         c,
+		Proc:      calc.Proc(),
+		Siz:       calc.Siz(),
+		order:     order,
+		frontiers: new(frontierMemo),
+		poCap:     opts.POCap,
+		piModel:   opts.PiModel,
 	}
 	cd.cc = c.BuildCouplingCSR()
 	cd.sink = c.BuildSinkDelayCSR()
@@ -121,6 +127,7 @@ func (cd *Compiled) Derive(c *netlist.Circuit, opts Options, seed []bool) (*Comp
 	d := *cd
 	d.C = c
 	d.rev = 0
+	d.frontiers = new(frontierMemo)
 	d.cc = c.RebuildCouplingCSR(cd.cc, seed)
 	d.info = slices.Clone(cd.info)
 	for i, s := range seed {

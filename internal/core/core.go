@@ -239,9 +239,12 @@ type Result struct {
 	// Tier0Fallbacks the candidate arcs dispatched exactly because they
 	// were near-critical or unboundable; Tier0FlipGuards the coupling
 	// comparisons whose t_bcs bracket straddled a neighbor's quiescent
-	// time and forced the exact best-case evaluation. All zero with
-	// Options.Tier0 off and on seeded runs.
-	Tier0Hits, Tier0Fallbacks, Tier0FlipGuards int64
+	// time and forced the exact best-case evaluation; Tier0Exact the
+	// candidate arcs a cache probe answered exactly, which tier-0 neither
+	// bracketed nor evaluated (only a run that begins on a warm
+	// calculator has any). All zero with Options.Tier0 off and on seeded
+	// runs.
+	Tier0Hits, Tier0Fallbacks, Tier0FlipGuards, Tier0Exact int64
 	// Tier0Rerun reports that a tier-0 bracket was violated, so the
 	// tiered run was discarded and the analysis recomputed all-Newton
 	// (the reported delays are the exact ones; the work counters and
@@ -400,6 +403,7 @@ func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, []netState, error
 	w := &e.work
 	res.ArcEvaluations, res.Simulations, res.CacheHits = w.calc.Requests, w.calc.Simulations, w.calc.CacheHits
 	res.Tier0Hits, res.Tier0Fallbacks, res.Tier0FlipGuards = w.tier0Hits, w.tier0Fallbacks, w.tier0FlipGuards
+	res.Tier0Exact = w.tier0Exact
 	res.Tier0Rerun = e.tier0Rerun
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
@@ -444,6 +448,9 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 		name = "eco-analysis"
 	}
 	span := e.trace.Begin(name, 0).Arg("mode", e.opts.Mode.String())
+	if m := e.opts.Mode; m < BestCase || m > Iterative {
+		return nil, 0, fmt.Errorf("core: unknown mode %d", int(m))
+	}
 	if err := e.setupTier0(prev != nil); err != nil {
 		return nil, 0, err
 	}

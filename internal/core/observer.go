@@ -51,6 +51,7 @@ type engineMetrics struct {
 	couplingActive, couplingGrounded                        *obs.Counter
 	ccZeroSkips, tbcsHits                                   *obs.Counter
 	tier0Hits, tier0Fallbacks, tier0FlipGuards, tier0Reruns *obs.Counter
+	tier0Exact                                              *obs.Counter
 	passes, recalcWires                                     *obs.Counter
 	workerCells, seqCells                                   *obs.Counter
 	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks        *obs.Counter
@@ -82,6 +83,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		tier0Fallbacks:    r.Counter(obs.MTier0Fallbacks),
 		tier0FlipGuards:   r.Counter(obs.MTier0FlipGuards),
 		tier0Reruns:       r.Counter(obs.MTier0Reruns),
+		tier0Exact:        r.Counter(obs.MTier0Exact),
 		passes:            r.Counter(obs.MPasses),
 		recalcWires:       r.Counter(obs.MRecalcWires),
 		workerCells:       r.Counter(obs.MWorkerCells),
@@ -108,10 +110,10 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 type tally struct {
 	calc delaycalc.Info
 	// lines counts the cells whose arcs were evaluated.
-	lines                                      int64
-	tier0Hits, tier0Fallbacks, tier0FlipGuards int64
-	couplingActive, couplingGrounded           int64
-	zeroSkips, tbcsHits                        int64
+	lines                                                  int64
+	tier0Hits, tier0Fallbacks, tier0FlipGuards, tier0Exact int64
+	couplingActive, couplingGrounded                       int64
+	zeroSkips, tbcsHits                                    int64
 }
 
 // addInfo tallies one evaluator call's work.
@@ -130,6 +132,7 @@ func (w *tally) add(o *tally) {
 	w.tier0Hits += o.tier0Hits
 	w.tier0Fallbacks += o.tier0Fallbacks
 	w.tier0FlipGuards += o.tier0FlipGuards
+	w.tier0Exact += o.tier0Exact
 	w.couplingActive += o.couplingActive
 	w.couplingGrounded += o.couplingGrounded
 	w.zeroSkips += o.zeroSkips
@@ -150,6 +153,7 @@ func (m *engineMetrics) publish(w *tally) {
 	m.tier0Hits.Add(w.tier0Hits)
 	m.tier0Fallbacks.Add(w.tier0Fallbacks)
 	m.tier0FlipGuards.Add(w.tier0FlipGuards)
+	m.tier0Exact.Add(w.tier0Exact)
 }
 
 // modeLabel / sessionLabels render the session's bounded label tuple

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"xtalksta/internal/ccc"
@@ -36,9 +35,6 @@ import (
 // context and the replay's final index follow the reported pass.
 func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
 	mode := e.opts.Mode
-	if mode < BestCase || mode > Iterative {
-		return nil, 0, fmt.Errorf("core: unknown mode %d", int(mode))
-	}
 	firstMode := mode
 	if mode == Iterative {
 		firstMode = OneStep
@@ -253,6 +249,12 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 			cands = append(cands, t0Cand{pin: pin, inNet: inNet, inArr: inArr, inSlew: inSlew})
 		}
 		if e.t0 != nil {
+			if e.t0.probe != nil {
+				for i := range cands {
+					c := &cands[i]
+					c.res, c.exact = e.t0Probe(mode, st, quietPrev, cell, c.pin, dOut, c.inArr, c.inSlew, w)
+				}
+			}
 			e.t0Gate(mode, cell, dOut, cands, w)
 		}
 		for i := range cands {
@@ -260,16 +262,19 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 			if c.skip {
 				continue
 			}
-			var t0a *t0Cand
-			if c.bok {
-				t0a = c
-			}
-			res, err := e.evalArc(mode, st, quietPrev, cell, c.pin, dOut, c.inArr, c.inSlew, t0a, w)
-			if err != nil {
-				return err
-			}
-			if c.bok {
-				e.t0Audit(c, res)
+			res := c.res
+			if !c.exact {
+				var t0a *t0Cand
+				if c.bok {
+					t0a = c
+				}
+				var err error
+				if res, err = e.evalArc(mode, st, quietPrev, cell, c.pin, dOut, c.inArr, c.inSlew, t0a, w); err != nil {
+					return err
+				}
+				if c.bok {
+					e.t0Audit(c, res)
+				}
 			}
 			arr := c.inArr + res.Delay
 			if arr > bestArr {
@@ -465,11 +470,13 @@ func (e *Engine) classify(st []netState, quietPrev [][2]float64, out netlist.Net
 	return c, true
 }
 
-// bcsEntry is one cached best-case arc result (see Engine.bcs).
+// bcsEntry is one cached best-case arc result (see Engine.bcs); probed
+// marks one a tier-0 probe filled (t0Probe).
 type bcsEntry struct {
 	inSlew float64
 	res    delaycalc.Result
 	valid  bool
+	probed bool
 }
 
 // evalBCS evaluates the best-case (all-quiet) arc request, reusing the

@@ -32,24 +32,51 @@ package core
 // every evaluated arc is audited against its bracket and a violation
 // taints the run, which is then discarded and re-run all-Newton.
 //
+// Before it brackets, the dispatcher probes: when the evaluator has a
+// hit-only cache lookup (cacheProbe), each candidate first takes
+// evalArc's steps with the lookup in place of the evaluator, against the
+// cache as it stood when the run began (its horizon). A candidate the
+// probe answers is exact: its result is used as is and acts as a
+// zero-width bracket in the dominance check. Only the misses are
+// bracketed, margin-gated and audited. A run that begins on an empty
+// cache probes nothing, so it makes exactly the decisions it would
+// without the probe, and the horizon keeps a warm run's decisions the
+// same under any worker count.
+//
 // Tier-0 is disabled on seeded re-analysis (the base run has just
 // characterized nearly every request, so tier-0 would skip little but
-// cache hits, yet pay a whole-design frontier sweep and a bracket per
-// dirty candidate) and when the evaluator cannot bound arcs.
+// cache hits, yet pay a bracket per dirty candidate) and when the
+// evaluator cannot bound arcs.
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"xtalksta/internal/delaycalc"
 	"xtalksta/internal/netlist"
 )
 
+// cacheProbe is the hit-only lookup of a characterization cache that
+// tier-0 probes before it brackets: the delaycalc.Calculator's.
+type cacheProbe interface {
+	// Horizon returns the number of entries stored so far.
+	Horizon() int64
+	// Cached returns the entry of r stored at or before horizon,
+	// counting it as one request and one cache hit; it never simulates.
+	Cached(r delaycalc.Request, horizon int64) (delaycalc.Result, bool)
+}
+
 // tier0Run is the per-analysis state of the tiered dispatcher. Built
 // fresh by setupTier0 before the passes run; nil when tier-0 is off.
 type tier0Run struct {
 	margin float64
 	be     delaycalc.BoundsEvaluator
+	// probe is the evaluator's cache lookup (nil without one), asked
+	// only for entries stored at or before horizon, the cache's
+	// Horizon when the run began.
+	probe   cacheProbe
+	horizon int64
 	// frontier[r] is the analytic longest-arrival estimate at net rank
 	// r, prefix-maxed so it is monotone in rank (the "current
 	// longest-path arrival at its rank" the margin gate compares
@@ -66,20 +93,21 @@ type tier0Run struct {
 }
 
 // arcMemo is one slot of tier0Run.memo: the remembered final arc
-// evaluation (valid once filled) and the bracket t0Gate last computed
-// for the slot, at input slew bSlew (bSet once filled). t0ArcBounds is
-// a pure function of the session's snapshot, the mode class, the slot
-// and the slew, and one analysis runs one mode class (OneStep and
-// Iterative issue the same configurations), so a bit-equal slew reuses
-// the bracket exactly.
+// evaluation (valid once filled; probed when a probe filled it) and the
+// bracket t0Gate last computed for the slot, at input slew bSlew (bSet
+// once filled). t0ArcBounds is a pure function of the session's
+// snapshot, the mode class, the slot and the slew, and one analysis
+// runs one mode class (OneStep and Iterative issue the same
+// configurations), so a bit-equal slew reuses the bracket exactly.
 type arcMemo struct {
-	req   delaycalc.Request
-	res   delaycalc.Result
-	b     arcBounds
-	bSlew float64
-	valid bool
-	bok   bool
-	bSet  bool
+	req    delaycalc.Request
+	res    delaycalc.Result
+	b      arcBounds
+	bSlew  float64
+	valid  bool
+	probed bool
+	bok    bool
+	bSet   bool
 }
 
 // arcBounds brackets one candidate arc under the mode's possible load
@@ -93,21 +121,41 @@ type arcBounds struct {
 }
 
 // t0Cand is one gathered candidate pin of processCell's per-direction
-// argmax, annotated by t0Gate with its bracket and dispatch decision.
+// argmax: exact with its result res when the probe answered it, else
+// annotated by t0Gate with its bracket and dispatch decision.
 type t0Cand struct {
 	pin      int
 	inNet    netlist.NetID
 	inArr    float64
 	inSlew   float64
+	exact    bool
+	res      delaycalc.Result
 	b        arcBounds
 	bok      bool
 	nearCrit bool
 	skip     bool
 }
 
+// modeClasses counts the request shapes t0ArcBounds brackets: one per
+// mode, OneStep and Iterative sharing theirs.
+const modeClasses = int(OneStep) + 1
+
+// frontierMemo holds a snapshot's tier-0 frontier per mode class.
+// The frontier is a function of the snapshot and the mode class only
+// (the snapshot is bound to its calculator's process and sizing), and
+// it is policy, not proof, so every session of the class may share the
+// one the first computed.
+type frontierMemo struct {
+	once     [modeClasses]sync.Once
+	frontier [modeClasses][]float64
+	err      [modeClasses]error
+}
+
 // setupTier0 (re)builds the tier-0 dispatcher state for one analysis,
 // or clears it when the options, a seeded run or the evaluator rule
-// tier-0 out.
+// tier-0 out. It records the cache horizon the run's probes read, and
+// takes the frontier from the snapshot's memo, computing it on the
+// first use of the mode class.
 func (e *Engine) setupTier0(seeded bool) error {
 	e.t0 = nil
 	e.tier0Rerun = false
@@ -119,7 +167,13 @@ func (e *Engine) setupTier0(seeded bool) error {
 		return nil
 	}
 	e.t0 = &tier0Run{margin: e.tier0Margin, be: be, memo: make([]arcMemo, e.arcs())}
-	return e.t0Frontier()
+	if p, ok := e.Calc.(cacheProbe); ok {
+		e.t0.probe, e.t0.horizon = p, p.Horizon()
+	}
+	cls, fm := min(int(e.opts.Mode), int(OneStep)), e.frontiers
+	fm.once[cls].Do(func() { fm.frontier[cls], fm.err[cls] = e.t0Frontier() })
+	e.t0.frontier = fm.frontier[cls]
+	return fm.err[cls]
 }
 
 // t0Frontier sweeps the circuit once with analytic band-midpoint
@@ -129,7 +183,7 @@ func (e *Engine) setupTier0(seeded bool) error {
 // on the same executor, then takes each rank's maximum estimate in one
 // sequential pass, so the frontier is deterministic under any worker
 // count.
-func (e *Engine) t0Frontier() error {
+func (e *Engine) t0Frontier() ([]float64, error) {
 	c := e.C
 	n := len(c.Nets)
 	arr := make([][2]float64, n)
@@ -180,7 +234,7 @@ func (e *Engine) t0Frontier() error {
 	}
 	// The estimates call no evaluator: their tally stays empty.
 	if err := e.runPhase(phaseClock, nil, new(tally), est); err != nil {
-		return err
+		return nil, err
 	}
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
@@ -191,7 +245,7 @@ func (e *Engine) t0Frontier() error {
 		slw[cell.Out-1] = [2]float64{dffOutSlew, dffOutSlew}
 	}
 	if err := e.runPhase(phaseMain, nil, new(tally), est); err != nil {
-		return err
+		return nil, err
 	}
 
 	maxRank := 0
@@ -210,8 +264,7 @@ func (e *Engine) t0Frontier() error {
 	for i := 1; i < len(frontier); i++ {
 		frontier[i] = math.Max(frontier[i], frontier[i-1])
 	}
-	e.t0.frontier = frontier
-	return nil
+	return frontier, nil
 }
 
 // nearCritical applies the margin gate: an arc whose bracketed arrival
@@ -274,14 +327,16 @@ func (e *Engine) t0ArcBounds(mode Mode, cell *netlist.Cell, pin, dOut int, inSle
 }
 
 // t0Gate annotates processCell's gathered candidates with brackets,
-// applies the margin gate, and marks the dominance skips. A pin is
-// skipped only when its bracketed arrival AND completion upper bounds
-// fall strictly below another bounded pin's lower bounds: the witness
-// achieving the lower-bound maximum can itself never satisfy that
-// strict inequality, so every skip leaves an evaluated witness that
-// realizes a higher arrival (and completion) than the skipped pin
-// could — processCell's first-pin-wins argmax, its quiescent max and
-// the predecessor choice are all preserved bit-exactly.
+// applies the margin gate, and marks the dominance skips. A candidate
+// the probe answered is its own zero-width bracket, never gated or
+// skipped. A pin is skipped only when its bracketed arrival AND
+// completion upper bounds fall strictly below another bounded pin's
+// lower bounds: the witness achieving the lower-bound maximum can
+// itself never satisfy that strict inequality, so every skip leaves an
+// evaluated witness that realizes a higher arrival (and completion)
+// than the skipped pin could — processCell's first-pin-wins argmax, its
+// quiescent max and the predecessor choice are all preserved
+// bit-exactly.
 func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand, w *tally) {
 	t0 := e.t0
 	outRank := e.netRank[cell.Out]
@@ -290,16 +345,21 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand,
 	arrIdx, compIdx := -1, -1
 	for i := range cands {
 		c := &cands[i]
-		slot := &t0.memo[e.arcSlot(cell.Out, c.pin, dOut)]
-		if !slot.bSet || math.Float64bits(slot.bSlew) != math.Float64bits(c.inSlew) {
-			slot.b, slot.bok = e.t0ArcBounds(mode, cell, c.pin, dOut, c.inSlew)
-			slot.bSlew, slot.bSet = c.inSlew, true
+		if c.exact {
+			r := &c.res
+			c.b = arcBounds{delayLo: r.Delay, delayHi: r.Delay, compLo: r.Completion, compHi: r.Completion}
+		} else {
+			slot := &t0.memo[e.arcSlot(cell.Out, c.pin, dOut)]
+			if !slot.bSet || math.Float64bits(slot.bSlew) != math.Float64bits(c.inSlew) {
+				slot.b, slot.bok = e.t0ArcBounds(mode, cell, c.pin, dOut, c.inSlew)
+				slot.bSlew, slot.bSet = c.inSlew, true
+			}
+			c.b, c.bok = slot.b, slot.bok
+			if !c.bok {
+				continue
+			}
+			c.nearCrit = t0.nearCritical(outRank, c.inArr+c.b.delayHi)
 		}
-		c.b, c.bok = slot.b, slot.bok
-		if !c.bok {
-			continue
-		}
-		c.nearCrit = t0.nearCritical(outRank, c.inArr+c.b.delayHi)
 		if v := c.inArr + c.b.delayLo; v > arrTop[0] {
 			arrTop[1], arrTop[0], arrIdx = arrTop[0], v, i
 		} else if v > arrTop[1] {
@@ -313,6 +373,10 @@ func (e *Engine) t0Gate(mode Mode, cell *netlist.Cell, dOut int, cands []t0Cand,
 	}
 	for i := range cands {
 		c := &cands[i]
+		if c.exact {
+			w.tier0Exact++
+			continue
+		}
 		if !c.bok || c.nearCrit {
 			w.tier0Fallbacks++
 			continue
@@ -351,8 +415,81 @@ func (e *Engine) t0Eval(cell *netlist.Cell, pin, dOut int, req delaycalc.Request
 	}
 	// The slot's bracket stays: the next pass reuses it at a bit-equal
 	// slew.
-	slot.req, slot.res, slot.valid = req, res, true
+	slot.req, slot.res, slot.valid, slot.probed = req, res, true, false
 	return res, nil
+}
+
+// t0Probe answers one candidate arc from the cache as it stood when the
+// run began, taking evalArc's steps with the probe in place of the
+// evaluator: the best-case request, the exact coupling classification,
+// then the final request. A t_bcs or memo slot serves it only if a
+// probe filled the slot, so a run that begins on an empty cache is
+// never answered. ok reports an exact answer; the classification is
+// tallied only then (the exact path counts its own), while a best-case
+// hit stays in its t_bcs slot for the exact path to reuse.
+func (e *Engine) t0Probe(mode Mode, st []netState, quietPrev [][2]float64,
+	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64, w *tally) (delaycalc.Result, bool) {
+
+	out := cell.Out
+	inf := &e.info[out-1]
+	pi := e.opts.PiModel
+	if (mode != OneStep && mode != Iterative) || inf.sumCc == 0 {
+		grounded, cc := modeLoad(mode, inf)
+		return e.t0ProbeFinal(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, grounded, cc, pi), w)
+	}
+	slot := &e.bcs[e.arcSlot(out, pin, dOut)]
+	reused := slot.valid && slot.probed && slot.inSlew == inSlew
+	if !reused {
+		res, ok := e.t0Cached(e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0, pi), w)
+		if !ok {
+			return res, false
+		}
+		*slot = bcsEntry{inSlew: inSlew, res: res, valid: true, probed: true}
+	}
+	tBCS := inArr + slot.res.TimeToRestart
+	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, nil)
+	res, ok := slot.res, true
+	if c.cc > 0 {
+		res, ok = e.t0ProbeFinal(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi), w)
+	}
+	if !ok {
+		return res, false
+	}
+	if reused {
+		w.tbcsHits++
+	}
+	if c.cc == 0 {
+		w.zeroSkips++
+	}
+	w.couplingActive += c.nActive
+	w.couplingGrounded += c.nGrounded
+	return res, true
+}
+
+// t0ProbeFinal answers a final arc request from the memo slot when a
+// probe filled it with the same request, else from the cache.
+func (e *Engine) t0ProbeFinal(cell *netlist.Cell, pin, dOut int, req delaycalc.Request, w *tally) (delaycalc.Result, bool) {
+	slot := &e.t0.memo[e.arcSlot(cell.Out, pin, dOut)]
+	if slot.valid && slot.probed && slot.req == req {
+		w.tier0Hits++
+		return slot.res, true
+	}
+	res, ok := e.t0Cached(req, w)
+	if ok {
+		slot.req, slot.res, slot.valid, slot.probed = req, res, true, true
+	}
+	return res, ok
+}
+
+// t0Cached looks req up at the run's horizon, tallying a hit as the
+// calculator counts it: one request served from the cache.
+func (e *Engine) t0Cached(req delaycalc.Request, w *tally) (delaycalc.Result, bool) {
+	res, ok := e.t0.probe.Cached(req, e.t0.horizon)
+	if ok {
+		w.calc.Requests++
+		w.calc.CacheHits++
+	}
+	return res, ok
 }
 
 // t0Audit checks an evaluated result against the bracket tier-0
@@ -378,7 +515,7 @@ func (e *Engine) discardTainted() bool {
 	}
 	e.passStats = nil
 	e.replayPasses = nil
-	e.work.tier0Hits, e.work.tier0Fallbacks, e.work.tier0FlipGuards = 0, 0, 0
+	e.work.tier0Hits, e.work.tier0Fallbacks, e.work.tier0FlipGuards, e.work.tier0Exact = 0, 0, 0, 0
 	e.t0 = nil
 	e.tier0Rerun = true
 	e.m.tier0Reruns.Inc()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,10 +20,13 @@ import (
 // path, per-net arrivals, slews and quiescent times — is bit-identical
 // to the all-Newton run, while the Iterative mode's dispatcher
 // actually prunes work (Tier0Hits > 0, so the parity is not vacuous).
+// The tier-0 run starts on a cleared cache, so the probe answers nothing
+// and the brackets do the work.
 func TestTier0ParityAllModes(t *testing.T) {
 	c, calc := buildExtracted(t, 260, 20, 9, 301)
 	for _, m := range Modes() {
 		off := runMode(t, c, calc, Options{Mode: m})
+		calc.ClearCache()
 		on := runMode(t, c, calc, Options{Mode: m, Tier0: true})
 		bitEqual(t, off, on, m.String())
 		if off.Tier0Hits != 0 || off.Tier0Fallbacks != 0 || off.Tier0FlipGuards != 0 {
@@ -59,6 +64,7 @@ func TestTier0ParitySeeded(t *testing.T) {
 	scalePair(c, a, b, 1.7)
 
 	fullOff := runMode(t, c, calc, Options{Mode: Iterative})
+	calc.ClearCache() // so the full tier-0 run brackets rather than probes
 	fullOn := runMode(t, c, calc, opts)
 	bitEqual(t, fullOff, fullOn, "full tier0 on vs off after edit")
 	if fullOn.Tier0Fallbacks == 0 {
@@ -78,13 +84,15 @@ func TestTier0ParitySeeded(t *testing.T) {
 // TestTier0MarginSweepParity: the margin gate is pure dispatch policy,
 // so parity holds for any margin — including ~0 (prune maximally) and
 // a margin so wide nothing ever prunes. The margin is a constant; the
-// sweep overrides the session's copy before Run.
+// sweep overrides the session's copy before Run. Each tiered run starts
+// on a cleared cache, so the gate sees every candidate.
 func TestTier0MarginSweepParity(t *testing.T) {
 	c, calc := buildExtracted(t, 200, 14, 8, 303)
 	ref := runMode(t, c, calc, Options{Mode: Iterative})
 	margins := []float64{1e-9, tier0Margin, 0.5, 0.999}
 	fallbacks := make([]int64, len(margins))
 	for i, margin := range margins {
+		calc.ClearCache()
 		eng, err := NewEngine(c, calc, Options{Mode: Iterative, Tier0: true})
 		if err != nil {
 			t.Fatal(err)
@@ -216,6 +224,83 @@ func TestTier0EvalKeepsBracket(t *testing.T) {
 	}
 }
 
+// countBounds is a calculator that counts the brackets an analysis asks
+// for; its cache probe is the embedded Calculator's.
+type countBounds struct {
+	*delaycalc.Calculator
+	calls *atomic.Int64
+}
+
+func (b countBounds) Tier0Bounds(r delaycalc.Request) (delaycalc.Bounds, bool) {
+	b.calls.Add(1)
+	return b.Calculator.Tier0Bounds(r)
+}
+
+// TestTier0WarmProbe: on one snapshot whose calculator an all-Newton
+// run has filled, a tier-0 session answers every candidate from the
+// cache probe. At Workers 1 and 2 it is bit-equal to all-Newton, runs
+// no simulation, asks for no bracket and reports the same work. The
+// snapshot's frontier memo is filled first, by a cold tier-0 run, as
+// the cold fill of a warm workload fills it.
+func TestTier0WarmProbe(t *testing.T) {
+	c, calc := buildExtracted(t, 260, 20, 9, 307)
+	opts := Options{Mode: Iterative, Tier0: true}
+	cd, err := Compile(c, calc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(ev delaycalc.InfoEvaluator, o Options) *Result {
+		t.Helper()
+		eng, err := NewSession(cd, ev, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cold := session(calc, opts)
+	if cold.Tier0Exact != 0 || cold.Tier0Fallbacks == 0 {
+		t.Fatalf("cold tier-0 run: %d exact, %d fallbacks; want 0 exact and some fallbacks", cold.Tier0Exact, cold.Tier0Fallbacks)
+	}
+	ref := session(calc, Options{Mode: Iterative})
+	bitEqual(t, ref, cold, "cold tier-0")
+	type work struct {
+		arcs, sims, hits, t0Hits, t0Fallbacks, t0Flips, t0Exact int64
+		passes                                                  []PassStat
+	}
+	var works []work
+	for _, w := range []int{1, 2} {
+		var bounds atomic.Int64
+		o := opts
+		o.Workers = w
+		got := session(countBounds{calc, &bounds}, o)
+		ctx := fmt.Sprintf("warm w=%d", w)
+		bitEqual(t, ref, got, ctx)
+		if got.Simulations != 0 {
+			t.Errorf("%s: %d simulations on a filled cache", ctx, got.Simulations)
+		}
+		if n := bounds.Load(); n != 0 {
+			t.Errorf("%s: %d Tier0Bounds calls, want 0", ctx, n)
+		}
+		if got.Tier0Exact == 0 || got.Tier0Fallbacks != 0 {
+			t.Errorf("%s: %d exact, %d fallbacks; want every candidate answered by the probe", ctx, got.Tier0Exact, got.Tier0Fallbacks)
+		}
+		ps := slices.Clone(got.PassStats)
+		for i := range ps {
+			ps[i].Wall = 0
+		}
+		works = append(works, work{got.ArcEvaluations, got.Simulations, got.CacheHits,
+			got.Tier0Hits, got.Tier0Fallbacks, got.Tier0FlipGuards, got.Tier0Exact, ps})
+	}
+	if !reflect.DeepEqual(works[0], works[1]) {
+		t.Errorf("work differs by worker count:\n w=1 %+v\n w=2 %+v", works[0], works[1])
+	}
+	t.Logf("warm: %d arc evaluations, %d exact, %d tier-0 hits", works[0].arcs, works[0].t0Exact, works[0].t0Hits)
+}
+
 // narrowBounds is a calculator whose tier-0 brackets collapse to their
 // midpoints, so no evaluated arc lands inside its bracket and the
 // audit must fire. calls counts the brackets an analysis asks for.
@@ -241,13 +326,16 @@ func (n narrowBounds) Tier0Bounds(r delaycalc.Request) (delaycalc.Bounds, bool) 
 // tiered full run and recomputes all-Newton — bit-identical to the
 // all-Newton run — and says so on the Result, in the metrics and in
 // the analysis event. A seeded run under the same evaluator never
-// brackets an arc (tier-0 stays off), so it has nothing to rerun.
+// brackets an arc (tier-0 stays off), so it has nothing to rerun. The
+// full run starts on a cleared cache, so its probes answer nothing and
+// its candidates are bracketed.
 func TestTier0RerunOnBracketViolation(t *testing.T) {
 	c, calc := buildExtracted(t, 200, 14, 8, 306)
 	ref := runMode(t, c, calc, Options{Mode: Iterative})
 	if ref.Tier0Rerun {
 		t.Fatal("all-Newton run reports a tier-0 rerun")
 	}
+	calc.ClearCache()
 	reg := obs.NewRegistry()
 	var events bytes.Buffer
 	var bounds atomic.Int64

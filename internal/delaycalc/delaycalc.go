@@ -131,6 +131,9 @@ type Calculator struct {
 	hits        atomic.Int64
 	newtonIters atomic.Int64
 	newtonFails atomic.Int64
+	// inserted counts the results ever stored in the cache; each entry
+	// records its insertion index (see Horizon).
+	inserted atomic.Int64
 
 	// Registry instruments (live but unregistered when Options.Metrics
 	// is nil). Hit/contention counts depend on goroutine scheduling and
@@ -141,8 +144,16 @@ type Calculator struct {
 // cacheShard is one lock stripe of the characterization cache.
 type cacheShard struct {
 	mu       sync.Mutex
-	cache    map[cacheKey]Result
+	cache    map[cacheKey]cacheEntry
 	inflight map[cacheKey]*flight
+}
+
+// cacheEntry is one characterized result and its insertion index: the
+// value of Calculator.inserted after it was stored, assigned under the
+// shard lock.
+type cacheEntry struct {
+	res Result
+	seq int64
 }
 
 // calcMetrics holds the calculator's resolved obs instruments. enabled
@@ -190,7 +201,7 @@ func New(lib *device.Library, sizing ccc.Sizing, model coupling.Model, opts Opti
 		m:      newCalcMetrics(opts.Metrics),
 	}
 	for i := range c.shards {
-		c.shards[i].cache = make(map[cacheKey]Result)
+		c.shards[i].cache = make(map[cacheKey]cacheEntry)
 		c.shards[i].inflight = make(map[cacheKey]*flight)
 	}
 	return c
@@ -263,7 +274,7 @@ func (c *Calculator) ClearCache() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.cache = make(map[cacheKey]Result)
+		sh.cache = make(map[cacheKey]cacheEntry)
 		sh.mu.Unlock()
 	}
 }
@@ -404,12 +415,12 @@ func (c *Calculator) evalInfo(r Request) (Result, Info, error) {
 	key := c.key(r)
 	sh := c.shardOf(key)
 	c.lock(sh)
-	if res, ok := sh.cache[key]; ok {
+	if ent, ok := sh.cache[key]; ok {
 		sh.mu.Unlock()
 		info.CacheHits = 1
 		c.hits.Add(1)
 		c.m.hits.Inc()
-		return res, info, nil
+		return ent.res, info, nil
 	}
 	if fl, ok := sh.inflight[key]; ok {
 		sh.mu.Unlock()
@@ -431,7 +442,7 @@ func (c *Calculator) evalInfo(r Request) (Result, Info, error) {
 	res, err := c.simulate(c.representative(key, r), &info)
 	c.lock(sh)
 	if err == nil {
-		sh.cache[key] = res
+		sh.cache[key] = cacheEntry{res: res, seq: c.inserted.Add(1)}
 	}
 	delete(sh.inflight, key)
 	sh.mu.Unlock()
@@ -441,6 +452,36 @@ func (c *Calculator) evalInfo(r Request) (Result, Info, error) {
 		return Result{}, info, err
 	}
 	return res, info, nil
+}
+
+// Horizon returns the number of results stored in the cache so far. A
+// caller that records it can later ask Cached for exactly the entries
+// that were present then, whatever has been stored since.
+func (c *Calculator) Horizon() int64 { return c.inserted.Load() }
+
+// Cached returns the cached result of r if its entry was stored at or
+// before horizon (a value of Horizon), counting it as one request and
+// one cache hit. It never simulates and never waits on a simulation in
+// flight; a miss, or an invalid request, counts nothing.
+func (c *Calculator) Cached(r Request, horizon int64) (Result, bool) {
+	if c.opts.DisableCache || c.validate(r) != nil {
+		return Result{}, false
+	}
+	if r.SizeMult <= 0 {
+		r.SizeMult = 1
+	}
+	key := c.key(r)
+	sh := c.shardOf(key)
+	c.lock(sh)
+	ent, ok := sh.cache[key]
+	sh.mu.Unlock()
+	if !ok || ent.seq > horizon {
+		return Result{}, false
+	}
+	c.requests.Add(1)
+	c.hits.Add(1)
+	c.m.hits.Inc()
+	return ent.res, true
 }
 
 // addNewton accumulates Newton work on the calculator-lifetime atomics

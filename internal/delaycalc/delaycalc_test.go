@@ -340,3 +340,55 @@ func BenchmarkEvalCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// TestCachedServesOnlyUpToHorizon: Cached returns exactly the entries
+// stored at or before the horizon it is given, counts each hit as one
+// request and one cache hit, and counts nothing on a miss; it never
+// simulates.
+func TestCachedServesOnlyUpToHorizon(t *testing.T) {
+	c := newCalc(t, Options{})
+	r := baseReq()
+	if h := c.Horizon(); h != 0 {
+		t.Fatalf("empty cache: horizon %d, want 0", h)
+	}
+	if _, ok := c.Cached(r, 0); ok {
+		t.Fatal("empty cache served a probe")
+	}
+	want, err := c.Eval(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := c.Horizon(); h != 1 {
+		t.Fatalf("one stored result: horizon %d, want 1", h)
+	}
+	before := c.Counters()
+	if _, ok := c.Cached(r, 0); ok {
+		t.Error("a probe at horizon 0 served an entry stored after it")
+	}
+	other := r
+	other.CLoad *= 3 // another cache key
+	if _, ok := c.Cached(other, c.Horizon()); ok {
+		t.Error("a probe served a request that was never characterized")
+	}
+	if got := c.Counters(); got != before {
+		t.Errorf("misses counted work: %+v, before %+v", got, before)
+	}
+	got, ok := c.Cached(r, c.Horizon())
+	if !ok {
+		t.Fatal("a probe at the current horizon missed a stored entry")
+	}
+	if got.Delay != want.Delay || got.OutSlew != want.OutSlew ||
+		got.TimeToRestart != want.TimeToRestart || got.Completion != want.Completion {
+		t.Errorf("probe served %+v, Eval %+v", got, want)
+	}
+	after := c.Counters()
+	if d := after.Sub(before); d.Requests != 1 || d.CacheHits != 1 || d.Simulations != 0 || d.NewtonIterations != 0 {
+		t.Errorf("a hit counted %+v, want one request and one cache hit", d)
+	}
+	if h := c.Horizon(); h != 1 {
+		t.Errorf("probes moved the horizon to %d", h)
+	}
+	if _, ok := newCalc(t, Options{DisableCache: true}).Cached(r, math.MaxInt64); ok {
+		t.Error("a calculator without a cache served a probe")
+	}
+}

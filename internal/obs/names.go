@@ -40,11 +40,14 @@ const (
 	// unboundable; FlipGuards the coupling comparisons whose t_bcs
 	// bracket straddled a neighbor's quiescent time and forced the
 	// exact best-case evaluation. Reruns counts analyses whose tiered
-	// run violated a bracket and was recomputed all-Newton.
+	// run violated a bracket and was recomputed all-Newton. Exact counts
+	// the candidate arcs a probe of the warm characterization cache
+	// answered exactly, with no bracket and no evaluation.
 	MTier0Hits       = "tier0_hits_total"
 	MTier0Fallbacks  = "tier0_fallbacks_total"
 	MTier0FlipGuards = "tier0_flip_guards_total"
 	MTier0Reruns     = "tier0_reruns_total"
+	MTier0Exact      = "tier0_exact_total"
 
 	// Engine sweep structure. WorkerCells counts the cells the executor
 	// ran on its worker goroutines and SequentialCells those it ran
@@ -164,7 +167,7 @@ func AllMetrics() []MetricDef {
 		c(MSimSteps), c(MSimStepRejections), c(MSimEarlyStops), c(MSimWindowExtensions),
 		c(MCouplingActive), c(MCouplingGrounded),
 		c(MCouplingZeroSkips), c(MTBCSReuseHits),
-		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards), c(MTier0Reruns),
+		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards), c(MTier0Reruns), c(MTier0Exact),
 		c(MPasses), c(MRecalcWires),
 		c(MWorkerCells), c(MSequentialCells),
 		g(MWorkers),

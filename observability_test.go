@@ -64,7 +64,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	checkRegistryTwins(t, "tier-0 off", dump.Counters, res)
 	// With tier-0 on, on a registry of its own: the tier-0 counters
-	// have Result twins too.
+	// have Result twins too. The run above warmed the calculator, so the
+	// cache probe answers candidates here.
 	reg0 := xtalksta.NewMetricsRegistry()
 	res0, err := d.Analyze(xtalksta.AnalysisOptions{
 		Mode: xtalksta.Iterative, Workers: 4, Tier0: true, Metrics: reg0,
@@ -75,6 +76,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if res0.Tier0Rerun || res0.Tier0Hits == 0 {
 		t.Fatalf("tier-0 run: rerun %v, %d hits; the twin check needs a tiered run whose brackets held",
 			res0.Tier0Rerun, res0.Tier0Hits)
+	}
+	if res0.Tier0Exact == 0 {
+		t.Error("warm tier-0 run: the cache probe answered no candidate")
 	}
 	checkRegistryTwins(t, "tier-0 on", reg0.Snapshot().Counters, res0)
 
@@ -163,6 +167,7 @@ func checkRegistryTwins(t *testing.T, label string, counters map[string]int64, r
 		{"tier0_hits_total", res.Tier0Hits},
 		{"tier0_fallbacks_total", res.Tier0Fallbacks},
 		{"tier0_flip_guards_total", res.Tier0FlipGuards},
+		{"tier0_exact_total", res.Tier0Exact},
 		{"recalculated_wires_total", recalc},
 		{"pass_converged_skips_total", converged},
 		{"newton_iterations_total", newton},
