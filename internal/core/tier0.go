@@ -60,7 +60,8 @@ import (
 // cacheProbe is the hit-only lookup of a characterization cache that
 // tier-0 probes before it brackets: the delaycalc.Calculator's.
 type cacheProbe interface {
-	// Horizon returns the number of entries stored so far.
+	// Horizon returns the number of entries stored since the cache was
+	// created or last cleared: 0 when it is empty.
 	Horizon() int64
 	// Cached returns the entry of r stored at or before horizon,
 	// counting it as one request and one cache hit; it never simulates.
@@ -168,7 +169,11 @@ func (e *Engine) setupTier0(seeded bool) error {
 	}
 	e.t0 = &tier0Run{margin: e.tier0Margin, be: be, memo: make([]arcMemo, e.arcs())}
 	if p, ok := e.Calc.(cacheProbe); ok {
-		e.t0.probe, e.t0.horizon = p, p.Horizon()
+		// An empty cache has nothing to serve: the run brackets every
+		// candidate, without probing.
+		if h := p.Horizon(); h > 0 {
+			e.t0.probe, e.t0.horizon = p, h
+		}
 	}
 	cls, fm := min(int(e.opts.Mode), int(OneStep)), e.frontiers
 	fm.once[cls].Do(func() { fm.frontier[cls], fm.err[cls] = e.t0Frontier() })

@@ -131,8 +131,9 @@ type Calculator struct {
 	hits        atomic.Int64
 	newtonIters atomic.Int64
 	newtonFails atomic.Int64
-	// inserted counts the results ever stored in the cache; each entry
-	// records its insertion index (see Horizon).
+	// inserted counts the results stored in the cache since it was
+	// created or last cleared; each entry records its insertion index
+	// (see Horizon).
 	inserted atomic.Int64
 
 	// Registry instruments (live but unregistered when Options.Metrics
@@ -266,16 +267,21 @@ func (c *Calculator) Counters() Counters {
 	}
 }
 
-// ClearCache drops all characterized results. The experiment harness
-// clears between analysis modes so each mode's runtime includes its own
-// characterization cost, mirroring how the paper times each analysis as
-// a standalone run.
+// ClearCache drops all characterized results and restarts the
+// insertion count, so Horizon reads 0 on an empty cache. The experiment
+// harness clears between analysis modes so each mode's runtime includes
+// its own characterization cost, mirroring how the paper times each
+// analysis as a standalone run.
 func (c *Calculator) ClearCache() {
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.cache = make(map[cacheKey]cacheEntry)
-		sh.mu.Unlock()
+		c.shards[i].mu.Lock()
+	}
+	for i := range c.shards {
+		c.shards[i].cache = make(map[cacheKey]cacheEntry)
+	}
+	c.inserted.Store(0)
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
 	}
 }
 
@@ -454,9 +460,10 @@ func (c *Calculator) evalInfo(r Request) (Result, Info, error) {
 	return res, info, nil
 }
 
-// Horizon returns the number of results stored in the cache so far. A
-// caller that records it can later ask Cached for exactly the entries
-// that were present then, whatever has been stored since.
+// Horizon returns the number of results stored in the cache since it
+// was created or last cleared: 0 on an empty cache. A caller that
+// records it can later ask Cached for exactly the entries that were
+// present then, whatever has been stored since.
 func (c *Calculator) Horizon() int64 { return c.inserted.Load() }
 
 // Cached returns the cached result of r if its entry was stored at or

@@ -388,6 +388,13 @@ func TestCachedServesOnlyUpToHorizon(t *testing.T) {
 	if h := c.Horizon(); h != 1 {
 		t.Errorf("probes moved the horizon to %d", h)
 	}
+	c.ClearCache()
+	if h := c.Horizon(); h != 0 {
+		t.Errorf("cleared cache: horizon %d, want 0", h)
+	}
+	if _, ok := c.Cached(r, 1); ok {
+		t.Error("a cleared cache served a probe")
+	}
 	if _, ok := newCalc(t, Options{DisableCache: true}).Cached(r, math.MaxInt64); ok {
 		t.Error("a calculator without a cache served a probe")
 	}
