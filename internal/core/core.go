@@ -292,6 +292,12 @@ type Engine struct {
 	// no locking (see levels.go). The run's replay takes the slab with
 	// it; the next run starts a fresh one.
 	bcs []bcsEntry
+	// tbcsIv holds, per arc slot, the t_bcs interval of the arc's last
+	// coupling classification in a full Iterative run (nil in other
+	// runs): the refinement passes recompute only the lines whose
+	// decisions a moved quiescent time can flip (seedFlips). Owned like
+	// bcs; the slab is reset, not reallocated, by the next run.
+	tbcsIv []tbcsInterval
 	// t0 is the tiered-dispatch state when Options.Tier0 is active for
 	// this analysis (see tier0.go); nil otherwise. tier0Rerun records
 	// that the analysis in flight discarded a tainted tiered run.

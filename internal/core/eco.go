@@ -250,30 +250,121 @@ func (ds *dirtySet) carry(orig []netState, mask []bool) {
 	}
 }
 
-func (ds *dirtySet) markAll() {
-	for i := range ds.dirty {
-		ds.dirty[i].Store(true)
+// newDeltaPass builds the carrying set of an in-run Iterative
+// refinement pass: the engine's own previous pass plays the role of the
+// stored trajectory. The caller seeds the lines whose reads can differ
+// from that pass (seedPass2, seedFlips); the sweep grows the set by the
+// fanout of anything that diverges.
+func (e *Engine) newDeltaPass(prevSt []netState) *dirtySet {
+	ds := e.newFullPass()
+	ds.carry(prevSt, nil)
+	return ds
+}
+
+// tbcsInterval is the t_bcs interval [lo, hi] one coupling
+// classification of an arc used: [t_bcs, t_bcs] on the exact path, the
+// tier-0 bracket when elision proved the decisions. Every neighbor
+// quiescent time the classification read lay above hi (coupled) or at
+// or below lo (grounded). An arc never classified holds the empty
+// interval (+Inf, −Inf).
+type tbcsInterval struct{ lo, hi float64 }
+
+// canFlip reports whether a neighbor quiescent time that moved from old
+// to now can change a decision made over iv: unless both lie above hi,
+// or both at or below lo. The empty interval never flips.
+func (iv tbcsInterval) canFlip(old, now float64) bool {
+	return !(old > iv.hi && now > iv.hi) && !(old <= iv.lo && now <= iv.lo)
+}
+
+// resetIntervals starts a run's t_bcs intervals: every arc empty when
+// keep is set (a full Iterative run), none kept otherwise.
+func (e *Engine) resetIntervals(keep bool) {
+	if !keep {
+		e.tbcsIv = nil
+		return
+	}
+	if len(e.tbcsIv) != e.arcs() {
+		e.tbcsIv = make([]tbcsInterval, e.arcs())
+	}
+	for i := range e.tbcsIv {
+		e.tbcsIv[i] = tbcsInterval{lo: math.Inf(1), hi: math.Inf(-1)}
 	}
 }
 
-// newDeltaPass builds the delta-convergent refinement set of an in-run
-// Iterative pass: the engine's own previous pass plays the role of the
-// stored trajectory, and the dirty frontier is exactly the set of lines
-// whose reads could differ from that pass — the coupled victims of
-// last-pass changes (quietPrev readers), grown in-pass by the fanout of
-// anything that diverges. prevChanged == nil marks a pass that must
-// recompute fully (pass 2: the classifier switches from the one-step
-// rule to stored quiescent times, so every line's evalArc inputs change
-// shape); it still records which lines changed.
-func (e *Engine) newDeltaPass(prevSt []netState, prevChanged []bool) *dirtySet {
-	ds := e.newFullPass()
-	ds.carry(prevSt, nil)
-	if prevChanged == nil {
-		ds.markAll()
-	} else {
-		e.seedRefinementDirty(ds, prevChanged)
+// noteInterval records the t_bcs interval the classification of an arc
+// used, when the run keeps them.
+func (e *Engine) noteInterval(out netlist.NetID, pin, dOut int, lo, hi float64) {
+	if e.tbcsIv != nil {
+		e.tbcsIv[e.arcSlot(out, pin, dOut)] = tbcsInterval{lo, hi}
 	}
-	return ds
+}
+
+// flips reports whether a neighbor quiescent time in direction d that
+// moved from old to now can flip a coupling decision of victim: an arc
+// of victim that switches the other way has an interval the two do not
+// lie on one side of.
+func (e *Engine) flips(victim netlist.NetID, d int, old, now float64) bool {
+	for s := e.arcOff[victim-1] + int32(1-d); s < e.arcOff[victim]; s += 2 {
+		if e.tbcsIv[s].canFlip(old, now) {
+			return true
+		}
+	}
+	return false
+}
+
+// seedPass2 seeds refinement pass 2, the first to classify against the
+// stored quiescent times of pass 1 (st). A neighbor the one-step rule
+// counted as calculated (strictly lower rank) was read at its final
+// pass-1 time, which pass 2 reads again. One it did not coupled
+// whatever its time, as if that time were +Inf; the line is seeded when
+// its pass-1 time can flip that decision, i.e. is not above the hi of
+// every arc that switches the other way.
+func (e *Engine) seedPass2(ds *dirtySet, st []netState) {
+	for i := range st {
+		victim := netlist.NetID(i + 1)
+		first, end := e.cc.Span(victim)
+	nbrs:
+		for k := first; k < end; k++ {
+			other := e.cc.Nbr[k]
+			if e.netCalculatedAt(other, e.netRank[victim]) {
+				continue
+			}
+			for d := 0; d < 2; d++ {
+				if e.flips(victim, d, math.Inf(1), st[other-1].quiet[d]) {
+					ds.mark(victim)
+					break nbrs
+				}
+			}
+		}
+	}
+}
+
+// seedFlips seeds refinement pass k+1 (k ≥ 2): a line whose inputs did
+// not diverge reads its neighbors only through its coupling
+// comparisons, so of the coupled victims of a net whose quiescent time
+// in direction d moved from old (pass k−1, what pass k read) to st's
+// (pass k), only those whose decisions the move can flip recompute.
+// changed marks the nets that diverged in pass k. A dominance-skipped
+// arc keeps a stale interval, but it stays dominated while its inputs
+// are unchanged.
+func (e *Engine) seedFlips(ds *dirtySet, old [][2]float64, st []netState, changed []bool) {
+	for i, ch := range changed {
+		if !ch {
+			continue
+		}
+		first, end := e.cc.Span(netlist.NetID(i + 1))
+		for d := 0; d < 2; d++ {
+			was, now := old[i][d], st[i].quiet[d]
+			if was == now {
+				continue
+			}
+			for k := first; k < end; k++ {
+				if victim := e.cc.Nbr[k]; e.flips(victim, d, was, now) {
+					ds.mark(victim)
+				}
+			}
+		}
+	}
 }
 
 // mark adds a net to the dirty set, counting growth beyond the seeds.
@@ -301,9 +392,9 @@ func (e *Engine) expand(ds *dirtySet, net netlist.NetID) {
 	}
 }
 
-// seedRefinementDirty initializes a refinement pass's dirty set beyond
-// the edit seeds: every coupled victim of a net that diverged in the
-// previous pass re-reads its quiescent time through quietPrev (any
+// seedRefinementDirty initializes a seeded refinement pass's dirty set
+// beyond the edit seeds: every coupled victim of a net that diverged in
+// the previous pass re-reads its quiescent time through quietPrev (any
 // rank).
 func (e *Engine) seedRefinementDirty(ds *dirtySet, prevChanged []bool) {
 	if ds.orig == nil {

@@ -397,10 +397,13 @@ func fullRefinement(t *testing.T, c *netlist.Circuit, calc *delaycalc.Calculator
 
 // TestDeltaRefinementMatchesFull: the delta-convergent frontier must be
 // invisible in the results — identical states and pass counts, fewer
-// arc evaluations — and must report its carry-overs.
+// arc evaluations — and must report its carry-overs, which start at
+// pass 2.
 func TestDeltaRefinementMatchesFull(t *testing.T) {
 	converged := false
-	for _, seed := range []int64{835, 836, 837, 838} {
+	// Seed 823 has a neighbor whose quiescent time jumps from at or
+	// below a victim's t_bcs to above it between refinement passes.
+	for _, seed := range []int64{823, 835, 836, 837, 838} {
 		c, calc := buildExtracted(t, 170, 14, 9, seed)
 		full, fullPasses, fullArcs := fullRefinement(t, c, calc)
 		reg := obs.NewRegistry()
@@ -419,11 +422,11 @@ func TestDeltaRefinementMatchesFull(t *testing.T) {
 			}
 		}
 		if delta.Passes < 3 {
-			continue // passes 1–2 recompute fully; nothing to skip yet
+			continue
 		}
 		converged = true
 		skips := int64(0)
-		for _, ps := range delta.PassStats[2:] {
+		for _, ps := range delta.PassStats[1:] {
 			skips += ps.ConvergedSkips
 		}
 		if skips <= 0 {

@@ -13,7 +13,8 @@ import (
 )
 
 // TestPassStatsRecorded: Result.PassStats must cover every pass, lead
-// with the one-step seed pass, count real work, and show a
+// with the one-step seed pass, count real work (a refinement pass may
+// recompute no line, when no coupling decision can flip), and show a
 // non-increasing longest-path bound across iterative refinements on
 // this circuit; Result.LongestPath is the lowest pass.
 func TestPassStatsRecorded(t *testing.T) {
@@ -29,11 +30,14 @@ func TestPassStatsRecorded(t *testing.T) {
 		if ps.Pass != i+1 {
 			t.Errorf("PassStats[%d].Pass = %d, want %d", i, ps.Pass, i+1)
 		}
-		if ps.ArcEvaluations <= 0 {
+		if i == 0 && ps.ArcEvaluations <= 0 {
 			t.Errorf("pass %d: no arc evaluations recorded", ps.Pass)
 		}
-		if ps.RecalculatedWires <= 0 {
+		if i == 0 && ps.RecalculatedWires <= 0 {
 			t.Errorf("pass %d: no recalculated wires recorded", ps.Pass)
+		}
+		if ps.RecalculatedWires == 0 && ps.ArcEvaluations != 0 {
+			t.Errorf("pass %d: %d arc evaluations but no recalculated wire", ps.Pass, ps.ArcEvaluations)
 		}
 		if ps.Wall <= 0 {
 			t.Errorf("pass %d: wall time not recorded", ps.Pass)

@@ -16,17 +16,17 @@ import (
 // recompute set (dirtySet):
 //
 //   - a full pass recomputes every line and carries nothing: the
-//     single-pass modes, Iterative pass 1, and pass 2, where the
-//     classifier switches from the one-step rule to stored quiescent
-//     times, so every line's evalArc inputs change shape;
-//   - a delta pass (Iterative from pass 3) recomputes only the frontier
-//     whose inputs can differ from the previous pass: the coupled
-//     victims of last-pass changes (they re-read quiescent times through
-//     quietPrev), grown in-pass by the fanout of anything that diverges;
+//     single-pass modes and Iterative pass 1;
+//   - a delta pass (Iterative from pass 2) recomputes only the lines
+//     whose coupling decisions can flip against the quiescent times the
+//     previous pass left (seedPass2, seedFlips), grown in-pass by the
+//     fanout of anything that diverges;
 //   - a seeded pass recomputes the edit seeds against the stored pass of
 //     the same index, grown in-pass like a delta pass, with the same pass
 //     control, so the stop rule sees the same merged states and the same
-//     trajectory.
+//     trajectory. Its refinement passes seed every coupled victim of a
+//     net that diverged (seedRefinementDirty): the t_bcs intervals of its
+//     carried lines are not stored.
 //
 // Iterative stops when the longest path stops improving (§5.2) and
 // returns its best pass: each pass reads the previous pass's quiescent
@@ -45,6 +45,7 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 	} else {
 		ds = e.newFullPass()
 	}
+	e.resetIntervals(prev == nil && mode == Iterative)
 	e.finalQuietPrev, e.finalPassMode, e.finalPass = nil, firstMode, 0
 	ph := e.beginPass(1, firstMode)
 	st, err := e.sweep(firstMode, nil, ds)
@@ -55,6 +56,7 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 	delay := e.endPass(ph, st, ds, eco)
 	best := st
 	passes := 1
+	var qp [][2]float64 // the quiescent times the last pass classified against
 	for mode == Iterative && passes < maxPasses {
 		var next *dirtySet
 		switch {
@@ -62,12 +64,14 @@ func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]net
 			next = e.newEcoPass(prev, passes, seed)
 			e.seedRefinementDirty(next, ds.changed)
 		case passes == 1:
-			next = e.newDeltaPass(st, nil)
+			next = e.newDeltaPass(st)
+			e.seedPass2(next, st)
 		default:
-			next = e.newDeltaPass(st, ds.changed)
+			next = e.newDeltaPass(st)
+			e.seedFlips(next, qp, st, ds.changed)
 		}
 		ds = next
-		qp := snapshotQuiet(st)
+		qp = snapshotQuiet(st)
 		ph := e.beginPass(passes+1, Iterative)
 		st, err = e.sweep(Iterative, qp, ds)
 		if err != nil {
@@ -374,6 +378,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 				// Coupling decisions count only here — the bail paths
 				// fall through to the exact classification, which
 				// counts them itself.
+				e.noteInterval(out, pin, dOut, inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi)
 				w.couplingActive += c.nActive
 				w.couplingGrounded += c.nGrounded
 				w.tier0Hits++ // the elided best-case evaluation
@@ -401,6 +406,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 	// Step 2: classify each adjacent wire.
 	tBCS := inArr + bcsRes.TimeToRestart
 	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, nil)
+	e.noteInterval(out, pin, dOut, tBCS, tBCS)
 	w.couplingActive += c.nActive
 	w.couplingGrounded += c.nGrounded
 	if c.cc == 0 {

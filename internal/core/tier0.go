@@ -453,6 +453,7 @@ func (e *Engine) t0Probe(mode Mode, st []netState, quietPrev [][2]float64,
 	}
 	tBCS := inArr + slot.res.TimeToRestart
 	c, _ := e.classify(st, quietPrev, out, dOut, tBCS, tBCS, nil)
+	e.noteInterval(out, pin, dOut, tBCS, tBCS)
 	res, ok := slot.res, true
 	if c.cc > 0 {
 		res, ok = e.t0ProbeFinal(cell, pin, dOut, e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-c.cc), c.cc, pi), w)
