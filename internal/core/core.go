@@ -457,9 +457,7 @@ func (e *Engine) analyze(prev *ReplayState, seed []bool, eco *ECOStats) ([]netSt
 	if m := e.opts.Mode; m < BestCase || m > Iterative {
 		return nil, 0, fmt.Errorf("core: unknown mode %d", int(m))
 	}
-	if err := e.setupTier0(prev != nil); err != nil {
-		return nil, 0, err
-	}
+	e.setupTier0(prev != nil)
 	st, passes, err := e.runPasses(prev, seed, eco)
 	if err == nil && e.discardTainted() {
 		// Only a full run uses tier-0, so there is no ECO accounting to

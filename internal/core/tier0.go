@@ -149,7 +149,6 @@ const modeClasses = int(OneStep) + 1
 type frontierMemo struct {
 	once     [modeClasses]sync.Once
 	frontier [modeClasses][]float64
-	err      [modeClasses]error
 }
 
 // setupTier0 (re)builds the tier-0 dispatcher state for one analysis,
@@ -157,15 +156,15 @@ type frontierMemo struct {
 // tier-0 out. It records the cache horizon the run's probes read, and
 // takes the frontier from the snapshot's memo, computing it on the
 // first use of the mode class.
-func (e *Engine) setupTier0(seeded bool) error {
+func (e *Engine) setupTier0(seeded bool) {
 	e.t0 = nil
 	e.tier0Rerun = false
 	if !e.opts.Tier0 || seeded {
-		return nil
+		return
 	}
 	be, ok := e.Calc.(delaycalc.BoundsEvaluator)
 	if !ok {
-		return nil
+		return
 	}
 	e.t0 = &tier0Run{margin: e.tier0Margin, be: be, memo: make([]arcMemo, e.arcs())}
 	if p, ok := e.Calc.(cacheProbe); ok {
@@ -176,9 +175,8 @@ func (e *Engine) setupTier0(seeded bool) error {
 		}
 	}
 	cls, fm := min(int(e.opts.Mode), int(OneStep)), e.frontiers
-	fm.once[cls].Do(func() { fm.frontier[cls], fm.err[cls] = e.t0Frontier() })
+	fm.once[cls].Do(func() { fm.frontier[cls] = e.t0Frontier() })
 	e.t0.frontier = fm.frontier[cls]
-	return fm.err[cls]
 }
 
 // t0Frontier sweeps the circuit once with analytic band-midpoint
@@ -188,7 +186,7 @@ func (e *Engine) setupTier0(seeded bool) error {
 // on the same executor, then takes each rank's maximum estimate in one
 // sequential pass, so the frontier is deterministic under any worker
 // count.
-func (e *Engine) t0Frontier() ([]float64, error) {
+func (e *Engine) t0Frontier() []float64 {
 	c := e.C
 	n := len(c.Nets)
 	arr := make([][2]float64, n)
@@ -237,10 +235,9 @@ func (e *Engine) t0Frontier() ([]float64, error) {
 		}
 		return nil
 	}
-	// The estimates call no evaluator: their tally stays empty.
-	if err := e.runPhase(phaseClock, nil, new(tally), est); err != nil {
-		return nil, err
-	}
+	// The estimates call no evaluator, so their tally stays empty, and
+	// never fail, so neither do the phases.
+	_ = e.runPhase(phaseClock, nil, new(tally), est)
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
 			continue
@@ -249,9 +246,7 @@ func (e *Engine) t0Frontier() ([]float64, error) {
 		arr[cell.Out-1] = [2]float64{launch, launch}
 		slw[cell.Out-1] = [2]float64{dffOutSlew, dffOutSlew}
 	}
-	if err := e.runPhase(phaseMain, nil, new(tally), est); err != nil {
-		return nil, err
-	}
+	_ = e.runPhase(phaseMain, nil, new(tally), est)
 
 	maxRank := 0
 	for _, r := range e.netRank {
@@ -269,7 +264,7 @@ func (e *Engine) t0Frontier() ([]float64, error) {
 	for i := 1; i < len(frontier); i++ {
 		frontier[i] = math.Max(frontier[i], frontier[i-1])
 	}
-	return frontier, nil
+	return frontier
 }
 
 // nearCritical applies the margin gate: an arc whose bracketed arrival
