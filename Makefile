@@ -34,7 +34,9 @@ test:
 
 # Race-detector pass over the packages with worker concurrency and the
 # shared telemetry instruments — core's executor parity and abort tests
-# run rank buckets on 2, 8 and NumCPU workers — plus every root test
+# run rank buckets on 2, 8 and NumCPU workers, and TestTier0WarmProbe
+# runs warm tier-0 sessions whose workers probe one shared
+# characterization cache at Workers 1 and 2 — plus every root test
 # that drives one Design from several goroutines: mixed
 # Analyze/Reanalyze/Edit sessions, concurrent corner sessions (all
 # bit-compared against serial references — DESIGN.md §11), a LUT

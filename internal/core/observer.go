@@ -30,10 +30,9 @@ type PassStat struct {
 	// re-evaluated.
 	RecalculatedWires int64
 	// ConvergedSkips counts lines the delta-convergent Iterative
-	// refinement carried over because their inputs and neighbor
-	// quiescent times were bit-identical to the previous pass. Zero for
-	// pass 1 and for full-recompute passes (including pass 2, which
-	// always recomputes everything).
+	// refinement carried over because their inputs did not diverge and
+	// no moved neighbor quiescent time could flip one of their coupling
+	// decisions. Zero for pass 1, which recomputes every line.
 	ConvergedSkips int64
 	// LongestPath is the worst endpoint arrival after this pass.
 	LongestPath float64
