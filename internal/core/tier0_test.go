@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -299,6 +300,45 @@ func TestTier0WarmProbe(t *testing.T) {
 		t.Errorf("work differs by worker count:\n w=1 %+v\n w=2 %+v", works[0], works[1])
 	}
 	t.Logf("warm: %d arc evaluations, %d exact, %d tier-0 hits", works[0].arcs, works[0].t0Exact, works[0].t0Hits)
+}
+
+// TestTier0ConcurrentSessions: tiered sessions that run at once on one
+// snapshot share its frontier memo (the first to need it computes it)
+// and one calculator, which they fill while the others probe it at
+// their own horizons. Each is bit-equal to all-Newton.
+func TestTier0ConcurrentSessions(t *testing.T) {
+	c, calc := buildExtracted(t, 200, 14, 8, 308)
+	ref := runMode(t, c, calc, Options{Mode: Iterative})
+	opts := Options{Mode: Iterative, Tier0: true}
+	cd, err := Compile(c, calc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calc.ClearCache()
+	results := make([]*Result, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			o := opts
+			o.Workers = 1 + i%2
+			eng, err := NewSession(cd, calc, o)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i], errs[i] = eng.Run()
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		bitEqual(t, ref, res, fmt.Sprintf("session %d", i))
+	}
 }
 
 // narrowBounds is a calculator whose tier-0 brackets collapse to their
